@@ -43,6 +43,8 @@ _VALIDATION_ERRORS = (ConfigError, ParameterError, ExtrapolationError)
 
 
 def _fmt_cell(value) -> str:
+    if isinstance(value, str):
+        return value                    # text already formatted by a caller
     if value is None:
         return "nan"
     if isinstance(value, bool):
@@ -55,7 +57,7 @@ def _fmt_cell(value) -> str:
 def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
+        lines.append(",".join(map(_fmt_cell, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
 
@@ -246,14 +248,32 @@ def _qkd_payload(cfg: RunConfig, seed: int, rows, optimizer_used: bool):
     }
 
 
+def _dump_rows(space: SearchSpace, per_detector: bool, optima):
+    """``grid_dump.csv`` rows in ``Optimum.table`` order, each one text cell.
+
+    The loss and point columns take few distinct values, so their text is
+    formatted once; only the key rate is formatted per row.
+    """
+    side = [f"{_fmt_cell(eta)},{_fmt_cell(tau * 1e6)}"
+            for eta in space.efficiency_grid for tau in space.deadtime_grid]
+    pairs = [f"{d},{m}" for d in side for m in side] if per_detector \
+        else [f"{d},{d}" for d in side]
+    points = [f"{_fmt_cell(t)},{p}" for t in space.temperature_grid
+              for p in pairs]
+    for o in optima:
+        loss = _fmt_cell(o.loss_db)
+        for p, skr in zip(points, o.table.tolist()):
+            yield (f"{loss},{p},{skr!r}",)
+
+
 def _optimize_rows(cfg: RunConfig, grid_dump: bool):
     space = _search_space(cfg)
     base = _link_config(cfg, space.loss_grid[0])
-    optima = optimize(space, base, per_detector=cfg.optimizer.per_detector,
+    per_detector = cfg.optimizer.per_detector
+    optima = optimize(space, base, per_detector=per_detector,
                       keep_table=grid_dump)
     skr_rows = [_skr_row(o.loss_db, o.metrics, o.point) for o in optima]
     op_rows = []
-    dump_rows = []
     for o in optima:
         p = o.point
         op_rows.append((o.loss_db, o.found,
@@ -263,13 +283,7 @@ def _optimize_rows(cfg: RunConfig, grid_dump: bool):
                         p.efficiency_monitor if p else None,
                         p.deadtime_monitor * 1e6 if p else None,
                         o.skr))
-        if o.table is not None:
-            for row in o.table:
-                g = row.point
-                dump_rows.append((o.loss_db, g.temperature_c,
-                                  g.efficiency_data, g.deadtime_data * 1e6,
-                                  g.efficiency_monitor,
-                                  g.deadtime_monitor * 1e6, row.skr))
+    dump_rows = _dump_rows(space, per_detector, optima) if grid_dump else ()
     return skr_rows, op_rows, dump_rows
 
 

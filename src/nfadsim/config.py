@@ -151,10 +151,22 @@ _SECTION_TYPES = {
 }
 
 
+def _check_schema() -> None:
+    """Raise TypeError if a section's parser keys differ from its fields."""
+    for name, cls in _SECTION_TYPES.items():
+        known = {f.name for f in fields(cls)}
+        if set(_PARSERS[name]) != known:
+            raise TypeError(f"schema drift in [{name}]: parsers "
+                            f"{sorted(_PARSERS[name])} != fields "
+                            f"{sorted(known)}")
+
+
+_check_schema()
+
+
 def _build_section(name: str, raw: dict):
     parsers = _PARSERS[name]
     cls = _SECTION_TYPES[name]
-    known = {f.name for f in fields(cls)}
     values = {}
     for key, raw_value in raw.items():
         if key not in parsers:
@@ -164,7 +176,6 @@ def _build_section(name: str, raw: dict):
             values[key] = parsers[key](raw_value)
         except ConfigError as exc:
             raise ConfigError(f"[{name}] {key}: {exc}") from exc
-    assert set(parsers) == known, "schema drift between parsers and dataclass"
     return cls(**values)
 
 

@@ -1,22 +1,33 @@
 """Exhaustive operating-point search maximizing secret key rate per loss.
 
-The analytic link model is cheap enough that the full grid (at most a few
-thousand points per loss, ~76k with the per-detector flag) is evaluated
-outright; exactness keeps the argmax reproducible and testable.
+The key rate separates into a Data half and a Monitor half: the sifted rate
+and QBER read only the Data detector, the visibility only the Monitor
+detector, and SKR = max(0, K_data * V_monitor - auth) with
+K = sifted * (1 - f*h(qber)) * pa and V = vis_raw / v0.  So ``link_metrics``
+runs once per grid detector and loss (that detector on both sides, which is
+the shared-mode point itself), and every (Data, Monitor) pair at one
+temperature is the numpy outer product of the two factor vectors; shared
+mode is its diagonal.  The product uses the same IEEE operations in the
+same order as the scalar formula, so each table entry is bit-identical to
+``link_metrics`` at that pair; exactness keeps the argmax reproducible and
+testable.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .calibration import make_detector
 from .errors import ParameterError
 from .params import (EFFICIENCY_MAX, TEMPERATURE_MAX_K, TEMPERATURE_MIN_K,
                      kelvin_to_celsius)
-from .qkd import LinkConfig, LinkMetrics, QkdOperatingPoint, link_metrics
+from .qkd import (LinkConfig, LinkMetrics, QkdOperatingPoint, _key_factor,
+                  _vis_factor, link_metrics)
 
 DEFAULT_EFFICIENCY_GRID = tuple(round(0.08 + 0.01 * k, 2) for k in range(23))
 DEFAULT_DEADTIME_GRID = (2e-6, 5e-6, 10e-6, 20e-6, 40e-6, 80e-6)
@@ -32,11 +43,6 @@ class GridPoint(NamedTuple):
     deadtime_data: float
     efficiency_monitor: float
     deadtime_monitor: float
-
-
-class GridRow(NamedTuple):
-    point: GridPoint
-    skr: float
 
 
 def _check_grid(name: str, values: Sequence[float], lo: float, hi: float,
@@ -93,14 +99,16 @@ class Optimum:
 
     ``found`` is False when every grid point evaluated to zero key rate; the
     point and metrics are then absent rather than an arbitrary zero-rate
-    entry.
+    entry.  ``table``, when kept, is a read-only float64 array holding the
+    key rate of every grid point in ``SearchSpace.points(per_detector)``
+    order.
     """
 
     loss_db: float
     found: bool
     point: Optional[GridPoint]
     metrics: Optional[LinkMetrics]
-    table: Optional[tuple[GridRow, ...]] = None
+    table: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.found != (self.point is not None) or \
@@ -125,42 +133,60 @@ def optimize(space: SearchSpace, cfg: LinkConfig, per_detector: bool = False,
     """Best operating point per loss in ``space.loss_grid``.
 
     Every detector on the grid is constructed (and therefore validated)
-    before the first evaluation.  The scan is a deterministic fold: the
-    reported optimum is independent of enumeration order because the
-    tie-break key totally orders the grid.
+    before the first evaluation.  The optimum is the largest key rate, ties
+    going to the smallest ``_tie_key``; the key totally orders the grid, so
+    the result does not depend on enumeration order.
     """
-    detectors = {}
-    for t in space.temperature_grid:
-        for eta in space.efficiency_grid:
-            for tau in space.deadtime_grid:
-                detectors[(t, eta, tau)] = make_detector(t, eta, tau)
+    temps = space.temperature_grid
+    side = [(eta, tau) for eta in space.efficiency_grid
+            for tau in space.deadtime_grid]
+    detectors = [[make_detector(t, eta, tau) for eta, tau in side]
+                 for t in temps]
+
+    def split(index: int) -> tuple[int, int, int]:
+        # Flat table index -> (temperature, Data, Monitor) positions.
+        if per_detector:
+            t, pair = divmod(index, len(side) ** 2)
+            return (t, *divmod(pair, len(side)))
+        t, d = divmod(index, len(side))
+        return t, d, d
+
+    def point_at(index: int) -> GridPoint:
+        t, d, m = split(index)
+        return GridPoint(temps[t], *side[d], *side[m])
 
     results = []
     for loss in space.loss_grid:
         cfg_loss = dataclasses.replace(cfg, channel_loss_db=loss)
-        best_key = None
-        best: Optional[tuple[GridPoint, LinkMetrics]] = None
-        rows = [] if keep_table else None
-        for point in space.points(per_detector):
-            op = QkdOperatingPoint(
-                data_detector=detectors[(point.temperature_c,
-                                         point.efficiency_data,
-                                         point.deadtime_data)],
-                monitor_detector=detectors[(point.temperature_c,
-                                            point.efficiency_monitor,
-                                            point.deadtime_monitor)])
-            metrics = link_metrics(cfg_loss, op)
-            if rows is not None:
-                rows.append(GridRow(point, metrics.skr))
-            key = _tie_key(point, metrics.skr)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (point, metrics)
-        found = bool(best is not None and best[1].skr > 0.0)
-        results.append(Optimum(
-            loss_db=loss,
-            found=found,
-            point=best[0] if found else None,
-            metrics=best[1] if found else None,
-            table=tuple(rows) if rows is not None else None))
+        halves = [[link_metrics(cfg_loss, QkdOperatingPoint(det, det))
+                   for det in row] for row in detectors]
+        key = np.array([[_key_factor(cfg_loss, m.sifted_rate, m.qber)
+                         for m in row] for row in halves], dtype=np.float64)
+        vis = np.array([[_vis_factor(cfg_loss, m.visibility_raw)
+                         for m in row] for row in halves], dtype=np.float64)
+        secret = key[:, :, None] * vis[:, None, :] if per_detector \
+            else key * vis
+        secret = secret.ravel() - cfg_loss.auth_rate_cost
+        # Same as max(0.0, x), which gives 0.0 for x = -0.0 (K < 0 times
+        # V == 0) and for NaN; np.maximum can return -0.0 or NaN there.
+        table = np.where(secret > 0.0, secret, 0.0)
+        table.flags.writeable = False
+
+        best = float(table.max())
+        point = metrics = None
+        if best > 0.0:
+            # First minimal key in enumeration order among the maxima.
+            index = min(np.flatnonzero(table == best).tolist(),
+                        key=lambda i: _tie_key(point_at(i), best))
+            point = point_at(index)
+            t, d, m = split(index)
+            data, monitor = halves[t][d], halves[t][m]
+            metrics = LinkMetrics(
+                sifted_rate=data.sifted_rate, qber=data.qber,
+                visibility_raw=monitor.visibility_raw,
+                visibility_dark_subtracted=monitor.visibility_dark_subtracted,
+                skr=best)
+        results.append(Optimum(loss_db=loss, found=point is not None,
+                               point=point, metrics=metrics,
+                               table=table if keep_table else None))
     return results

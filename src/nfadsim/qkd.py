@@ -195,12 +195,24 @@ def _arm_rates(det: DetectorParams, candidate_rate: float):
     return _saturated_rates(candidate_rate, det.deadtime, fb)
 
 
+def _key_factor(cfg: LinkConfig, sifted: float, qber: float) -> float:
+    """Data-detector half of the key rate: sifted * (1 - f*h(qber)) * pa."""
+    return sifted * (1.0 - cfg.ec_inefficiency * binary_entropy(qber)) \
+        * cfg.pa_ratio
+
+
+def _vis_factor(cfg: LinkConfig, vis_raw: float) -> float:
+    """Monitor-detector half of the key rate: raw over intrinsic visibility."""
+    v0 = cfg.interferometer_visibility_intrinsic
+    return vis_raw / v0 if v0 > 0.0 else 0.0
+
+
 def _skr(cfg: LinkConfig, sifted: float, qber: float,
          vis_raw: float) -> float:
-    v0 = cfg.interferometer_visibility_intrinsic
-    vis_factor = vis_raw / v0 if v0 > 0.0 else 0.0
-    secret = sifted * (1.0 - cfg.ec_inefficiency * binary_entropy(qber)) \
-        * cfg.pa_ratio * vis_factor
+    # The key rate factors into a Data half and a Monitor half; the
+    # optimizer relies on this split (and on this association order) to
+    # take the product over detector pairs without re-evaluating them.
+    secret = _key_factor(cfg, sifted, qber) * _vis_factor(cfg, vis_raw)
     return max(0.0, secret - cfg.auth_rate_cost)
 
 

@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, file layout, byte determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -169,6 +170,36 @@ class TestQkdOptimized:
             assert float(row[3]) == opt.point.efficiency_data
             assert float(row[4]) == opt.point.deadtime_data * 1e6
             assert float(row[7]) == opt.skr
+
+    def test_per_detector_outputs_keep_their_bytes(self, tmp_path):
+        # sha256 recorded from the scalar fold that evaluated link_metrics
+        # at every (Data, Monitor) pair.
+        golden = {
+            "grid_dump.csv": "332f194f2ca6453a15664e4fb3deb722"
+                             "ce7ad9bb25c0c0c79e736502452fa10f",
+            "operating_points.csv": "58e524745a3d4b43a4137011f2997da4"
+                                    "130a956488de028b38f5803fde99008a",
+        }
+        cfg = _cfg(tmp_path, QKD_OPT_INI + "per_detector = true\n")
+        out = tmp_path / "out"
+        assert cli.main(["qkd", "--config", cfg, "--out", str(out),
+                         "--grid-dump"]) == 0
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+                == digest, name
+
+    def test_zero_key_rate_dumps_positive_zero(self, tmp_path):
+        # At 200 dB, K < 0 (QBER 0.5) times V == 0 is -0.0; with no
+        # authentication cost the dump must still print 0.0.
+        text = QKD_OPT_INI.replace("losses_db = 10, 25",
+                                   "losses_db = 200\nauth_rate_cost_bps = 0")
+        cfg = _cfg(tmp_path, text + "per_detector = true\n")
+        out = tmp_path / "out"
+        assert cli.main(["optimize", "--config", cfg, "--out", str(out),
+                         "--grid-dump"]) == 0
+        _, dump = _read_rows(out / "grid_dump.csv")
+        assert len(dump) == 2 * (2 * 2) ** 2
+        assert {row[-1] for row in dump} == {"0.0"}
 
 
 class TestOptimizeCommand:

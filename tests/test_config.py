@@ -1,7 +1,10 @@
 """INI parsing: schema enforcement and typed defaults."""
 
+import dataclasses
+
 import pytest
 
+from nfadsim import config
 from nfadsim.config import RunConfig, parse_config
 from nfadsim.errors import ConfigError
 
@@ -125,3 +128,16 @@ def test_malformed_file(tmp_path):
     path = _write(tmp_path, "[run]\nseed = 1\nseed = 2\n")
     with pytest.raises(ConfigError, match="malformed"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("name", sorted(config._SECTION_TYPES))
+def test_parsers_match_section_fields(name):
+    fields = {f.name for f in dataclasses.fields(config._SECTION_TYPES[name])}
+    assert set(config._PARSERS[name]) == fields
+
+
+def test_schema_drift_raises_without_assert(monkeypatch):
+    # A raise, not an assert, so the check survives python -O.
+    monkeypatch.setitem(config._PARSERS, "run", {"seed": config._parse_int})
+    with pytest.raises(TypeError, match=r"\[run\]"):
+        config._check_schema()

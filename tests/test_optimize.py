@@ -1,5 +1,8 @@
 """Grid search over operating points: exactness, ordering, tie-breaks."""
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,25 @@ class TestTieBreaks:
         warmer = GridPoint(-50.0, 0.1, 2e-6, 0.1, 2e-6)
         assert _tie_key(warmer, 1.0) < _tie_key(short, 1.0)
 
+    @pytest.mark.parametrize("per_detector", [False, True])
+    def test_optimize_resolves_a_full_tie_by_key(self, monkeypatch,
+                                                 per_detector):
+        # Every detector gets the same metrics, so every point ties and the
+        # key alone picks the optimum, which is neither the first nor the
+        # last point in enumeration order.
+        cfg = LinkConfig(channel_loss_db=10.0)
+        det = make_detector(-90.0, 0.1, 5e-6)
+        same = link_metrics(cfg, QkdOperatingPoint(det, det))
+        monkeypatch.setattr(sys.modules[optimize.__module__],
+                            "link_metrics", lambda cfg, op: same)
+        space = SearchSpace(efficiency_grid=(0.1, 0.2),
+                            deadtime_grid=(20e-6, 5e-6),
+                            temperature_grid=(-110.0, -50.0),
+                            loss_grid=(10.0,))
+        (opt,) = optimize(space, cfg, per_detector=per_detector)
+        assert opt.point == GridPoint(-50.0, 0.1, 5e-6, 0.1, 5e-6)
+        assert opt.metrics == same
+
 
 class TestOptimize:
     def test_singleton_space_equals_direct_evaluation(self):
@@ -101,19 +123,6 @@ class TestOptimize:
             assert link_metrics(cfg, QkdOperatingPoint(det, det)).skr \
                 <= opt.skr
 
-    def test_enumeration_order_is_irrelevant(self, monkeypatch):
-        cfg = LinkConfig(channel_loss_db=10.0)
-        (baseline,) = optimize(SMALL, cfg)
-        shuffled = list(SMALL.points(False))
-        rng = np.random.Generator(np.random.PCG64(2))
-        order = rng.permutation(len(shuffled))
-        shuffled = [shuffled[i] for i in order]
-        monkeypatch.setattr(SearchSpace, "points",
-                            lambda self, per_detector=False: iter(shuffled))
-        (permuted,) = optimize(SMALL, cfg)
-        assert permuted.point == baseline.point
-        assert permuted.metrics == baseline.metrics
-
     def test_hopeless_loss_reports_not_found(self):
         space = SearchSpace(efficiency_grid=(0.1, 0.2),
                             deadtime_grid=(5e-6, 20e-6),
@@ -123,7 +132,8 @@ class TestOptimize:
         assert not opt.found
         assert opt.point is None and opt.metrics is None
         assert opt.skr == 0.0
-        assert all(row.skr == 0.0 for row in opt.table)
+        assert len(opt.table) == len(list(space.points(False)))
+        assert all(skr == 0.0 for skr in opt.table.tolist())
 
     def test_per_detector_can_only_help(self):
         cfg = LinkConfig(channel_loss_db=10.0)
@@ -135,7 +145,7 @@ class TestOptimize:
         cfg = LinkConfig(channel_loss_db=10.0)
         (opt,) = optimize(SMALL, cfg, keep_table=True)
         assert len(opt.table) == len(list(SMALL.points(False)))
-        assert max(row.skr for row in opt.table) == opt.skr
+        assert opt.table.max() == opt.skr
         (bare,) = optimize(SMALL, cfg)
         assert bare.table is None
 
@@ -149,3 +159,61 @@ class TestOptimize:
         etas = [r.point.efficiency_data for r in results]
         assert all(b >= a for a, b in zip(taus, taus[1:]))
         assert all(b >= a for a, b in zip(etas, etas[1:]))
+
+
+def _brute_force(space, cfg, per_detector, order_seed):
+    """Scalar fold: one link_metrics call per point, in shuffled order."""
+    points = list(space.points(per_detector))
+    skrs = [None] * len(points)
+    order = np.random.Generator(np.random.PCG64(order_seed)).permutation(
+        len(points))
+    best_key = best = None
+    for i in order.tolist():
+        p = points[i]
+        op = QkdOperatingPoint(
+            make_detector(p.temperature_c, p.efficiency_data,
+                          p.deadtime_data),
+            make_detector(p.temperature_c, p.efficiency_monitor,
+                          p.deadtime_monitor))
+        metrics = link_metrics(cfg, op)
+        skrs[i] = metrics.skr
+        key = _tie_key(p, metrics.skr)
+        if best_key is None or key < best_key:
+            best_key, best = key, (p, metrics)
+    if best[1].skr > 0.0:
+        return best[0], best[1], skrs
+    return None, None, skrs
+
+
+DUPLICATES = SearchSpace(efficiency_grid=(0.1, 0.1, 0.2),
+                         deadtime_grid=(5e-6, 5e-6),
+                         temperature_grid=(-90.0, -110.0),
+                         loss_grid=(10.0,))
+
+
+class TestAgainstScalarFold:
+    @pytest.mark.parametrize("per_detector", [False, True])
+    @pytest.mark.parametrize("space", [
+        SMALL,
+        dataclasses.replace(SMALL, loss_grid=(60.0,)),
+        DUPLICATES,
+    ], ids=["small", "60dB", "duplicates"])
+    def test_matches_brute_force_fold(self, space, per_detector):
+        cfg = LinkConfig(channel_loss_db=space.loss_grid[0])
+        (opt,) = optimize(space, cfg, per_detector=per_detector,
+                          keep_table=True)
+        point, metrics, skrs = _brute_force(space, cfg, per_detector, 2)
+        assert opt.point == point
+        assert opt.metrics == metrics
+        assert opt.found == (point is not None)
+        assert [repr(v) for v in opt.table.tolist()] == \
+            [repr(float(v)) for v in skrs]
+
+    def test_zero_key_rate_is_positive_zero(self):
+        # K < 0 (QBER 0.5) times V == 0 minus a zero authentication cost is
+        # -0.0; the table must still hold 0.0, as max(0.0, -0.0) does.
+        space = dataclasses.replace(SMALL, loss_grid=(200.0,))
+        cfg = LinkConfig(channel_loss_db=200.0, auth_rate_cost=0.0)
+        (opt,) = optimize(space, cfg, per_detector=True, keep_table=True)
+        assert not opt.found
+        assert {repr(v) for v in opt.table.tolist()} == {"0.0"}
