@@ -5,9 +5,14 @@ nopython mode.  By default they are wrapped with ``numba.njit``; setting the
 environment variable ``NFADSIM_DISABLE_NUMBA=1`` (or running without numba
 installed) executes the very same function objects as ordinary Python.
 
-Both paths draw from ``numpy.random.Generator`` and use ``math.*`` scalar
-routines only, so their outputs are bit-identical.  ``tests/test_backends.py``
-asserts this and ``python -m nfadsim.bench`` measures the speed difference.
+Both paths use ``math.*`` scalar routines only and draw the same uniforms in
+the same order, so their outputs are bit-identical.  Under numba the kernels
+call ``Generator.random()`` directly.  In the interpreter they read the
+buffered, exact sources of ``RandomStream.uniforms``, which are rewound on
+exit so every generator ends in the state scalar calls would leave, and
+they take Python scalars and lists (``kernel_sequence``), not numpy ones.
+``tests/test_backends.py`` checks both draw paths; the Python path is the
+one ``python -m nfadsim.bench`` measures where numba is not installed.
 """
 
 import os
@@ -37,6 +42,15 @@ def compile_kernel(func):
     if USE_NUMBA:
         return numba.njit(cache=True)(func)
     return func
+
+
+def kernel_sequence(array):
+    """A numpy array as a kernel input: itself under numba, else a list.
+
+    The interpreter indexes a list of Python scalars several times faster
+    than an array, and does arithmetic on what it returns faster too.
+    """
+    return array if USE_NUMBA else array.tolist()
 
 
 def backend_name() -> str:

@@ -2,14 +2,25 @@
 
 Every function here is compiled with ``numba.njit`` unless the pure-Python
 backend is selected (see ``_backend``).  To keep both backends bit-identical
-the kernels draw nothing but ``Generator.random()`` uniforms and use only
+the kernels draw nothing but ``gen.random()`` uniforms and use only
 ``math.*`` scalar routines; exponential, normal, Poisson and categorical
 variates are derived here by inversion/rejection.
 
-Time is int64 picoseconds throughout.  Event tie-breaks at equal times follow
-the fixed kind priority: re-arm happens first (armed state is checked with
-``>=``), then optical pulse, then continuous background, then dark candidate,
-then trap release.
+Draw contract.  Each ``gen_*`` argument is one named substream.  Under numba
+it is the raw ``numpy.random.Generator``.  In the interpreter the call sites
+pass the sources of ``RandomStream.uniforms``: ``random()`` reads the same
+doubles from buffered blocks, exactly as scalar calls would, and on exit
+each generator is rewound past the values it drew but never served, so it
+ends where scalar calls leave it.  A kernel fed raw generators gives the
+same outputs and end states (``tests/test_backends.py``).
+
+Time is integer picoseconds throughout.  In the interpreter every event time
+is a Python int: the pulse inputs arrive as lists, the release heap is a
+list driven by ``heapq`` and floored by the ``NEVER`` sentinel, and clicks
+and histogram bins are collected in lists.  Event tie-breaks at equal times
+follow the fixed kind priority: re-arm happens first (armed state is checked
+with ``>=``), then optical pulse, then continuous background, then dark
+candidate, then trap release.
 
 Per-click draw order (the contract shared with the reference simulator in
 ``detector.py``): jitter delay first, then trap count, then per-trap
@@ -18,17 +29,15 @@ draw when the previous candidate is processed, armed or not.
 """
 
 import math
-
-import numpy as np
+from heapq import heappop, heappush
 
 from ._backend import compile_kernel
+from .params import ORIGIN_AFTERPULSE, ORIGIN_DARK, ORIGIN_PHOTON, PS_PER_S
 
 # Far future sentinel; beyond any simulated time but safely below 2**63.
+# It also sits at the bottom of every release heap, so the heap is never
+# empty and its top can be compared without a length test.
 NEVER = 1 << 62
-
-ORIGIN_PHOTON = 0
-ORIGIN_DARK = 1
-ORIGIN_AFTERPULSE = 2
 
 
 def _poisson_small(gen, lam):
@@ -48,7 +57,7 @@ def _poisson_small(gen, lam):
 def _exp_gap_ps(gen, rate_per_s):
     # rate > 0 required by callers.
     u = gen.random()
-    return int(-math.log(1.0 - u) / rate_per_s * 1.0e12)
+    return int(-math.log(1.0 - u) / rate_per_s * PS_PER_S)
 
 
 def _exp_tau_ps(gen, tau_ps):
@@ -58,10 +67,11 @@ def _exp_tau_ps(gen, tau_ps):
 
 def _pick_component(gen, cum_weights):
     u = gen.random()
-    for i in range(cum_weights.shape[0]):
+    n = len(cum_weights)
+    for i in range(n):
         if u < cum_weights[i]:
             return i
-    return cum_weights.shape[0] - 1
+    return n - 1
 
 
 def _normal_unit(gen):
@@ -88,56 +98,6 @@ def _jitter_delay_ps(gen, sigma_ps, tail_fraction, tail_scale, latency_ps):
     return delay
 
 
-def _heap_push(heap, n, value):
-    if n >= heap.shape[0]:
-        bigger = np.empty(heap.shape[0] * 2, np.int64)
-        bigger[:n] = heap[:n]
-        heap = bigger
-    heap[n] = value
-    i = n
-    n += 1
-    while i > 0:
-        parent = (i - 1) // 2
-        if heap[parent] <= heap[i]:
-            break
-        heap[parent], heap[i] = heap[i], heap[parent]
-        i = parent
-    return heap, n
-
-
-def _heap_pop(heap, n):
-    top = heap[0]
-    n -= 1
-    heap[0] = heap[n]
-    i = 0
-    while True:
-        left = 2 * i + 1
-        if left >= n:
-            break
-        child = left
-        right = left + 1
-        if right < n and heap[right] < heap[left]:
-            child = right
-        if heap[i] <= heap[child]:
-            break
-        heap[i], heap[child] = heap[child], heap[i]
-        i = child
-    return top, n
-
-
-def _append_click(times, origins, n, t_ps, code):
-    if n >= times.shape[0]:
-        bigger_t = np.empty(times.shape[0] * 2, np.int64)
-        bigger_t[:n] = times[:n]
-        times = bigger_t
-        bigger_o = np.empty(origins.shape[0] * 2, np.uint8)
-        bigger_o[:n] = origins[:n]
-        origins = bigger_o
-    times[n] = t_ps
-    origins[n] = code
-    return times, origins, n + 1
-
-
 def free_run(duration_ps, deadtime_ps,
              dark_rate, bg_rate,
              pulse_times_ps, pulse_p_click,
@@ -152,17 +112,15 @@ def free_run(duration_ps, deadtime_ps,
     is recorded at raw time + jitter delay; the detector re-arms at
     recorded time + deadtime.  Trap releases while disarmed are lost.
     """
-    times = np.empty(1024, np.int64)
-    origins = np.empty(1024, np.uint8)
-    n_clicks = 0
+    times = []
+    origins = []
 
-    rel_heap = np.empty(256, np.int64)
-    n_rel = 0
+    rel_heap = [NEVER]
 
     next_dark = _exp_gap_ps(gen_darks, dark_rate) if dark_rate > 0.0 else NEVER
     next_bg = _exp_gap_ps(gen_background, bg_rate) if bg_rate > 0.0 else NEVER
     i_pulse = 0
-    n_pulses = pulse_times_ps.shape[0]
+    n_pulses = len(pulse_times_ps)
     armed_from = 0  # armed when t >= armed_from
 
     while True:
@@ -178,7 +136,7 @@ def free_run(duration_ps, deadtime_ps,
         if next_dark < t_next:
             t_next = next_dark
             kind = 3
-        if n_rel > 0 and rel_heap[0] < t_next:
+        if rel_heap[0] < t_next:
             t_next = rel_heap[0]
             kind = 4
         if t_next >= duration_ps:
@@ -204,7 +162,7 @@ def free_run(duration_ps, deadtime_ps,
                 clicked = True
                 code = ORIGIN_DARK
         else:
-            _, n_rel = _heap_pop(rel_heap, n_rel)
+            heappop(rel_heap)
             if t_next >= armed_from:
                 clicked = True
                 code = ORIGIN_AFTERPULSE
@@ -213,16 +171,16 @@ def free_run(duration_ps, deadtime_ps,
             recorded = t_next + _jitter_delay_ps(
                 gen_jitter, sigma_ps, tail_fraction, tail_scale, latency_ps)
             if recorded < duration_ps:
-                times, origins, n_clicks = _append_click(
-                    times, origins, n_clicks, recorded, code)
+                times.append(recorded)
+                origins.append(code)
             armed_from = recorded + deadtime_ps
             n_traps = _poisson_small(gen_traps, trap_lambda)
             for _ in range(n_traps):
                 comp = _pick_component(gen_traps, trap_cum_weights)
                 release = t_next + _exp_tau_ps(gen_traps, trap_tau_ps[comp])
-                rel_heap, n_rel = _heap_push(rel_heap, n_rel, release)
+                heappush(rel_heap, release)
 
-    return times[:n_clicks], origins[:n_clicks]
+    return times, origins
 
 
 def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
@@ -240,12 +198,11 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
     (c_d, c_lp, histogram, live_ps, starved).
     """
     n_bins = span_ps // bin_ps
-    hist = np.zeros(n_bins, np.int64)
+    hist = [0] * n_bins
     c_d = 0
     c_lp = 0
 
-    rel_heap = np.empty(256, np.int64)
-    n_rel = 0
+    rel_heap = [NEVER]
     next_dark = _exp_gap_ps(gen_darks, dark_rate) if dark_rate > 0.0 else NEVER
     armed_from = 0
     last_click = -quiet_ps  # lets the first pulse fire at t = 0
@@ -266,7 +223,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
             if next_dark < t_next:
                 t_next = next_dark
                 kind = 3
-            if n_rel > 0 and rel_heap[0] < t_next:
+            if rel_heap[0] < t_next:
                 t_next = rel_heap[0]
                 kind = 4
             if t_next >= target:
@@ -278,7 +235,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
                 if t_next >= armed_from:
                     clicked = True
             else:
-                _, n_rel = _heap_pop(rel_heap, n_rel)
+                heappop(rel_heap)
                 if t_next >= armed_from:
                     clicked = True
 
@@ -292,7 +249,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
                     comp = _pick_component(gen_traps, trap_cum_weights)
                     release = t_next + _exp_tau_ps(gen_traps,
                                                    trap_tau_ps[comp])
-                    rel_heap, n_rel = _heap_push(rel_heap, n_rel, release)
+                    heappush(rel_heap, release)
                 last_click = recorded
                 if recorded < target:
                     target = recorded + quiet_ps
@@ -326,7 +283,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
                 for _ in range(n_traps):
                     comp = _pick_component(gen_traps, trap_cum_weights)
                     release = t_q + _exp_tau_ps(gen_traps, trap_tau_ps[comp])
-                    rel_heap, n_rel = _heap_push(rel_heap, n_rel, release)
+                    heappush(rel_heap, release)
                 last_click = recorded
                 if recorded < bin_end:
                     detection = recorded
@@ -337,7 +294,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
                     if next_dark < t_next:
                         t_next = next_dark
                         kind = 3
-                    if n_rel > 0 and rel_heap[0] < t_next:
+                    if rel_heap[0] < t_next:
                         t_next = rel_heap[0]
                         kind = 4
                     if t_next >= bin_end:
@@ -348,7 +305,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
                         if t_next >= armed_from:
                             clicked = True
                     else:
-                        _, n_rel = _heap_pop(rel_heap, n_rel)
+                        heappop(rel_heap)
                         if t_next >= armed_from:
                             clicked = True
                     if clicked:
@@ -362,8 +319,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
                                                    trap_cum_weights)
                             release = t_next + _exp_tau_ps(
                                 gen_traps, trap_tau_ps[comp])
-                            rel_heap, n_rel = _heap_push(rel_heap, n_rel,
-                                                         release)
+                            heappush(rel_heap, release)
                         last_click = recorded
                         if recorded < bin_end:
                             detection = recorded
@@ -378,7 +334,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
                 if next_dark < t_next:
                     t_next = next_dark
                     kind = 3
-                if n_rel > 0 and rel_heap[0] < t_next:
+                if rel_heap[0] < t_next:
                     t_next = rel_heap[0]
                     kind = 4
                 if t_next >= span_end:
@@ -389,7 +345,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
                     if t_next >= armed_from:
                         clicked = True
                 else:
-                    _, n_rel = _heap_pop(rel_heap, n_rel)
+                    heappop(rel_heap)
                     if t_next >= armed_from:
                         clicked = True
                 if clicked:
@@ -402,7 +358,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
                         comp = _pick_component(gen_traps, trap_cum_weights)
                         release = t_next + _exp_tau_ps(gen_traps,
                                                        trap_tau_ps[comp])
-                        rel_heap, n_rel = _heap_push(rel_heap, n_rel, release)
+                        heappush(rel_heap, release)
                     last_click = recorded
                     offset = recorded - detection
                     idx = offset // bin_ps
@@ -434,8 +390,7 @@ def qkd_data(n_frames, frame_ps, slot_ps, deadtime_ps,
     n_sifted = 0
     n_errors = 0
 
-    rel_heap = np.empty(256, np.int64)
-    n_rel = 0
+    rel_heap = [NEVER]
     next_dark = _exp_gap_ps(gen_darks, dark_rate) if dark_rate > 0.0 else NEVER
     armed_from = 0
 
@@ -473,7 +428,7 @@ def qkd_data(n_frames, frame_ps, slot_ps, deadtime_ps,
         if next_dark < t_next:
             t_next = next_dark
             kind = 3
-        if n_rel > 0 and rel_heap[0] < t_next:
+        if rel_heap[0] < t_next:
             t_next = rel_heap[0]
             kind = 4
         if t_next >= duration_ps:
@@ -490,7 +445,7 @@ def qkd_data(n_frames, frame_ps, slot_ps, deadtime_ps,
             if t_next >= armed_from:
                 clicked = True
         else:
-            _, n_rel = _heap_pop(rel_heap, n_rel)
+            heappop(rel_heap)
             if t_next >= armed_from:
                 clicked = True
 
@@ -502,7 +457,7 @@ def qkd_data(n_frames, frame_ps, slot_ps, deadtime_ps,
             for _ in range(n_traps):
                 comp = _pick_component(gen_traps, trap_cum_weights)
                 release = t_next + _exp_tau_ps(gen_traps, trap_tau_ps[comp])
-                rel_heap, n_rel = _heap_push(rel_heap, n_rel, release)
+                heappush(rel_heap, release)
 
             # Receiver-side decode against the frame's true bit.
             decoded = recorded - latency_ps
@@ -556,8 +511,7 @@ def qkd_monitor(n_frames, frame_ps, slot_ps, deadtime_ps,
     half_slot = slot_ps // 2
     n_clicks = 0
 
-    rel_heap = np.empty(256, np.int64)
-    n_rel = 0
+    rel_heap = [NEVER]
     next_dark = _exp_gap_ps(gen_darks, dark_rate) if dark_rate > 0.0 else NEVER
     armed_from = 0
 
@@ -582,7 +536,7 @@ def qkd_monitor(n_frames, frame_ps, slot_ps, deadtime_ps,
         if next_dark < t_next:
             t_next = next_dark
             kind = 3
-        if n_rel > 0 and rel_heap[0] < t_next:
+        if rel_heap[0] < t_next:
             t_next = rel_heap[0]
             kind = 4
         if t_next >= duration_ps:
@@ -596,7 +550,7 @@ def qkd_monitor(n_frames, frame_ps, slot_ps, deadtime_ps,
             if t_next >= armed_from:
                 clicked = True
         else:
-            _, n_rel = _heap_pop(rel_heap, n_rel)
+            heappop(rel_heap)
             if t_next >= armed_from:
                 clicked = True
 
@@ -608,7 +562,7 @@ def qkd_monitor(n_frames, frame_ps, slot_ps, deadtime_ps,
             for _ in range(n_traps):
                 comp = _pick_component(gen_traps, trap_cum_weights)
                 release = t_next + _exp_tau_ps(gen_traps, trap_tau_ps[comp])
-                rel_heap, n_rel = _heap_push(rel_heap, n_rel, release)
+                heappush(rel_heap, release)
             n_clicks += 1
             if use_signal and sig_time < armed_from:
                 first_frame = armed_from // frame_ps + 1
@@ -628,9 +582,6 @@ _exp_tau_ps = compile_kernel(_exp_tau_ps)
 _pick_component = compile_kernel(_pick_component)
 _normal_unit = compile_kernel(_normal_unit)
 _jitter_delay_ps = compile_kernel(_jitter_delay_ps)
-_heap_push = compile_kernel(_heap_push)
-_heap_pop = compile_kernel(_heap_pop)
-_append_click = compile_kernel(_append_click)
 free_run = compile_kernel(free_run)
 characterize = compile_kernel(characterize)
 qkd_data = compile_kernel(qkd_data)

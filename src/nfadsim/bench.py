@@ -41,14 +41,15 @@ def _free_run_call(duration: float):
     empty_p = np.empty(0, np.float64)
 
     def call(kernel, seed: int):
-        gens = RandomStream(seed).generators(_KERNEL_GENS)
-        return kernel(seconds_to_ps(duration), args["deadtime_ps"],
-                      args["dark_rate"], 0.0, empty_t, empty_p,
-                      args["trap_lambda"], args["trap_cum_weights"],
-                      args["trap_tau_ps"], args["sigma_ps"],
-                      args["tail_fraction"], args["tail_scale"],
-                      args["latency_ps"], gens["darks"], gens["photons"],
-                      gens["traps"], gens["jitter"], gens["background"])
+        with RandomStream(seed).uniforms(_KERNEL_GENS) as gens:
+            return kernel(seconds_to_ps(duration), args["deadtime_ps"],
+                          args["dark_rate"], 0.0, empty_t, empty_p,
+                          args["trap_lambda"], args["trap_cum_weights"],
+                          args["trap_tau_ps"], args["sigma_ps"],
+                          args["tail_fraction"], args["tail_scale"],
+                          args["latency_ps"], gens["darks"],
+                          gens["photons"], gens["traps"], gens["jitter"],
+                          gens["background"])
 
     return call
 
@@ -61,15 +62,16 @@ def _qkd_data_call(frames: int):
     frame_ps = seconds_to_ps(2.0 / cfg.pulse_rate)
 
     def call(kernel, seed: int):
-        gens = RandomStream(seed).generators(
-            ("darks", "photons", "traps", "jitter", "bits"))
-        return kernel(frames, frame_ps, frame_ps // 2, args["deadtime_ps"],
-                      p_sig, cfg.optical_error, args["dark_rate"],
-                      args["trap_lambda"], args["trap_cum_weights"],
-                      args["trap_tau_ps"], args["sigma_ps"],
-                      args["tail_fraction"], args["tail_scale"],
-                      args["latency_ps"], gens["darks"], gens["photons"],
-                      gens["traps"], gens["jitter"], gens["bits"])
+        with RandomStream(seed).uniforms(
+                ("darks", "photons", "traps", "jitter", "bits")) as gens:
+            return kernel(frames, frame_ps, frame_ps // 2,
+                          args["deadtime_ps"], p_sig, cfg.optical_error,
+                          args["dark_rate"], args["trap_lambda"],
+                          args["trap_cum_weights"], args["trap_tau_ps"],
+                          args["sigma_ps"], args["tail_fraction"],
+                          args["tail_scale"], args["latency_ps"],
+                          gens["darks"], gens["photons"], gens["traps"],
+                          gens["jitter"], gens["bits"])
 
     return call
 

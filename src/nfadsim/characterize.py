@@ -22,7 +22,7 @@ from .detector import _kernel_args
 from .engine import RandomStream, seconds_to_ps
 from .errors import (EstimatorDomainError, NoSignalError, OpenSupportError,
                      ParameterError, ProtocolStarvationError)
-from .params import DetectorParams
+from .params import PS_PER_S, DetectorParams
 
 
 class Estimate(NamedTuple):
@@ -165,34 +165,37 @@ def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
     args = _kernel_args(detector)
     p_click = -math.expm1(-cfg.laser_mu * detector.efficiency)
 
-    gens = stream.child(0).generators(("darks", "photons", "traps", "jitter"))
-    c_d, c_lp, hist, live_ps, starved = _kernels.characterize(
-        cfg.pulses_requested, seconds_to_ps(cfg.quiet_window), bin_ps,
-        seconds_to_ps(cfg.histogram_span), deadtime_ps,
-        p_click, args["dark_rate"],
-        args["trap_lambda"], args["trap_cum_weights"], args["trap_tau_ps"],
-        args["sigma_ps"], args["tail_fraction"], args["tail_scale"],
-        args["latency_ps"],
-        seconds_to_ps(cfg.cycle_timeout),
-        gens["darks"], gens["photons"], gens["traps"], gens["jitter"])
+    with stream.child(0).uniforms(
+            ("darks", "photons", "traps", "jitter")) as gens:
+        c_d, c_lp, hist, live_ps, starved = _kernels.characterize(
+            cfg.pulses_requested, seconds_to_ps(cfg.quiet_window), bin_ps,
+            seconds_to_ps(cfg.histogram_span), deadtime_ps,
+            p_click, args["dark_rate"],
+            args["trap_lambda"], args["trap_cum_weights"],
+            args["trap_tau_ps"],
+            args["sigma_ps"], args["tail_fraction"], args["tail_scale"],
+            args["latency_ps"],
+            seconds_to_ps(cfg.cycle_timeout),
+            gens["darks"], gens["photons"], gens["traps"], gens["jitter"])
     if starved:
         raise ProtocolStarvationError(
             "quiet window of %.3g s not reached within %.3g s of simulated "
             "time; detector too noisy for the protocol" %
             (cfg.quiet_window, cfg.cycle_timeout))
 
-    live_time = live_ps / 1.0e12
-    dark_gens = stream.child(1).generators(
-        ("darks", "photons", "traps", "jitter", "background"))
+    live_time = live_ps / PS_PER_S
     no_pulses = np.empty(0, np.int64)
     no_p = np.empty(0, np.float64)
-    dark_times, _ = _kernels.free_run(
-        live_ps, deadtime_ps, args["dark_rate"], 0.0, no_pulses, no_p,
-        args["trap_lambda"], args["trap_cum_weights"], args["trap_tau_ps"],
-        args["sigma_ps"], args["tail_fraction"], args["tail_scale"],
-        args["latency_ps"],
-        dark_gens["darks"], dark_gens["photons"], dark_gens["traps"],
-        dark_gens["jitter"], dark_gens["background"])
+    with stream.child(1).uniforms(
+            ("darks", "photons", "traps", "jitter", "background")) as gens:
+        dark_times, _ = _kernels.free_run(
+            live_ps, deadtime_ps, args["dark_rate"], 0.0, no_pulses, no_p,
+            args["trap_lambda"], args["trap_cum_weights"],
+            args["trap_tau_ps"],
+            args["sigma_ps"], args["tail_fraction"], args["tail_scale"],
+            args["latency_ps"],
+            gens["darks"], gens["photons"], gens["traps"], gens["jitter"],
+            gens["background"])
     dark_counts = int(len(dark_times))
     r_dc = dark_counts / live_time if live_time > 0.0 else 0.0
 

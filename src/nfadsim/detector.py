@@ -7,12 +7,13 @@ import math
 import numpy as np
 
 from . import _kernels
+from ._backend import kernel_sequence
 from .engine import (EVENT_BACKGROUND, EVENT_DARK, EVENT_PULSE, EVENT_RELEASE,
-                     EventQueue, PS_PER_S, RandomStream, exponential_gap_seconds,
+                     EventQueue, RandomStream, exponential_gap_seconds,
                      seconds_to_ps, timeline_to_ps)
 from .errors import ParameterError
 from .params import (ClickStream, DetectorParams, OpticalTimeline,
-                     ORIGIN_AFTERPULSE, ORIGIN_DARK, ORIGIN_PHOTON)
+                     ORIGIN_AFTERPULSE, ORIGIN_DARK, ORIGIN_PHOTON, PS_PER_S)
 
 _KERNEL_SUBSTREAMS = ("darks", "photons", "traps", "jitter", "background")
 
@@ -83,7 +84,12 @@ def total_afterpulses(params: DetectorParams) -> float:
 
 
 def _kernel_args(params: DetectorParams):
-    """Scalar/array bundle shared by every kernel call site."""
+    """Python-scalar bundle shared by every kernel call site.
+
+    Native floats and tuples, not numpy scalars and arrays: the kernels'
+    arithmetic on them gives the same values and runs faster in the
+    interpreter.
+    """
     trap = params.trap_model
     lam = trap.mean_traps(params.efficiency)
     weights = np.asarray(trap.weights(), dtype=np.float64)
@@ -93,16 +99,27 @@ def _kernel_args(params: DetectorParams):
     jit = params.jitter_model
     sigma_ps = jit.core_sigma_at(params.efficiency) * PS_PER_S
     return {
-        "dark_rate": dark_rate(params),
+        "dark_rate": float(dark_rate(params)),
         "deadtime_ps": seconds_to_ps(params.deadtime),
-        "trap_lambda": lam,
-        "trap_cum_weights": cum_weights,
-        "trap_tau_ps": tau_ps,
-        "sigma_ps": sigma_ps,
-        "tail_fraction": jit.tail_fraction,
-        "tail_scale": jit.tail_scale_factor,
+        "trap_lambda": float(lam),
+        "trap_cum_weights": tuple(cum_weights.tolist()),
+        "trap_tau_ps": tuple(tau_ps.tolist()),
+        "sigma_ps": float(sigma_ps),
+        "tail_fraction": float(jit.tail_fraction),
+        "tail_scale": float(jit.tail_scale_factor),
         "latency_ps": seconds_to_ps(jit.latency),
     }
+
+
+def _duration_ps(duration: float) -> int:
+    """Duration on the ps grid, rejected where it would reach ``NEVER``."""
+    if not (duration > 0.0) or not math.isfinite(duration):
+        raise ParameterError("duration must be positive and finite")
+    duration_ps = seconds_to_ps(duration)
+    if duration_ps >= _kernels.NEVER:
+        raise ParameterError("duration must stay below %.4g s, the end of "
+                             "the picosecond grid" % (_kernels.NEVER / PS_PER_S))
+    return duration_ps
 
 
 def simulate(params: DetectorParams, timeline: OpticalTimeline,
@@ -113,22 +130,22 @@ def simulate(params: DetectorParams, timeline: OpticalTimeline,
     with per-click origin tags (photon, dark, afterpulse); background counts
     are tagged as photons since they enter through the same optical port.
     """
-    if not (duration > 0.0) or not math.isfinite(duration):
-        raise ParameterError("duration must be positive and finite")
+    duration_ps = _duration_ps(duration)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
-    gens = stream.generators(_KERNEL_SUBSTREAMS)
     args = _kernel_args(params)
     pulse_times_ps, pulse_p = timeline_to_ps(timeline, params.efficiency)
     bg_candidates = timeline.background_rate * params.efficiency
-    times_ps, origins = _kernels.free_run(
-        seconds_to_ps(duration), args["deadtime_ps"],
-        args["dark_rate"], bg_candidates,
-        pulse_times_ps, pulse_p,
-        args["trap_lambda"], args["trap_cum_weights"], args["trap_tau_ps"],
-        args["sigma_ps"], args["tail_fraction"], args["tail_scale"],
-        args["latency_ps"],
-        gens["darks"], gens["photons"], gens["traps"], gens["jitter"],
-        gens["background"])
+    with stream.uniforms(_KERNEL_SUBSTREAMS) as gens:
+        times_ps, origins = _kernels.free_run(
+            duration_ps, args["deadtime_ps"],
+            args["dark_rate"], bg_candidates,
+            kernel_sequence(pulse_times_ps), kernel_sequence(pulse_p),
+            args["trap_lambda"], args["trap_cum_weights"],
+            args["trap_tau_ps"],
+            args["sigma_ps"], args["tail_fraction"], args["tail_scale"],
+            args["latency_ps"],
+            gens["darks"], gens["photons"], gens["traps"], gens["jitter"],
+            gens["background"])
     return ClickStream(np.asarray(times_ps, dtype=np.float64) / PS_PER_S,
                        np.asarray(origins, dtype=np.uint8))
 
@@ -142,12 +159,10 @@ def simulate_reference(params: DetectorParams, timeline: OpticalTimeline,
     enforced in the test suite and pins down event ordering, armed-state
     semantics and the per-substream draw order.
     """
-    if not (duration > 0.0) or not math.isfinite(duration):
-        raise ParameterError("duration must be positive and finite")
+    duration_ps = _duration_ps(duration)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     gens = stream.generators(_KERNEL_SUBSTREAMS)
     args = _kernel_args(params)
-    duration_ps = seconds_to_ps(duration)
     deadtime_ps = args["deadtime_ps"]
     rate_dark = args["dark_rate"]
     rate_bg = timeline.background_rate * params.efficiency

@@ -9,16 +9,18 @@ ambiguity so replays are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
+import itertools
 import math
-from typing import Any, Iterable
+import operator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
+from ._backend import USE_NUMBA
 from .errors import ParameterError
-from .params import OpticalTimeline
-
-PS_PER_S = 1.0e12
+from .params import PS_PER_S, OpticalTimeline
 
 # Event kinds in tie-break priority order (lower pops first at equal time).
 # Re-arming is implicit: armed checks use >=, so a click candidate exactly at
@@ -66,11 +68,81 @@ class RandomStream:
     def generators(self, names: Iterable[str]) -> dict[str, np.random.Generator]:
         return {n: self.generator(n) for n in names}
 
+    @contextlib.contextmanager
+    def uniforms(self, names: Iterable[str]) -> Iterator[dict]:
+        """Kernel-ready uniform sources for the named substreams.
+
+        Each source's ``random()`` returns exactly the doubles that scalar
+        ``Generator.random()`` calls would, read from growing blocks.  On
+        exit, also when the body raises, every generator is rewound past its
+        unread values, so it ends where the scalar calls would have left it.
+        With numba active the raw generators are yielded instead.
+        """
+        gens = self.generators(names)
+        if USE_NUMBA:
+            yield gens
+            return
+        sources = {n: _BufferedUniforms(g) for n, g in gens.items()}
+        try:
+            yield sources
+        finally:
+            for source in sources.values():
+                source.close()
+
     def child(self, index: int) -> "RandomStream":
         """An independent derived stream (e.g. per detector, per pass)."""
         if index < 0:
             raise ParameterError("child index must be >= 0")
         return RandomStream(self.seed, self._key + (_CHILD_OFFSET + index,))
+
+
+_FIRST_BLOCK = 64
+_LAST_BLOCK = 4096
+_PCG64_PERIOD = 1 << 128
+
+
+def _closed() -> float:
+    raise RuntimeError("uniform source used outside its uniforms() block")
+
+
+class _BufferedUniforms:
+    """``Generator.random()`` look-alike served from ``random(n)`` blocks.
+
+    ``random`` is the bound ``__next__`` of a chain over blocks of 64 to
+    4096 values.  A block draw consumes one 64-bit output per double, as the
+    scalar call does, so the values are the same; ``close`` rewinds the
+    generator by the values drawn but never read.
+    """
+
+    __slots__ = ("random", "_gen", "_block")
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._block: list = [iter(())]  # the block being read
+        self.random = itertools.chain.from_iterable(
+            _blocks(gen, self._block)).__next__
+
+    def close(self) -> None:
+        self.random = _closed
+        unread = operator.length_hint(self._block[0])
+        if unread:
+            bits = self._gen.bit_generator
+            # advance() also clears the half-used 32-bit output; keep it.
+            spare = bits.state
+            bits.advance(-unread % _PCG64_PERIOD)
+            if spare["has_uint32"]:
+                state = bits.state
+                state["has_uint32"] = spare["has_uint32"]
+                state["uinteger"] = spare["uinteger"]
+                bits.state = state
+
+
+def _blocks(gen: np.random.Generator, current: list):
+    size = _FIRST_BLOCK
+    while True:
+        current[0] = iter(gen.random(size).tolist())
+        yield current[0]
+        size = min(2 * size, _LAST_BLOCK)
 
 
 class EventQueue:
@@ -146,10 +218,6 @@ def poisson_process(rate: float, duration: float,
 def seconds_to_ps(t: float) -> int:
     """Convert seconds to the internal integer picosecond grid."""
     return int(round(t * PS_PER_S))
-
-
-def ps_to_seconds(t_ps: int | np.ndarray):
-    return t_ps / PS_PER_S
 
 
 def timeline_to_ps(timeline: OpticalTimeline, efficiency: float

@@ -17,7 +17,7 @@ from . import _kernels
 from .detector import _kernel_args, afterpulse_feedback
 from .engine import RandomStream, seconds_to_ps
 from .errors import NoSignalError, ParameterError
-from .params import DetectorParams
+from .params import PS_PER_S, DetectorParams
 
 
 @dataclass(frozen=True)
@@ -279,25 +279,28 @@ def simulate_session(cfg: LinkConfig, op: QkdOperatingPoint, frames: int,
     if frames < 100_000:
         raise ParameterError("need at least 1e5 frames for meaningful "
                              "statistics")
-    stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     frame_ps = seconds_to_ps(2.0 / cfg.pulse_rate)
+    if frames * frame_ps >= _kernels.NEVER:
+        raise ParameterError("session must stay below %.4g s, the end of "
+                             "the picosecond grid" % (_kernels.NEVER / PS_PER_S))
+    stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     slot_ps = frame_ps // 2
     duration = frames * (2.0 / cfg.pulse_rate)
 
     det = op.data_detector
     args_d = _kernel_args(det)
     p_sig, p_dk = _data_budget(cfg, op)
-    gens = stream.child(0).generators(
-        ("darks", "photons", "traps", "jitter", "bits"))
-    n_sifted, n_errors = _kernels.qkd_data(
-        frames, frame_ps, slot_ps, args_d["deadtime_ps"],
-        p_sig, cfg.optical_error, args_d["dark_rate"],
-        args_d["trap_lambda"], args_d["trap_cum_weights"],
-        args_d["trap_tau_ps"],
-        args_d["sigma_ps"], args_d["tail_fraction"], args_d["tail_scale"],
-        args_d["latency_ps"],
-        gens["darks"], gens["photons"], gens["traps"], gens["jitter"],
-        gens["bits"])
+    with stream.child(0).uniforms(
+            ("darks", "photons", "traps", "jitter", "bits")) as gens:
+        n_sifted, n_errors = _kernels.qkd_data(
+            frames, frame_ps, slot_ps, args_d["deadtime_ps"],
+            p_sig, cfg.optical_error, args_d["dark_rate"],
+            args_d["trap_lambda"], args_d["trap_cum_weights"],
+            args_d["trap_tau_ps"],
+            args_d["sigma_ps"], args_d["tail_fraction"],
+            args_d["tail_scale"], args_d["latency_ps"],
+            gens["darks"], gens["photons"], gens["traps"], gens["jitter"],
+            gens["bits"])
     if n_sifted == 0:
         raise NoSignalError("no sifted detections in the session")
     sifted = n_sifted / duration
@@ -307,16 +310,16 @@ def simulate_session(cfg: LinkConfig, op: QkdOperatingPoint, frames: int,
     p_plus, p_minus, r_dark_m = _monitor_budget(cfg, op)
 
     def monitor_pass(child: int, p_frame: float) -> int:
-        g = stream.child(child).generators(
-            ("darks", "photons", "traps", "jitter"))
-        return _kernels.qkd_monitor(
-            frames, frame_ps, slot_ps, args_m["deadtime_ps"],
-            p_frame, args_m["dark_rate"],
-            args_m["trap_lambda"], args_m["trap_cum_weights"],
-            args_m["trap_tau_ps"],
-            args_m["sigma_ps"], args_m["tail_fraction"], args_m["tail_scale"],
-            args_m["latency_ps"],
-            g["darks"], g["photons"], g["traps"], g["jitter"])
+        with stream.child(child).uniforms(
+                ("darks", "photons", "traps", "jitter")) as g:
+            return _kernels.qkd_monitor(
+                frames, frame_ps, slot_ps, args_m["deadtime_ps"],
+                p_frame, args_m["dark_rate"],
+                args_m["trap_lambda"], args_m["trap_cum_weights"],
+                args_m["trap_tau_ps"],
+                args_m["sigma_ps"], args_m["tail_fraction"],
+                args_m["tail_scale"], args_m["latency_ps"],
+                g["darks"], g["photons"], g["traps"], g["jitter"])
 
     n_plus = monitor_pass(1, p_plus)
     n_minus = monitor_pass(2, p_minus)

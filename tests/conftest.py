@@ -1,9 +1,16 @@
 import dataclasses
 
 import pytest
+from hypothesis import settings
 
 from nfadsim.calibration import make_detector
 from nfadsim.params import DarkRateModel, DetectorParams, TrapModel
+
+# Property tests draw the same examples on every run and every machine, and
+# slow shared hosts do not turn a pass into a deadline failure.
+settings.register_profile("replay", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("replay")
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,15 @@
-"""Bit-equality of the compiled kernels and their pure-Python originals.
+"""Bit-equality of the kernels across backends and uniform sources.
 
 The kernels draw nothing but Generator.random() uniforms and use math.*
 scalars, so the numba dispatcher and the plain function must produce the
 same output stream for the same generator state.  That contract is what
 lets NFADSIM_DISABLE_NUMBA=1 switch backends without changing results.
+On the Python backend the kernels read buffered uniforms
+(``RandomStream.uniforms``); fed raw generators instead they must give the
+same outputs and leave every substream in the same state.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +19,7 @@ import numpy as np
 import pytest
 
 from nfadsim import _kernels
-from nfadsim._backend import USE_NUMBA, backend_name
+from nfadsim._backend import USE_NUMBA, backend_name, kernel_sequence
 from nfadsim.calibration import make_detector
 from nfadsim.detector import _kernel_args, simulate
 from nfadsim.engine import RandomStream, seconds_to_ps, timeline_to_ps, pulsed_laser
@@ -100,6 +104,121 @@ def test_qkd_kernels_match_py_func():
     assert n_jit == n_py
     # 640 us of frames with a 10 us hold-off caps the count near 48.
     assert n_jit > 30
+
+
+def _small_free_run():
+    det = make_detector(-90.0, 0.25, 3e-6)
+    tl = pulsed_laser(period=1e-6, mean_photon_number=0.3, count=2000)
+    fixed, names = _free_run_args(det, tl, 0.003, 0)
+    pulses = tuple(kernel_sequence(np.asarray(a)) for a in fixed[4:6])
+    return fixed[:4] + pulses + fixed[6:], names
+
+
+def _small_characterize():
+    det = make_detector(-70.0, 0.2, 10e-6)
+    args = _kernel_args(det)
+    p_click = float(1.0 - np.exp(-0.91 * det.efficiency))
+    fixed = (2000, seconds_to_ps(100e-6), seconds_to_ps(20e-9),
+             seconds_to_ps(150e-6), args["deadtime_ps"], p_click,
+             args["dark_rate"], args["trap_lambda"],
+             args["trap_cum_weights"], args["trap_tau_ps"], args["sigma_ps"],
+             args["tail_fraction"], args["tail_scale"], args["latency_ps"],
+             seconds_to_ps(0.05))
+    return fixed, ("darks", "photons", "traps", "jitter")
+
+
+def _small_qkd(*budget):
+    # A short hold-off and 25% efficiency: plenty of afterpulse releases.
+    det = make_detector(-90.0, 0.25, 2e-6)
+    args = _kernel_args(det)
+    frame_ps = seconds_to_ps(2.0 / 625e6)
+    fixed = (2_000_000, frame_ps, frame_ps // 2, args["deadtime_ps"],
+             *budget, args["dark_rate"], args["trap_lambda"],
+             args["trap_cum_weights"], args["trap_tau_ps"], args["sigma_ps"],
+             args["tail_fraction"], args["tail_scale"], args["latency_ps"])
+    return fixed
+
+
+_SMALL_CASES = {
+    "free_run": _small_free_run,
+    "characterize": _small_characterize,
+    "qkd_data": lambda: (_small_qkd(2e-3, 0.005),
+                         ("darks", "photons", "traps", "jitter", "bits")),
+    "qkd_monitor": lambda: (_small_qkd(1e-3),
+                            ("darks", "photons", "traps", "jitter")),
+}
+
+
+def _plain(result):
+    """Kernel output as nested Python values, for exact comparison."""
+    if isinstance(result, tuple):
+        return tuple(_plain(part) for part in result)
+    if isinstance(result, (list, np.ndarray)):
+        return np.asarray(result).tolist()
+    return result
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("name", sorted(_SMALL_CASES))
+def test_buffered_uniforms_match_raw_generators(name, seed):
+    kernel = getattr(_kernels, name)
+    fixed, names = _SMALL_CASES[name]()
+    raw_stream = RandomStream(seed)
+    raw = kernel(*fixed, *(raw_stream.generator(n) for n in names))
+    stream = RandomStream(seed)
+    with stream.uniforms(names) as sources:
+        buffered = kernel(*fixed, *(sources[n] for n in names))
+    assert _plain(buffered) == _plain(raw)
+    for n in names:
+        assert (stream.generator(n).bit_generator.state
+                == raw_stream.generator(n).bit_generator.state), n
+
+
+# Recorded with raw generators before the kernels read buffered uniforms:
+# (c_d, c_lp, sha256 of the int64 histogram, live ps, starved) and
+# (n_sifted, n_errors) and the monitor click count.
+_GOLDEN = {
+    ("characterize", 3): (
+        316, 2000,
+        "bdc1693b8d92e836a13dbf56489e54f1150abe64c19027976ca1e64d1c74f212",
+        49098387844, False),
+    ("characterize", 11): (
+        307, 2000,
+        "11635a834fbd1f7c8da6f4b4b652fd7f880974e5bd34410e6245d60d6aaf6b4c",
+        47229852203, False),
+    ("qkd_data", 3): (2110, 379),
+    ("qkd_data", 11): (2102, 374),
+    ("qkd_monitor", 3): 1718,
+    ("qkd_monitor", 11): 1674,
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(_GOLDEN))
+def test_kernels_keep_their_recorded_outputs(name, seed):
+    fixed, names = _SMALL_CASES[name]()
+    with RandomStream(seed).uniforms(names) as sources:
+        out = getattr(_kernels, name)(*fixed, *(sources[n] for n in names))
+    if name == "characterize":
+        c_d, c_lp, hist, live_ps, starved = out
+        hist_sha = hashlib.sha256(
+            np.asarray(hist, dtype=np.int64).tobytes()).hexdigest()
+        out = (c_d, c_lp, hist_sha, live_ps, starved)
+    assert _plain(out) == _GOLDEN[name, seed]
+
+
+def test_consecutive_simulate_calls_continue_one_stream():
+    # Each call rewinds its buffered substreams on exit, so the second call
+    # starts exactly where scalar draws would have left the first.
+    det = make_detector(-90.0, 0.25, 3e-6)
+    tl = pulsed_laser(period=1e-6, mean_photon_number=0.3, count=10_000)
+    stream = RandomStream(4242)
+    digest = hashlib.sha256()
+    for _ in range(2):
+        s = simulate(det, tl, 0.011, stream)
+        digest.update(s.times.tobytes())
+        digest.update(s.origins.tobytes())
+    assert digest.hexdigest() == (
+        "81ea1df1fdfa50cc8dfaa8f50953cc8f9e50f25755944dfd02c6ed365e7b3548")
 
 
 _CHILD_SCRIPT = """

@@ -73,6 +73,18 @@ class TestStreamInvariants:
         with pytest.raises(ParameterError):
             simulate(det, OpticalTimeline.empty(), math.inf, 1)
 
+    @pytest.mark.parametrize("sim", [simulate, simulate_reference])
+    def test_duration_must_end_before_the_ps_grid_does(self, sim):
+        # 4.7e6 s is past NEVER = 2**62 ps (about 4.61e6 s).
+        det = make_detector(-90.0, 0.2, 5e-6)
+        with pytest.raises(ParameterError, match="picosecond grid"):
+            sim(det, OpticalTimeline.empty(), 4.7e6, 1)
+
+    @pytest.mark.parametrize("sim", [simulate, simulate_reference])
+    def test_duration_just_inside_the_ps_grid_runs(self, sim, flat_dark):
+        s = sim(flat_dark(0.0, 5e-6), OpticalTimeline.empty(), 4.6e6, 1)
+        assert len(s) == 0
+
     def test_no_generation_mechanism_no_clicks(self, flat_dark):
         det = flat_dark(0.0, 5e-6)
         tl = pulsed_laser(period=1e-6, mean_photon_number=0.0, count=5000)

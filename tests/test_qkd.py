@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from nfadsim._kernels import NEVER
 from nfadsim.calibration import make_detector
+from nfadsim.engine import seconds_to_ps
 from nfadsim.errors import NoSignalError, ParameterError
 from nfadsim.qkd import (LinkConfig, LinkMetrics, QkdOperatingPoint,
                          binary_entropy, detected_rate, link_metrics,
@@ -147,6 +149,13 @@ class TestMonteCarlo:
         with pytest.raises(ParameterError):
             simulate_session(LinkConfig(channel_loss_db=10.0), _op(),
                              frames=99_999, seed=1)
+
+    def test_session_must_end_before_the_ps_grid_does(self):
+        cfg = LinkConfig(channel_loss_db=10.0)
+        frame_ps = seconds_to_ps(2.0 / cfg.pulse_rate)
+        with pytest.raises(ParameterError, match="picosecond grid"):
+            simulate_session(cfg, _op(), frames=NEVER // frame_ps + 1,
+                             seed=1)
 
     def test_deterministic_replay(self):
         cfg = LinkConfig(channel_loss_db=10.0)
