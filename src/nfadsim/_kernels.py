@@ -6,26 +6,34 @@ the kernels draw nothing but ``gen.random()`` uniforms and use only
 ``math.*`` scalar routines; exponential, normal, Poisson and categorical
 variates are derived here by inversion/rejection.
 
-Draw contract.  Each ``gen_*`` argument is one named substream.  Under numba
-it is the raw ``numpy.random.Generator``.  In the interpreter the call sites
-pass the sources of ``RandomStream.uniforms``: ``random()`` reads the same
-doubles from buffered blocks, exactly as scalar calls would, and on exit
-each generator is rewound past the values it drew but never served, so it
-ends where scalar calls leave it.  A kernel fed raw generators gives the
-same outputs and end states (``tests/test_backends.py``).
+Event-step core.  Every click goes through one cycle: avalanche, timing
+jitter, trap filling, hold-off, re-arm.  ``_next_click(t_limit, ...)``
+walks dark candidates and trap releases strictly before ``t_limit`` and
+returns the first that finds the detector armed, or ``NEVER``; the ones
+that find it held off are consumed.  ``_avalanche(t, ...)`` turns a click
+at raw time ``t`` into its recorded time and pushes the releases of the
+traps it fills.  Scheduled events belong to the caller (pulses and
+background photons in ``free_run``, the signal in ``_session``), which
+passes the next one as the exclusive ``t_limit``.  So at equal times the
+order is: re-arm (armed means ``t >= armed_from``), scheduled event (a
+pulse before a background photon), dark candidate, trap release: the kinds
+``engine.EVENT_*`` numbers for the reference simulator.
 
-Time is integer picoseconds throughout.  In the interpreter every event time
-is a Python int: the pulse inputs arrive as lists, the release heap is a
-list driven by ``heapq`` and floored by the ``NEVER`` sentinel, and clicks
-and histogram bins are collected in lists.  Event tie-breaks at equal times
-follow the fixed kind priority: re-arm happens first (armed state is checked
-with ``>=``), then optical pulse, then continuous background, then dark
-candidate, then trap release.
+Draw contract, shared with ``detector.simulate_reference``: each ``gen_*``
+argument is one named substream.  Per click: the jitter delay, then the
+trap count, then one (component, release delay) pair per trap.  A dark or
+background candidate draws the next gap when it is processed, armed or
+not; a pulse draws its click decision only while armed.  Under numba the
+substreams are raw generators.  In the interpreter the call sites pass the
+sources of ``RandomStream.uniforms``, which read the same doubles from
+buffered blocks and rewind each generator on exit to where scalar calls
+leave it (``tests/test_backends.py`` checks both).
 
-Per-click draw order (the contract shared with the reference simulator in
-``detector.py``): jitter delay first, then trap count, then per-trap
-(component, release-delay) pairs.  Dark/background candidates consume one gap
-draw when the previous candidate is processed, armed or not.
+Time is integer picoseconds: Python ints in the interpreter, with pulse
+inputs as lists, a ``heapq`` release list floored by ``NEVER`` and list
+outputs.  ``detector._kernel_args`` packs the detector constants as
+``traps = (lambda, cumulative weights, lifetimes_ps)`` and
+``jitter = (sigma_ps, tail_fraction, tail_scale, latency_ps)``.
 """
 
 import math
@@ -40,69 +48,88 @@ from .params import ORIGIN_AFTERPULSE, ORIGIN_DARK, ORIGIN_PHOTON, PS_PER_S
 NEVER = 1 << 62
 
 
-def _poisson_small(gen, lam):
-    # Knuth product-of-uniforms; lam stays well below 1 in this model.
-    if lam <= 0.0:
-        return 0
-    limit = math.exp(-lam)
-    k = 0
-    p = 1.0
-    while True:
-        p *= gen.random()
-        if p <= limit:
-            return k
-        k += 1
-
-
+@compile_kernel
 def _exp_gap_ps(gen, rate_per_s):
     # rate > 0 required by callers.
-    u = gen.random()
-    return int(-math.log(1.0 - u) / rate_per_s * PS_PER_S)
+    return int(-math.log(1.0 - gen.random()) / rate_per_s * PS_PER_S)
 
 
-def _exp_tau_ps(gen, tau_ps):
-    u = gen.random()
-    return int(-math.log(1.0 - u) * tau_ps)
-
-
-def _pick_component(gen, cum_weights):
-    u = gen.random()
-    n = len(cum_weights)
-    for i in range(n):
-        if u < cum_weights[i]:
-            return i
-    return n - 1
-
-
-def _normal_unit(gen):
-    # Marsaglia polar method; second variate intentionally discarded so the
-    # draw count depends only on the rejection path.
-    while True:
-        a = 2.0 * gen.random() - 1.0
-        b = 2.0 * gen.random() - 1.0
-        s = a * a + b * b
-        if 0.0 < s < 1.0:
-            return a * math.sqrt(-2.0 * math.log(s) / s)
-
-
-def _jitter_delay_ps(gen, sigma_ps, tail_fraction, tail_scale, latency_ps):
+@compile_kernel
+def _jitter_delay_ps(gen, jitter):
     # Mixture: Gaussian core (mode at latency) + one-sided exponential tail.
-    u = gen.random()
-    if u < tail_fraction:
+    sigma_ps, tail_fraction, tail_scale, latency_ps = jitter
+    if gen.random() < tail_fraction:
         x = -tail_scale * math.log(1.0 - gen.random())
     else:
-        x = _normal_unit(gen)
+        # Marsaglia polar method; the second variate is discarded so the
+        # draw count depends only on the rejection path.
+        while True:
+            a = 2.0 * gen.random() - 1.0
+            b = 2.0 * gen.random() - 1.0
+            s = a * a + b * b
+            if 0.0 < s < 1.0:
+                break
+        x = a * math.sqrt(-2.0 * math.log(s) / s)
     delay = latency_ps + int(x * sigma_ps)
-    if delay < 0:
-        delay = 0
-    return delay
+    return delay if delay > 0 else 0
 
 
-def free_run(duration_ps, deadtime_ps,
-             dark_rate, bg_rate,
-             pulse_times_ps, pulse_p_click,
-             trap_lambda, trap_cum_weights, trap_tau_ps,
-             sigma_ps, tail_fraction, tail_scale, latency_ps,
+@compile_kernel
+def _avalanche(t, rel_heap, jitter, traps, gen_jitter, gen_traps):
+    """Click at raw time t: returns its recorded time, fills traps.
+
+    Draws the jitter delay, then the trap count (Knuth's product of
+    uniforms), then one (component, exponential delay) pair per trap; each
+    release goes onto the heap at t + delay.
+    """
+    recorded = t + _jitter_delay_ps(gen_jitter, jitter)
+    lam, cum_weights, tau_ps = traps
+    if lam > 0.0:
+        limit = math.exp(-lam)
+        n_traps = 0
+        p = gen_traps.random()
+        while p > limit:
+            n_traps += 1
+            p *= gen_traps.random()
+        last = len(cum_weights) - 1
+        for _ in range(n_traps):
+            u = gen_traps.random()
+            comp = 0
+            while comp < last and u >= cum_weights[comp]:
+                comp += 1
+            u = gen_traps.random()
+            heappush(rel_heap, t + int(-math.log(1.0 - u) * tau_ps[comp]))
+    return recorded
+
+
+@compile_kernel
+def _next_click(t_limit, next_dark, armed_from, rel_heap, dark_rate,
+                gen_darks):
+    """First armed dark candidate or trap release strictly before t_limit.
+
+    Returns (t, origin, next_dark) with t = NEVER when none arrives in
+    time.  A dark candidate goes before a release at the same time.
+    """
+    while True:
+        t = rel_heap[0]
+        if next_dark <= t:
+            t = next_dark
+            if t >= t_limit:
+                return NEVER, ORIGIN_DARK, next_dark
+            next_dark = t + _exp_gap_ps(gen_darks, dark_rate)
+            if t >= armed_from:
+                return t, ORIGIN_DARK, next_dark
+        else:
+            if t >= t_limit:
+                return NEVER, ORIGIN_AFTERPULSE, next_dark
+            heappop(rel_heap)
+            if t >= armed_from:
+                return t, ORIGIN_AFTERPULSE, next_dark
+
+
+@compile_kernel
+def free_run(duration_ps, deadtime_ps, dark_rate, bg_rate,
+             pulse_times_ps, pulse_p_click, traps, jitter,
              gen_darks, gen_photons, gen_traps, gen_jitter, gen_background):
     """Free-running detector over [0, duration): returns the click stream.
 
@@ -112,11 +139,9 @@ def free_run(duration_ps, deadtime_ps,
     is recorded at raw time + jitter delay; the detector re-arms at
     recorded time + deadtime.  Trap releases while disarmed are lost.
     """
-    times = []
-    origins = []
+    times, origins = [], []
 
     rel_heap = [NEVER]
-
     next_dark = _exp_gap_ps(gen_darks, dark_rate) if dark_rate > 0.0 else NEVER
     next_bg = _exp_gap_ps(gen_background, bg_rate) if bg_rate > 0.0 else NEVER
     i_pulse = 0
@@ -124,70 +149,41 @@ def free_run(duration_ps, deadtime_ps,
     armed_from = 0  # armed when t >= armed_from
 
     while True:
-        # Next event by (time, kind priority): pulse=1, bg=2, dark=3, release=4.
-        t_next = NEVER
-        kind = 9
-        if i_pulse < n_pulses and pulse_times_ps[i_pulse] < t_next:
-            t_next = pulse_times_ps[i_pulse]
-            kind = 1
-        if next_bg < t_next:
-            t_next = next_bg
-            kind = 2
-        if next_dark < t_next:
-            t_next = next_dark
-            kind = 3
-        if rel_heap[0] < t_next:
-            t_next = rel_heap[0]
-            kind = 4
-        if t_next >= duration_ps:
-            break
+        t_sched = next_bg
+        is_pulse = i_pulse < n_pulses and pulse_times_ps[i_pulse] <= t_sched
+        if is_pulse:
+            t_sched = pulse_times_ps[i_pulse]
+        t, origin, next_dark = _next_click(
+            t_sched if t_sched < duration_ps else duration_ps,
+            next_dark, armed_from, rel_heap, dark_rate, gen_darks)
+        if t == NEVER:
+            if t_sched >= duration_ps:
+                break
+            t = t_sched
+            origin = ORIGIN_PHOTON
+            if is_pulse:
+                p = pulse_p_click[i_pulse]
+                i_pulse += 1
+                if t < armed_from or gen_photons.random() >= p:
+                    continue
+            else:
+                next_bg = t + _exp_gap_ps(gen_background, bg_rate)
+                if t < armed_from:
+                    continue
 
-        clicked = False
-        code = 0
-        if kind == 1:
-            p = pulse_p_click[i_pulse]
-            i_pulse += 1
-            if t_next >= armed_from:
-                if gen_photons.random() < p:
-                    clicked = True
-                    code = ORIGIN_PHOTON
-        elif kind == 2:
-            next_bg = t_next + _exp_gap_ps(gen_background, bg_rate)
-            if t_next >= armed_from:
-                clicked = True
-                code = ORIGIN_PHOTON
-        elif kind == 3:
-            next_dark = t_next + _exp_gap_ps(gen_darks, dark_rate)
-            if t_next >= armed_from:
-                clicked = True
-                code = ORIGIN_DARK
-        else:
-            heappop(rel_heap)
-            if t_next >= armed_from:
-                clicked = True
-                code = ORIGIN_AFTERPULSE
-
-        if clicked:
-            recorded = t_next + _jitter_delay_ps(
-                gen_jitter, sigma_ps, tail_fraction, tail_scale, latency_ps)
-            if recorded < duration_ps:
-                times.append(recorded)
-                origins.append(code)
-            armed_from = recorded + deadtime_ps
-            n_traps = _poisson_small(gen_traps, trap_lambda)
-            for _ in range(n_traps):
-                comp = _pick_component(gen_traps, trap_cum_weights)
-                release = t_next + _exp_tau_ps(gen_traps, trap_tau_ps[comp])
-                heappush(rel_heap, release)
+        recorded = _avalanche(t, rel_heap, jitter, traps, gen_jitter,
+                              gen_traps)
+        if recorded < duration_ps:
+            times.append(recorded)
+            origins.append(origin)
+        armed_from = recorded + deadtime_ps
 
     return times, origins
 
 
+@compile_kernel
 def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
-                 p_click_laser, dark_rate,
-                 trap_lambda, trap_cum_weights, trap_tau_ps,
-                 sigma_ps, tail_fraction, tail_scale, latency_ps,
-                 timeout_ps,
+                 p_click_laser, dark_rate, traps, jitter, timeout_ps,
                  gen_darks, gen_photons, gen_traps, gen_jitter):
     """FPGA characterization cycle, adapted to free-running operation.
 
@@ -199,15 +195,13 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
     """
     n_bins = span_ps // bin_ps
     hist = [0] * n_bins
-    c_d = 0
-    c_lp = 0
+    c_d = c_lp = 0
 
     rel_heap = [NEVER]
     next_dark = _exp_gap_ps(gen_darks, dark_rate) if dark_rate > 0.0 else NEVER
     armed_from = 0
     last_click = -quiet_ps  # lets the first pulse fire at t = 0
     t_now = 0
-    starved = False
 
     for _ in range(n_pulses):
         cycle_start = t_now
@@ -217,372 +211,174 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
         pending = NEVER  # recorded click that lands at/after the laser fires
 
         # Quiet wait: process events until a full quiet window elapses.
-        while True:
-            t_next = NEVER
-            kind = 9
-            if next_dark < t_next:
-                t_next = next_dark
-                kind = 3
-            if rel_heap[0] < t_next:
-                t_next = rel_heap[0]
-                kind = 4
-            if t_next >= target:
+        # The loop tests stand in for a _next_click call that would find
+        # nothing, which most cycles of a cold detector do.
+        while next_dark < target or rel_heap[0] < target:
+            t, _, next_dark = _next_click(target, next_dark, armed_from,
+                                          rel_heap, dark_rate, gen_darks)
+            if t == NEVER:
                 break
+            last_click = _avalanche(t, rel_heap, jitter, traps, gen_jitter,
+                                    gen_traps)
+            armed_from = last_click + deadtime_ps
+            if last_click >= target:
+                # Quiet window already satisfied before this click was
+                # recorded; the pulse still fires at target.
+                pending = last_click
+                break
+            target = last_click + quiet_ps
+            if target - cycle_start > timeout_ps:
+                return c_d, c_lp, hist, t_now, True
 
-            clicked = False
-            if kind == 3:
-                next_dark = t_next + _exp_gap_ps(gen_darks, dark_rate)
-                if t_next >= armed_from:
-                    clicked = True
-            else:
-                heappop(rel_heap)
-                if t_next >= armed_from:
-                    clicked = True
-
-            if clicked:
-                recorded = t_next + _jitter_delay_ps(
-                    gen_jitter, sigma_ps, tail_fraction, tail_scale,
-                    latency_ps)
-                armed_from = recorded + deadtime_ps
-                n_traps = _poisson_small(gen_traps, trap_lambda)
-                for _ in range(n_traps):
-                    comp = _pick_component(gen_traps, trap_cum_weights)
-                    release = t_next + _exp_tau_ps(gen_traps,
-                                                   trap_tau_ps[comp])
-                    heappush(rel_heap, release)
-                last_click = recorded
-                if recorded < target:
-                    target = recorded + quiet_ps
-                    if target - cycle_start > timeout_ps:
-                        starved = True
-                        return c_d, c_lp, hist, t_now, starved
-                else:
-                    # Quiet window already satisfied before this click was
-                    # recorded; the pulse still fires at target.
-                    pending = recorded
-                    break
-
-        # Fire the laser at target.
         c_lp += 1
-        t_q = target
-        bin_end = t_q + bin_ps
+        bin_end = target + bin_ps
         detection = NEVER
-
         if pending != NEVER:
             if pending < bin_end:
                 detection = pending
         else:
-            # Laser pulse processed first at t_q (optical beats dark/release
-            # on ties); then remaining events inside the bin window.
-            if t_q >= armed_from and gen_photons.random() < p_click_laser:
-                recorded = t_q + _jitter_delay_ps(
-                    gen_jitter, sigma_ps, tail_fraction, tail_scale,
-                    latency_ps)
-                armed_from = recorded + deadtime_ps
-                n_traps = _poisson_small(gen_traps, trap_lambda)
-                for _ in range(n_traps):
-                    comp = _pick_component(gen_traps, trap_cum_weights)
-                    release = t_q + _exp_tau_ps(gen_traps, trap_tau_ps[comp])
-                    heappush(rel_heap, release)
-                last_click = recorded
-                if recorded < bin_end:
-                    detection = recorded
-            else:
-                while True:
-                    t_next = NEVER
-                    kind = 9
-                    if next_dark < t_next:
-                        t_next = next_dark
-                        kind = 3
-                    if rel_heap[0] < t_next:
-                        t_next = rel_heap[0]
-                        kind = 4
-                    if t_next >= bin_end:
-                        break
-                    clicked = False
-                    if kind == 3:
-                        next_dark = t_next + _exp_gap_ps(gen_darks, dark_rate)
-                        if t_next >= armed_from:
-                            clicked = True
-                    else:
-                        heappop(rel_heap)
-                        if t_next >= armed_from:
-                            clicked = True
-                    if clicked:
-                        recorded = t_next + _jitter_delay_ps(
-                            gen_jitter, sigma_ps, tail_fraction, tail_scale,
-                            latency_ps)
-                        armed_from = recorded + deadtime_ps
-                        n_traps = _poisson_small(gen_traps, trap_lambda)
-                        for _ in range(n_traps):
-                            comp = _pick_component(gen_traps,
-                                                   trap_cum_weights)
-                            release = t_next + _exp_tau_ps(
-                                gen_traps, trap_tau_ps[comp])
-                            heappush(rel_heap, release)
-                        last_click = recorded
-                        if recorded < bin_end:
-                            detection = recorded
-                        break  # deadtime >> bin: no further click possible
+            # The laser pulse goes first at target (a scheduled event);
+            # otherwise the first armed dark or release inside the bin.
+            # Deadtime >> bin: at most one click either way.
+            t = NEVER
+            if target >= armed_from and gen_photons.random() < p_click_laser:
+                t = target
+            elif next_dark < bin_end or rel_heap[0] < bin_end:
+                t, _, next_dark = _next_click(bin_end, next_dark, armed_from,
+                                              rel_heap, dark_rate, gen_darks)
+            if t != NEVER:
+                last_click = _avalanche(t, rel_heap, jitter, traps,
+                                        gen_jitter, gen_traps)
+                armed_from = last_click + deadtime_ps
+                if last_click < bin_end:
+                    detection = last_click
 
-        if detection != NEVER:
-            c_d += 1
-            span_end = detection + span_ps
-            while True:
-                t_next = NEVER
-                kind = 9
-                if next_dark < t_next:
-                    t_next = next_dark
-                    kind = 3
-                if rel_heap[0] < t_next:
-                    t_next = rel_heap[0]
-                    kind = 4
-                if t_next >= span_end:
-                    break
-                clicked = False
-                if kind == 3:
-                    next_dark = t_next + _exp_gap_ps(gen_darks, dark_rate)
-                    if t_next >= armed_from:
-                        clicked = True
-                else:
-                    heappop(rel_heap)
-                    if t_next >= armed_from:
-                        clicked = True
-                if clicked:
-                    recorded = t_next + _jitter_delay_ps(
-                        gen_jitter, sigma_ps, tail_fraction, tail_scale,
-                        latency_ps)
-                    armed_from = recorded + deadtime_ps
-                    n_traps = _poisson_small(gen_traps, trap_lambda)
-                    for _ in range(n_traps):
-                        comp = _pick_component(gen_traps, trap_cum_weights)
-                        release = t_next + _exp_tau_ps(gen_traps,
-                                                       trap_tau_ps[comp])
-                        heappush(rel_heap, release)
-                    last_click = recorded
-                    offset = recorded - detection
-                    idx = offset // bin_ps
-                    if 0 <= idx < n_bins:
-                        hist[idx] += 1
-            t_now = span_end
-        else:
+        if detection == NEVER:
             t_now = bin_end
+            continue
+        c_d += 1
+        t_now = detection + span_ps
+        while next_dark < t_now or rel_heap[0] < t_now:
+            t, _, next_dark = _next_click(t_now, next_dark, armed_from,
+                                          rel_heap, dark_rate, gen_darks)
+            if t == NEVER:
+                break
+            last_click = _avalanche(t, rel_heap, jitter, traps, gen_jitter,
+                                    gen_traps)
+            armed_from = last_click + deadtime_ps
+            idx = (last_click - detection) // bin_ps
+            if 0 <= idx < n_bins:
+                hist[idx] += 1
 
-    return c_d, c_lp, hist, t_now, starved
+    return c_d, c_lp, hist, t_now, False
 
 
-def qkd_data(n_frames, frame_ps, slot_ps, deadtime_ps,
-             p_click_frame, p_optical_error, dark_rate,
-             trap_lambda, trap_cum_weights, trap_tau_ps,
-             sigma_ps, tail_fraction, tail_scale, latency_ps,
-             gen_darks, gen_photons, gen_traps, gen_jitter, gen_bits):
-    """Data-detector half of a time-bin QKD session.
+@compile_kernel
+def _session(n_frames, frame_ps, slot_ps, deadtime_ps, p_click_frame,
+             p_optical_error, dark_rate, traps, jitter,
+             gen_darks, gen_photons, gen_traps, gen_jitter, gen_bits,
+             decode):
+    """One detector over a QKD session: returns (n_clicks, n_errors).
 
-    Each frame carries one pulse, centered in slot 0 or 1 according to a
-    random bit; while armed the pulse clicks with p_click_frame.  Frames are
-    skipped geometrically between signal clicks so cost scales with clicks,
-    not frames.  The receiver decodes each recorded click (minus the known
-    latency) to a (frame, slot) pair and counts an error when the decoded
-    slot disagrees with that frame's bit.  Returns (n_sifted, n_errors).
+    Frames are skipped geometrically between signal clicks so cost scales
+    with clicks, not frames.  With decode, each recorded click (minus the
+    known latency) is decoded to a (frame, slot) pair and counted as an
+    error when the slot disagrees with that frame's bit.
     """
     duration_ps = n_frames * frame_ps
-    half_slot = slot_ps // 2
-    n_sifted = 0
-    n_errors = 0
+    latency_ps = jitter[3]
+    n_clicks = n_errors = 0
 
     rel_heap = [NEVER]
     next_dark = _exp_gap_ps(gen_darks, dark_rate) if dark_rate > 0.0 else NEVER
     armed_from = 0
 
-    # Signal candidate state: absolute raw time, frame index, frame bit.
-    sig_time = NEVER
-    sig_frame = -1
-    sig_bit = 0
-
-    use_signal = p_click_frame > 0.0
-    log_q = 0.0
-    if use_signal and p_click_frame < 1.0:
-        log_q = math.log(1.0 - p_click_frame)
-
-    # Draw order at (re)scheduling: geometric skip, frame bit, error flip.
-    if use_signal:
-        first_frame = 0
-        if p_click_frame >= 1.0:
-            skip = 0
-        else:
-            skip = int(math.log(1.0 - gen_photons.random()) / log_q)
-        sig_frame = first_frame + skip
-        u_bit = gen_bits.random()
-        sig_bit = 0 if u_bit < 0.5 else 1
-        slot = sig_bit
-        if gen_photons.random() < p_optical_error:
-            slot = 1 - slot
-        sig_time = sig_frame * frame_ps + slot * slot_ps + half_slot
+    # A p that leaves 1 - p == 1 (p <= 2**-54) expects fewer than 0.1 signal
+    # clicks in the NEVER // frame_ps frames of the whole picosecond grid,
+    # and its log(1 - p) is 0: it is run as no signal at all.
+    use_signal = 1.0 - p_click_frame < 1.0
+    log_q = math.log(1.0 - p_click_frame) if p_click_frame < 1.0 else 0.0
+    # sig_time -1: the first signal click is drawn before the first event.
+    sig_time = -1 if use_signal else NEVER
+    sig_frame = sig_bit = 0
 
     while True:
-        t_next = NEVER
-        kind = 9
-        if sig_time < t_next:
-            t_next = sig_time
-            kind = 1
-        if next_dark < t_next:
-            t_next = next_dark
-            kind = 3
-        if rel_heap[0] < t_next:
-            t_next = rel_heap[0]
-            kind = 4
-        if t_next >= duration_ps:
-            break
+        # A signal click inside the dead window is absorbed without an
+        # avalanche; redraw from the first fully armed frame.  One beyond it
+        # keeps its already-decided frame, bit and flip.  Draw order: the
+        # geometric frame skip, then (decoding only) the bit and the flip.
+        if use_signal and sig_time < armed_from:
+            sig_frame = armed_from // frame_ps + 1 if n_clicks else 0
+            if log_q < 0.0:
+                sig_frame += int(math.log(1.0 - gen_photons.random()) / log_q)
+            slot = 0
+            if decode:
+                sig_bit = 0 if gen_bits.random() < 0.5 else 1
+                slot = sig_bit
+                if gen_photons.random() < p_optical_error:
+                    slot = 1 - slot
+            sig_time = sig_frame * frame_ps + slot * slot_ps + slot_ps // 2
 
-        clicked = False
-        is_signal = False
-        if kind == 1:
+        # As in characterize, the tests skip a _next_click call that would
+        # find nothing: most clicks of a lossy link are signal clicks.
+        t_limit = sig_time if sig_time < duration_ps else duration_ps
+        t = NEVER
+        if next_dark < t_limit or rel_heap[0] < t_limit:
+            t, _, next_dark = _next_click(t_limit, next_dark, armed_from,
+                                          rel_heap, dark_rate, gen_darks)
+        is_signal = t == NEVER
+        if is_signal:
+            if sig_time >= duration_ps:
+                break
             # Scheduled while armed and never stale: always a click.
-            clicked = True
-            is_signal = True
-        elif kind == 3:
-            next_dark = t_next + _exp_gap_ps(gen_darks, dark_rate)
-            if t_next >= armed_from:
-                clicked = True
-        else:
-            heappop(rel_heap)
-            if t_next >= armed_from:
-                clicked = True
+            t = sig_time
+        recorded = _avalanche(t, rel_heap, jitter, traps, gen_jitter,
+                              gen_traps)
+        armed_from = recorded + deadtime_ps
+        n_clicks += 1
 
-        if clicked:
-            recorded = t_next + _jitter_delay_ps(
-                gen_jitter, sigma_ps, tail_fraction, tail_scale, latency_ps)
-            armed_from = recorded + deadtime_ps
-            n_traps = _poisson_small(gen_traps, trap_lambda)
-            for _ in range(n_traps):
-                comp = _pick_component(gen_traps, trap_cum_weights)
-                release = t_next + _exp_tau_ps(gen_traps, trap_tau_ps[comp])
-                heappush(rel_heap, release)
-
+        if decode:
             # Receiver-side decode against the frame's true bit.
-            decoded = recorded - latency_ps
-            if decoded < 0:
-                decoded = 0
+            decoded = recorded - latency_ps if recorded > latency_ps else 0
             frame_hat = decoded // frame_ps
-            slot_hat = (decoded - frame_hat * frame_ps) // slot_ps
-            if slot_hat > 1:
-                slot_hat = 1
+            slot_hat = 1 if decoded - frame_hat * frame_ps >= slot_ps else 0
             if is_signal and frame_hat == sig_frame:
                 true_bit = sig_bit
             else:
                 # Bits of frames without a scheduled signal pulse are drawn
                 # lazily; a fair coin either way.
                 true_bit = 0 if gen_bits.random() < 0.5 else 1
-            n_sifted += 1
             if slot_hat != true_bit:
                 n_errors += 1
 
-            # A candidate inside the new dead window is absorbed without an
-            # avalanche; redraw from the first fully armed frame.  A candidate
-            # beyond it keeps its already-decided frame, bit and flip.
-            if use_signal and sig_time < armed_from:
-                first_frame = armed_from // frame_ps + 1
-                if p_click_frame >= 1.0:
-                    skip = 0
-                else:
-                    skip = int(math.log(1.0 - gen_photons.random()) / log_q)
-                sig_frame = first_frame + skip
-                u_bit = gen_bits.random()
-                sig_bit = 0 if u_bit < 0.5 else 1
-                slot = sig_bit
-                if gen_photons.random() < p_optical_error:
-                    slot = 1 - slot
-                sig_time = sig_frame * frame_ps + slot * slot_ps + half_slot
-
-    return n_sifted, n_errors
+    return n_clicks, n_errors
 
 
+@compile_kernel
+def qkd_data(n_frames, frame_ps, slot_ps, deadtime_ps,
+             p_click_frame, p_optical_error, dark_rate, traps, jitter,
+             gen_darks, gen_photons, gen_traps, gen_jitter, gen_bits):
+    """Data-detector half of a time-bin QKD session.
+
+    Each frame carries one pulse, centered in slot 0 or 1 according to a
+    random bit; while armed the pulse clicks with p_click_frame.  Returns
+    (n_sifted, n_errors).
+    """
+    return _session(n_frames, frame_ps, slot_ps, deadtime_ps, p_click_frame,
+                    p_optical_error, dark_rate, traps, jitter, gen_darks,
+                    gen_photons, gen_traps, gen_jitter, gen_bits, True)
+
+
+@compile_kernel
 def qkd_monitor(n_frames, frame_ps, slot_ps, deadtime_ps,
-                p_click_frame, dark_rate,
-                trap_lambda, trap_cum_weights, trap_tau_ps,
-                sigma_ps, tail_fraction, tail_scale, latency_ps,
+                p_click_frame, dark_rate, traps, jitter,
                 gen_darks, gen_photons, gen_traps, gen_jitter):
     """Monitor-detector click counter at one interferometer extremum.
 
     Same detector mechanics as qkd_data without bit bookkeeping; returns the
-    number of clicks over n_frames frames.
+    number of clicks over n_frames frames.  It draws no bit, so gen_photons
+    stands in as the unused bits source (one argument type under numba).
     """
-    duration_ps = n_frames * frame_ps
-    half_slot = slot_ps // 2
-    n_clicks = 0
-
-    rel_heap = [NEVER]
-    next_dark = _exp_gap_ps(gen_darks, dark_rate) if dark_rate > 0.0 else NEVER
-    armed_from = 0
-
-    sig_time = NEVER
-    use_signal = p_click_frame > 0.0
-    log_q = 0.0
-    if use_signal and p_click_frame < 1.0:
-        log_q = math.log(1.0 - p_click_frame)
-    if use_signal:
-        if p_click_frame >= 1.0:
-            skip = 0
-        else:
-            skip = int(math.log(1.0 - gen_photons.random()) / log_q)
-        sig_time = skip * frame_ps + half_slot
-
-    while True:
-        t_next = NEVER
-        kind = 9
-        if sig_time < t_next:
-            t_next = sig_time
-            kind = 1
-        if next_dark < t_next:
-            t_next = next_dark
-            kind = 3
-        if rel_heap[0] < t_next:
-            t_next = rel_heap[0]
-            kind = 4
-        if t_next >= duration_ps:
-            break
-
-        clicked = False
-        if kind == 1:
-            clicked = True
-        elif kind == 3:
-            next_dark = t_next + _exp_gap_ps(gen_darks, dark_rate)
-            if t_next >= armed_from:
-                clicked = True
-        else:
-            heappop(rel_heap)
-            if t_next >= armed_from:
-                clicked = True
-
-        if clicked:
-            recorded = t_next + _jitter_delay_ps(
-                gen_jitter, sigma_ps, tail_fraction, tail_scale, latency_ps)
-            armed_from = recorded + deadtime_ps
-            n_traps = _poisson_small(gen_traps, trap_lambda)
-            for _ in range(n_traps):
-                comp = _pick_component(gen_traps, trap_cum_weights)
-                release = t_next + _exp_tau_ps(gen_traps, trap_tau_ps[comp])
-                heappush(rel_heap, release)
-            n_clicks += 1
-            if use_signal and sig_time < armed_from:
-                first_frame = armed_from // frame_ps + 1
-                if p_click_frame >= 1.0:
-                    skip = 0
-                else:
-                    skip = int(math.log(1.0 - gen_photons.random()) / log_q)
-                sig_time = (first_frame + skip) * frame_ps + half_slot
-
-    return n_clicks
-
-
-# Compiled entry points (identical objects when numba is disabled).
-_poisson_small = compile_kernel(_poisson_small)
-_exp_gap_ps = compile_kernel(_exp_gap_ps)
-_exp_tau_ps = compile_kernel(_exp_tau_ps)
-_pick_component = compile_kernel(_pick_component)
-_normal_unit = compile_kernel(_normal_unit)
-_jitter_delay_ps = compile_kernel(_jitter_delay_ps)
-free_run = compile_kernel(free_run)
-characterize = compile_kernel(characterize)
-qkd_data = compile_kernel(qkd_data)
-qkd_monitor = compile_kernel(qkd_monitor)
+    return _session(n_frames, frame_ps, slot_ps, deadtime_ps, p_click_frame,
+                    0.0, dark_rate, traps, jitter, gen_darks, gen_photons,
+                    gen_traps, gen_jitter, gen_photons, False)[0]

@@ -44,10 +44,7 @@ def _free_run_call(duration: float):
         with RandomStream(seed).uniforms(_KERNEL_GENS) as gens:
             return kernel(seconds_to_ps(duration), args["deadtime_ps"],
                           args["dark_rate"], 0.0, empty_t, empty_p,
-                          args["trap_lambda"], args["trap_cum_weights"],
-                          args["trap_tau_ps"], args["sigma_ps"],
-                          args["tail_fraction"], args["tail_scale"],
-                          args["latency_ps"], gens["darks"],
+                          args["traps"], args["jitter"], gens["darks"],
                           gens["photons"], gens["traps"], gens["jitter"],
                           gens["background"])
 
@@ -66,10 +63,7 @@ def _qkd_data_call(frames: int):
                 ("darks", "photons", "traps", "jitter", "bits")) as gens:
             return kernel(frames, frame_ps, frame_ps // 2,
                           args["deadtime_ps"], p_sig, cfg.optical_error,
-                          args["dark_rate"], args["trap_lambda"],
-                          args["trap_cum_weights"], args["trap_tau_ps"],
-                          args["sigma_ps"], args["tail_fraction"],
-                          args["tail_scale"], args["latency_ps"],
+                          args["dark_rate"], args["traps"], args["jitter"],
                           gens["darks"], gens["photons"], gens["traps"],
                           gens["jitter"], gens["bits"])
 

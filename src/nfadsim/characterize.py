@@ -170,11 +170,7 @@ def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
         c_d, c_lp, hist, live_ps, starved = _kernels.characterize(
             cfg.pulses_requested, seconds_to_ps(cfg.quiet_window), bin_ps,
             seconds_to_ps(cfg.histogram_span), deadtime_ps,
-            p_click, args["dark_rate"],
-            args["trap_lambda"], args["trap_cum_weights"],
-            args["trap_tau_ps"],
-            args["sigma_ps"], args["tail_fraction"], args["tail_scale"],
-            args["latency_ps"],
+            p_click, args["dark_rate"], args["traps"], args["jitter"],
             seconds_to_ps(cfg.cycle_timeout),
             gens["darks"], gens["photons"], gens["traps"], gens["jitter"])
     if starved:
@@ -190,12 +186,8 @@ def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
             ("darks", "photons", "traps", "jitter", "background")) as gens:
         dark_times, _ = _kernels.free_run(
             live_ps, deadtime_ps, args["dark_rate"], 0.0, no_pulses, no_p,
-            args["trap_lambda"], args["trap_cum_weights"],
-            args["trap_tau_ps"],
-            args["sigma_ps"], args["tail_fraction"], args["tail_scale"],
-            args["latency_ps"],
-            gens["darks"], gens["photons"], gens["traps"], gens["jitter"],
-            gens["background"])
+            args["traps"], args["jitter"], gens["darks"], gens["photons"],
+            gens["traps"], gens["jitter"], gens["background"])
     dark_counts = int(len(dark_times))
     r_dc = dark_counts / live_time if live_time > 0.0 else 0.0
 

@@ -86,9 +86,11 @@ def total_afterpulses(params: DetectorParams) -> float:
 def _kernel_args(params: DetectorParams):
     """Python-scalar bundle shared by every kernel call site.
 
-    Native floats and tuples, not numpy scalars and arrays: the kernels'
-    arithmetic on them gives the same values and runs faster in the
-    interpreter.
+    ``traps`` is (mean traps per avalanche, cumulative component weights,
+    component lifetimes in ps) and ``jitter`` is (core sigma in ps, tail
+    fraction, tail scale, latency in ps).  Native floats and tuples, not
+    numpy scalars and arrays: the kernels' arithmetic on them gives the same
+    values and runs faster in the interpreter.
     """
     trap = params.trap_model
     lam = trap.mean_traps(params.efficiency)
@@ -101,13 +103,10 @@ def _kernel_args(params: DetectorParams):
     return {
         "dark_rate": float(dark_rate(params)),
         "deadtime_ps": seconds_to_ps(params.deadtime),
-        "trap_lambda": float(lam),
-        "trap_cum_weights": tuple(cum_weights.tolist()),
-        "trap_tau_ps": tuple(tau_ps.tolist()),
-        "sigma_ps": float(sigma_ps),
-        "tail_fraction": float(jit.tail_fraction),
-        "tail_scale": float(jit.tail_scale_factor),
-        "latency_ps": seconds_to_ps(jit.latency),
+        "traps": (float(lam), tuple(cum_weights.tolist()),
+                  tuple(tau_ps.tolist())),
+        "jitter": (float(sigma_ps), float(jit.tail_fraction),
+                   float(jit.tail_scale_factor), seconds_to_ps(jit.latency)),
     }
 
 
@@ -140,10 +139,7 @@ def simulate(params: DetectorParams, timeline: OpticalTimeline,
             duration_ps, args["deadtime_ps"],
             args["dark_rate"], bg_candidates,
             kernel_sequence(pulse_times_ps), kernel_sequence(pulse_p),
-            args["trap_lambda"], args["trap_cum_weights"],
-            args["trap_tau_ps"],
-            args["sigma_ps"], args["tail_fraction"], args["tail_scale"],
-            args["latency_ps"],
+            args["traps"], args["jitter"],
             gens["darks"], gens["photons"], gens["traps"], gens["jitter"],
             gens["background"])
     return ClickStream(np.asarray(times_ps, dtype=np.float64) / PS_PER_S,
@@ -165,6 +161,8 @@ def simulate_reference(params: DetectorParams, timeline: OpticalTimeline,
     args = _kernel_args(params)
     deadtime_ps = args["deadtime_ps"]
     rate_dark = args["dark_rate"]
+    lam, cum, trap_tau_ps = args["traps"]
+    sigma_ps, _, _, latency_ps = args["jitter"]
     rate_bg = timeline.background_rate * params.efficiency
     pulse_times_ps, pulse_p = timeline_to_ps(timeline, params.efficiency)
 
@@ -195,11 +193,10 @@ def simulate_reference(params: DetectorParams, timeline: OpticalTimeline,
                 if 0.0 < s < 1.0:
                     x = a * math.sqrt(-2.0 * math.log(s) / s)
                     break
-        return max(0, args["latency_ps"] + int(x * args["sigma_ps"]))
+        return max(0, latency_ps + int(x * sigma_ps))
 
     def spawn_traps(t_raw: int) -> None:
         g = gens["traps"]
-        lam = args["trap_lambda"]
         if lam <= 0.0:
             return
         limit = math.exp(-lam)
@@ -209,7 +206,6 @@ def simulate_reference(params: DetectorParams, timeline: OpticalTimeline,
             if p <= limit:
                 break
             k += 1
-        cum = args["trap_cum_weights"]
         for _ in range(k):
             u = g.random()
             comp = len(cum) - 1
@@ -217,7 +213,7 @@ def simulate_reference(params: DetectorParams, timeline: OpticalTimeline,
                 if u < cum[i]:
                     comp = i
                     break
-            tau_ps = args["trap_tau_ps"][comp]
+            tau_ps = trap_tau_ps[comp]
             delay = int(-math.log(1.0 - g.random()) * tau_ps)
             queue.push(t_raw + delay, EVENT_RELEASE, None)
 

@@ -294,13 +294,9 @@ def simulate_session(cfg: LinkConfig, op: QkdOperatingPoint, frames: int,
             ("darks", "photons", "traps", "jitter", "bits")) as gens:
         n_sifted, n_errors = _kernels.qkd_data(
             frames, frame_ps, slot_ps, args_d["deadtime_ps"],
-            p_sig, cfg.optical_error, args_d["dark_rate"],
-            args_d["trap_lambda"], args_d["trap_cum_weights"],
-            args_d["trap_tau_ps"],
-            args_d["sigma_ps"], args_d["tail_fraction"],
-            args_d["tail_scale"], args_d["latency_ps"],
-            gens["darks"], gens["photons"], gens["traps"], gens["jitter"],
-            gens["bits"])
+            p_sig, cfg.optical_error, args_d["dark_rate"], args_d["traps"],
+            args_d["jitter"], gens["darks"], gens["photons"], gens["traps"],
+            gens["jitter"], gens["bits"])
     if n_sifted == 0:
         raise NoSignalError("no sifted detections in the session")
     sifted = n_sifted / duration
@@ -314,12 +310,9 @@ def simulate_session(cfg: LinkConfig, op: QkdOperatingPoint, frames: int,
                 ("darks", "photons", "traps", "jitter")) as g:
             return _kernels.qkd_monitor(
                 frames, frame_ps, slot_ps, args_m["deadtime_ps"],
-                p_frame, args_m["dark_rate"],
-                args_m["trap_lambda"], args_m["trap_cum_weights"],
-                args_m["trap_tau_ps"],
-                args_m["sigma_ps"], args_m["tail_fraction"],
-                args_m["tail_scale"], args_m["latency_ps"],
-                g["darks"], g["photons"], g["traps"], g["jitter"])
+                p_frame, args_m["dark_rate"], args_m["traps"],
+                args_m["jitter"], g["darks"], g["photons"], g["traps"],
+                g["jitter"])
 
     n_plus = monitor_pass(1, p_plus)
     n_minus = monitor_pass(2, p_minus)

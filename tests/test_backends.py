@@ -9,6 +9,7 @@ On the Python backend the kernels read buffered uniforms
 same outputs and leave every substream in the same state.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -23,6 +24,7 @@ from nfadsim._backend import USE_NUMBA, backend_name, kernel_sequence
 from nfadsim.calibration import make_detector
 from nfadsim.detector import _kernel_args, simulate
 from nfadsim.engine import RandomStream, seconds_to_ps, timeline_to_ps, pulsed_laser
+from nfadsim.params import DarkRateModel
 
 needs_numba = pytest.mark.skipif(
     not USE_NUMBA, reason="numba backend disabled; nothing to compare")
@@ -38,9 +40,7 @@ def _free_run_args(det, timeline, duration, seed):
     pulse_ps, pulse_p = timeline_to_ps(timeline, det.efficiency)
     fixed = (seconds_to_ps(duration), args["deadtime_ps"], args["dark_rate"],
              timeline.background_rate * det.efficiency, pulse_ps, pulse_p,
-             args["trap_lambda"], args["trap_cum_weights"],
-             args["trap_tau_ps"], args["sigma_ps"], args["tail_fraction"],
-             args["tail_scale"], args["latency_ps"])
+             args["traps"], args["jitter"])
     names = ("darks", "photons", "traps", "jitter", "background")
     return fixed, names
 
@@ -65,9 +65,7 @@ def test_characterize_matches_py_func():
     p_click = 1.0 - np.exp(-0.91 * det.efficiency)
     fixed = (3000, seconds_to_ps(100e-6), seconds_to_ps(20e-9),
              seconds_to_ps(150e-6), args["deadtime_ps"], p_click,
-             args["dark_rate"], args["trap_lambda"],
-             args["trap_cum_weights"], args["trap_tau_ps"], args["sigma_ps"],
-             args["tail_fraction"], args["tail_scale"], args["latency_ps"],
+             args["dark_rate"], args["traps"], args["jitter"],
              seconds_to_ps(0.05))
     names = ("darks", "photons", "traps", "jitter")
 
@@ -85,9 +83,7 @@ def test_qkd_kernels_match_py_func():
     args = _kernel_args(det)
     frame_ps = seconds_to_ps(2.0 / 625e6)
     common = (200_000, frame_ps, frame_ps // 2, args["deadtime_ps"])
-    tail = (args["dark_rate"], args["trap_lambda"], args["trap_cum_weights"],
-            args["trap_tau_ps"], args["sigma_ps"], args["tail_fraction"],
-            args["tail_scale"], args["latency_ps"])
+    tail = (args["dark_rate"], args["traps"], args["jitter"])
 
     data_names = ("darks", "photons", "traps", "jitter", "bits")
     res_jit = _kernels.qkd_data(*common, 2e-3, 0.005, *tail,
@@ -114,17 +110,38 @@ def _small_free_run():
     return fixed[:4] + pulses + fixed[6:], names
 
 
-def _small_characterize():
-    det = make_detector(-70.0, 0.2, 10e-6)
+def _flat_dark(rate_cps):
+    return DarkRateModel(amplitude_thermal=0.0, activation_temperature=0.0,
+                         floor=rate_cps, efficiency_exponent=0.0,
+                         efficiency_ref=0.115)
+
+
+def _small_characterize(det=None, quiet=100e-6, bin_width=20e-9,
+                        span=150e-6, timeout=0.05):
+    det = det or make_detector(-70.0, 0.2, 10e-6)
     args = _kernel_args(det)
     p_click = float(1.0 - np.exp(-0.91 * det.efficiency))
-    fixed = (2000, seconds_to_ps(100e-6), seconds_to_ps(20e-9),
-             seconds_to_ps(150e-6), args["deadtime_ps"], p_click,
-             args["dark_rate"], args["trap_lambda"],
-             args["trap_cum_weights"], args["trap_tau_ps"], args["sigma_ps"],
-             args["tail_fraction"], args["tail_scale"], args["latency_ps"],
-             seconds_to_ps(0.05))
+    fixed = (2000, seconds_to_ps(quiet), seconds_to_ps(bin_width),
+             seconds_to_ps(span), args["deadtime_ps"], p_click,
+             args["dark_rate"], args["traps"], args["jitter"],
+             seconds_to_ps(timeout))
     return fixed, ("darks", "photons", "traps", "jitter")
+
+
+def _pending_characterize():
+    # A 3 us response latency inside a 5 us bin at 1e5 cps: about a quarter
+    # of the quiet waits end on a dark click whose raw time is inside the
+    # window and whose recorded time falls in the laser's bin.
+    det = make_detector(-70.0, 0.2, 6e-6, dark_model=_flat_dark(1e5))
+    det = dataclasses.replace(det, jitter_model=dataclasses.replace(
+        det.jitter_model, latency=3e-6))
+    return _small_characterize(det, quiet=10e-6, bin_width=5e-6, span=20e-6)
+
+
+def _starved_characterize():
+    # 1e6 cps against a 100 us quiet window: no window within 1 ms.
+    det = make_detector(-70.0, 0.2, 1e-6, dark_model=_flat_dark(1e6))
+    return _small_characterize(det, timeout=1e-3)
 
 
 def _small_qkd(*budget):
@@ -132,21 +149,32 @@ def _small_qkd(*budget):
     det = make_detector(-90.0, 0.25, 2e-6)
     args = _kernel_args(det)
     frame_ps = seconds_to_ps(2.0 / 625e6)
-    fixed = (2_000_000, frame_ps, frame_ps // 2, args["deadtime_ps"],
-             *budget, args["dark_rate"], args["trap_lambda"],
-             args["trap_cum_weights"], args["trap_tau_ps"], args["sigma_ps"],
-             args["tail_fraction"], args["tail_scale"], args["latency_ps"])
-    return fixed
+    return (2_000_000, frame_ps, frame_ps // 2, args["deadtime_ps"],
+            *budget, args["dark_rate"], args["traps"], args["jitter"])
 
 
+_DATA = ("darks", "photons", "traps", "jitter", "bits")
+_MONITOR = ("darks", "photons", "traps", "jitter")
+
+# Keys name the kernel, then after a slash the branch a case pins.
 _SMALL_CASES = {
     "free_run": _small_free_run,
     "characterize": _small_characterize,
-    "qkd_data": lambda: (_small_qkd(2e-3, 0.005),
-                         ("darks", "photons", "traps", "jitter", "bits")),
-    "qkd_monitor": lambda: (_small_qkd(1e-3),
-                            ("darks", "photons", "traps", "jitter")),
+    "characterize/pending": _pending_characterize,
+    "characterize/starved": _starved_characterize,
+    "characterize/no_darks": lambda: _small_characterize(make_detector(
+        -70.0, 0.2, 10e-6, dark_model=_flat_dark(0.0))),
+    "qkd_data": lambda: (_small_qkd(2e-3, 0.005), _DATA),
+    "qkd_data/always": lambda: (_small_qkd(1.0, 0.005), _DATA),
+    "qkd_data/never": lambda: (_small_qkd(0.0, 0.005), _DATA),
+    "qkd_monitor": lambda: (_small_qkd(1e-3), _MONITOR),
+    "qkd_monitor/always": lambda: (_small_qkd(1.0), _MONITOR),
+    "qkd_monitor/never": lambda: (_small_qkd(0.0), _MONITOR),
 }
+
+
+def _kernel(case):
+    return getattr(_kernels, case.split("/")[0])
 
 
 def _plain(result):
@@ -161,7 +189,7 @@ def _plain(result):
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("name", sorted(_SMALL_CASES))
 def test_buffered_uniforms_match_raw_generators(name, seed):
-    kernel = getattr(_kernels, name)
+    kernel = _kernel(name)
     fixed, names = _SMALL_CASES[name]()
     raw_stream = RandomStream(seed)
     raw = kernel(*fixed, *(raw_stream.generator(n) for n in names))
@@ -174,7 +202,8 @@ def test_buffered_uniforms_match_raw_generators(name, seed):
                 == raw_stream.generator(n).bit_generator.state), n
 
 
-# Recorded with raw generators before the kernels read buffered uniforms:
+# Recorded with raw generators before the kernels read buffered uniforms,
+# and the branch cases before the kernels shared one event-step core:
 # (c_d, c_lp, sha256 of the int64 histogram, live ps, starved) and
 # (n_sifted, n_errors) and the monitor click count.
 _GOLDEN = {
@@ -190,6 +219,22 @@ _GOLDEN = {
     ("qkd_data", 11): (2102, 374),
     ("qkd_monitor", 3): 1718,
     ("qkd_monitor", 11): 1674,
+    ("characterize/no_darks", 3): (
+        316, 2000,
+        "f0e497b43599969a626615b78b2215c6bf4ff03e9b68e7ce7bcb25f77b1c9cc1",
+        47434002046, False),
+    ("characterize/pending", 3): (
+        793, 2000,
+        "6a256e03d629c073cc9a20095ea20269e701751111e1076303c699bf11695751",
+        32074810596, False),
+    ("characterize/starved", 3): (
+        1, 1,
+        "fbe2dc77cb9bf665a6ed03dc853a987a31da055c89496c4126e5d9589199edc8",
+        150001000, True),
+    ("qkd_data/always", 3): (3193, 23),
+    ("qkd_data/never", 3): (1, 1),
+    ("qkd_monitor/always", 3): 3195,
+    ("qkd_monitor/never", 3): 1,
 }
 
 
@@ -197,8 +242,8 @@ _GOLDEN = {
 def test_kernels_keep_their_recorded_outputs(name, seed):
     fixed, names = _SMALL_CASES[name]()
     with RandomStream(seed).uniforms(names) as sources:
-        out = getattr(_kernels, name)(*fixed, *(sources[n] for n in names))
-    if name == "characterize":
+        out = _kernel(name)(*fixed, *(sources[n] for n in names))
+    if name.startswith("characterize"):
         c_d, c_lp, hist, live_ps, starved = out
         hist_sha = hashlib.sha256(
             np.asarray(hist, dtype=np.int64).tobytes()).hexdigest()

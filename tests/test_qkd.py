@@ -168,6 +168,13 @@ class TestMonteCarlo:
             simulate_session(LinkConfig(channel_loss_db=60.0), _op(),
                              frames=100_000, seed=11)
 
+    def test_loss_that_rounds_the_click_probability_away_raises(self):
+        # At 200 dB the frame click probability p leaves 1 - p == 1, whose
+        # geometric frame skip would divide by log(1 - p) == 0.
+        with pytest.raises(NoSignalError):
+            simulate_session(LinkConfig(channel_loss_db=200.0), _op(),
+                             frames=100_000, seed=11)
+
     def test_matches_analytic_model(self):
         # One deep cell; the 3x3 operating grid lives in the acceptance
         # suite where the frame budgets are much larger.
