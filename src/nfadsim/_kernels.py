@@ -1,8 +1,6 @@
-"""Simulation kernels, written in numba-compatible plain Python.
+"""Simulation kernels: the detector's event loop in plain Python.
 
-Every function here is compiled with ``numba.njit`` unless the pure-Python
-backend is selected (see ``_backend``).  To keep both backends bit-identical
-the kernels draw nothing but ``gen.random()`` uniforms and use only
+The kernels draw nothing but ``gen.random()`` uniforms and use only
 ``math.*`` scalar routines; exponential, normal, Poisson and categorical
 variates are derived here by inversion/rejection.
 
@@ -19,27 +17,23 @@ order is: re-arm (armed means ``t >= armed_from``), scheduled event (a
 pulse before a background photon), dark candidate, trap release: the kinds
 ``engine.EVENT_*`` numbers for the reference simulator.
 
-Draw contract, shared with ``detector.simulate_reference``: each ``gen_*``
-argument is one named substream.  Per click: the jitter delay, then the
-trap count, then one (component, release delay) pair per trap.  A dark or
+Each kernel takes its own scalars, then ``det``, the ``(deadtime_ps,
+dark_rate, traps, jitter)`` of ``detector._kernel_args``, and ``gens``, a
+substream name -> uniform source map such as ``RandomStream.uniforms``
+yields; it unpacks both at entry.  Draw contract, shared with
+``detector.simulate_reference``: per click, the jitter delay, then the trap
+count, then one (component, release delay) pair per trap.  A dark or
 background candidate draws the next gap when it is processed, armed or
-not; a pulse draws its click decision only while armed.  Under numba the
-substreams are raw generators.  In the interpreter the call sites pass the
-sources of ``RandomStream.uniforms``, which read the same doubles from
-buffered blocks and rewind each generator on exit to where scalar calls
-leave it (``tests/test_backends.py`` checks both).
+not; a pulse draws its click decision only while armed.
 
-Time is integer picoseconds: Python ints in the interpreter, with pulse
-inputs as lists, a ``heapq`` release list floored by ``NEVER`` and list
-outputs.  ``detector._kernel_args`` packs the detector constants as
-``traps = (lambda, cumulative weights, lifetimes_ps)`` and
-``jitter = (sigma_ps, tail_fraction, tail_scale, latency_ps)``.
+Time is integer picoseconds in Python ints, which do not wrap: a gap or a
+frame skip beyond ``NEVER`` stays exact and is never reached.  Only an
+infinite gap has no int; ``detector`` rejects the rates that would draw one.
 """
 
 import math
 from heapq import heappop, heappush
 
-from ._backend import compile_kernel
 from .params import ORIGIN_AFTERPULSE, ORIGIN_DARK, ORIGIN_PHOTON, PS_PER_S
 
 # Far future sentinel; beyond any simulated time but safely below 2**63.
@@ -48,13 +42,11 @@ from .params import ORIGIN_AFTERPULSE, ORIGIN_DARK, ORIGIN_PHOTON, PS_PER_S
 NEVER = 1 << 62
 
 
-@compile_kernel
 def _exp_gap_ps(gen, rate_per_s):
     # rate > 0 required by callers.
     return int(-math.log(1.0 - gen.random()) / rate_per_s * PS_PER_S)
 
 
-@compile_kernel
 def _jitter_delay_ps(gen, jitter):
     # Mixture: Gaussian core (mode at latency) + one-sided exponential tail.
     sigma_ps, tail_fraction, tail_scale, latency_ps = jitter
@@ -74,7 +66,6 @@ def _jitter_delay_ps(gen, jitter):
     return delay if delay > 0 else 0
 
 
-@compile_kernel
 def _avalanche(t, rel_heap, jitter, traps, gen_jitter, gen_traps):
     """Click at raw time t: returns its recorded time, fills traps.
 
@@ -102,7 +93,6 @@ def _avalanche(t, rel_heap, jitter, traps, gen_jitter, gen_traps):
     return recorded
 
 
-@compile_kernel
 def _next_click(t_limit, next_dark, armed_from, rel_heap, dark_rate,
                 gen_darks):
     """First armed dark candidate or trap release strictly before t_limit.
@@ -127,10 +117,7 @@ def _next_click(t_limit, next_dark, armed_from, rel_heap, dark_rate,
                 return t, ORIGIN_AFTERPULSE, next_dark
 
 
-@compile_kernel
-def free_run(duration_ps, deadtime_ps, dark_rate, bg_rate,
-             pulse_times_ps, pulse_p_click, traps, jitter,
-             gen_darks, gen_photons, gen_traps, gen_jitter, gen_background):
+def free_run(duration_ps, bg_rate, pulse_times_ps, pulse_p_click, det, gens):
     """Free-running detector over [0, duration): returns the click stream.
 
     Dark and background candidates are homogeneous Poisson processes whose
@@ -139,6 +126,10 @@ def free_run(duration_ps, deadtime_ps, dark_rate, bg_rate,
     is recorded at raw time + jitter delay; the detector re-arms at
     recorded time + deadtime.  Trap releases while disarmed are lost.
     """
+    deadtime_ps, dark_rate, traps, jitter = det
+    gen_darks, gen_photons, gen_traps, gen_jitter, gen_background = (
+        gens["darks"], gens["photons"], gens["traps"], gens["jitter"],
+        gens["background"])
     times, origins = [], []
 
     rel_heap = [NEVER]
@@ -181,10 +172,8 @@ def free_run(duration_ps, deadtime_ps, dark_rate, bg_rate,
     return times, origins
 
 
-@compile_kernel
-def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
-                 p_click_laser, dark_rate, traps, jitter, timeout_ps,
-                 gen_darks, gen_photons, gen_traps, gen_jitter):
+def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
+                 timeout_ps, det, gens):
     """FPGA characterization cycle, adapted to free-running operation.
 
     Per cycle: wait until no recorded click for quiet_ps, fire one laser
@@ -193,6 +182,9 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
     for span_ps after the detection.  Returns
     (c_d, c_lp, histogram, live_ps, starved).
     """
+    deadtime_ps, dark_rate, traps, jitter = det
+    gen_darks, gen_photons, gen_traps, gen_jitter = (
+        gens["darks"], gens["photons"], gens["traps"], gens["jitter"])
     n_bins = span_ps // bin_ps
     hist = [0] * n_bins
     c_d = c_lp = 0
@@ -273,11 +265,8 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, deadtime_ps,
     return c_d, c_lp, hist, t_now, False
 
 
-@compile_kernel
-def _session(n_frames, frame_ps, slot_ps, deadtime_ps, p_click_frame,
-             p_optical_error, dark_rate, traps, jitter,
-             gen_darks, gen_photons, gen_traps, gen_jitter, gen_bits,
-             decode):
+def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
+             det, gens, decode):
     """One detector over a QKD session: returns (n_clicks, n_errors).
 
     Frames are skipped geometrically between signal clicks so cost scales
@@ -285,6 +274,10 @@ def _session(n_frames, frame_ps, slot_ps, deadtime_ps, p_click_frame,
     known latency) is decoded to a (frame, slot) pair and counted as an
     error when the slot disagrees with that frame's bit.
     """
+    deadtime_ps, dark_rate, traps, jitter = det
+    gen_darks, gen_photons, gen_traps, gen_jitter = (
+        gens["darks"], gens["photons"], gens["traps"], gens["jitter"])
+    gen_bits = gens["bits"] if decode else None
     duration_ps = n_frames * frame_ps
     latency_ps = jitter[3]
     n_clicks = n_errors = 0
@@ -354,31 +347,24 @@ def _session(n_frames, frame_ps, slot_ps, deadtime_ps, p_click_frame,
     return n_clicks, n_errors
 
 
-@compile_kernel
-def qkd_data(n_frames, frame_ps, slot_ps, deadtime_ps,
-             p_click_frame, p_optical_error, dark_rate, traps, jitter,
-             gen_darks, gen_photons, gen_traps, gen_jitter, gen_bits):
+def qkd_data(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
+             det, gens):
     """Data-detector half of a time-bin QKD session.
 
     Each frame carries one pulse, centered in slot 0 or 1 according to a
     random bit; while armed the pulse clicks with p_click_frame.  Returns
     (n_sifted, n_errors).
     """
-    return _session(n_frames, frame_ps, slot_ps, deadtime_ps, p_click_frame,
-                    p_optical_error, dark_rate, traps, jitter, gen_darks,
-                    gen_photons, gen_traps, gen_jitter, gen_bits, True)
+    return _session(n_frames, frame_ps, slot_ps, p_click_frame,
+                    p_optical_error, det, gens, True)
 
 
-@compile_kernel
-def qkd_monitor(n_frames, frame_ps, slot_ps, deadtime_ps,
-                p_click_frame, dark_rate, traps, jitter,
-                gen_darks, gen_photons, gen_traps, gen_jitter):
+def qkd_monitor(n_frames, frame_ps, slot_ps, p_click_frame, det, gens):
     """Monitor-detector click counter at one interferometer extremum.
 
     Same detector mechanics as qkd_data without bit bookkeeping; returns the
-    number of clicks over n_frames frames.  It draws no bit, so gen_photons
-    stands in as the unused bits source (one argument type under numba).
+    number of clicks over n_frames frames.  It draws no bit, so gens needs
+    no "bits" source.
     """
-    return _session(n_frames, frame_ps, slot_ps, deadtime_ps, p_click_frame,
-                    0.0, dark_rate, traps, jitter, gen_darks, gen_photons,
-                    gen_traps, gen_jitter, gen_photons, False)[0]
+    return _session(n_frames, frame_ps, slot_ps, p_click_frame, 0.0, det,
+                    gens, False)[0]

@@ -162,17 +162,15 @@ def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
         raise ParameterError("deadtime below one clock bin is outside the "
                              "protocol's operating regime")
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
-    args = _kernel_args(detector)
+    det = _kernel_args(detector)
     p_click = -math.expm1(-cfg.laser_mu * detector.efficiency)
 
     with stream.child(0).uniforms(
             ("darks", "photons", "traps", "jitter")) as gens:
         c_d, c_lp, hist, live_ps, starved = _kernels.characterize(
             cfg.pulses_requested, seconds_to_ps(cfg.quiet_window), bin_ps,
-            seconds_to_ps(cfg.histogram_span), deadtime_ps,
-            p_click, args["dark_rate"], args["traps"], args["jitter"],
-            seconds_to_ps(cfg.cycle_timeout),
-            gens["darks"], gens["photons"], gens["traps"], gens["jitter"])
+            seconds_to_ps(cfg.histogram_span), p_click,
+            seconds_to_ps(cfg.cycle_timeout), det, gens)
     if starved:
         raise ProtocolStarvationError(
             "quiet window of %.3g s not reached within %.3g s of simulated "
@@ -180,14 +178,9 @@ def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
             (cfg.quiet_window, cfg.cycle_timeout))
 
     live_time = live_ps / PS_PER_S
-    no_pulses = np.empty(0, np.int64)
-    no_p = np.empty(0, np.float64)
     with stream.child(1).uniforms(
             ("darks", "photons", "traps", "jitter", "background")) as gens:
-        dark_times, _ = _kernels.free_run(
-            live_ps, deadtime_ps, args["dark_rate"], 0.0, no_pulses, no_p,
-            args["traps"], args["jitter"], gens["darks"], gens["photons"],
-            gens["traps"], gens["jitter"], gens["background"])
+        dark_times, _ = _kernels.free_run(live_ps, 0.0, [], [], det, gens)
     dark_counts = int(len(dark_times))
     r_dc = dark_counts / live_time if live_time > 0.0 else 0.0
 

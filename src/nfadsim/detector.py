@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 from . import _kernels
-from ._backend import kernel_sequence
 from .engine import (EVENT_BACKGROUND, EVENT_DARK, EVENT_PULSE, EVENT_RELEASE,
                      EventQueue, RandomStream, exponential_gap_seconds,
                      seconds_to_ps, timeline_to_ps)
@@ -83,14 +82,27 @@ def total_afterpulses(params: DetectorParams) -> float:
     return b / (1.0 - b)
 
 
-def _kernel_args(params: DetectorParams):
-    """Python-scalar bundle shared by every kernel call site.
+_MAX_UNIT_GAP = math.log(2.0 ** 53)  # -ln(1 - u) at the largest u below 1
 
-    ``traps`` is (mean traps per avalanche, cumulative component weights,
-    component lifetimes in ps) and ``jitter`` is (core sigma in ps, tail
-    fraction, tail scale, latency in ps).  Native floats and tuples, not
-    numpy scalars and arrays: the kernels' arithmetic on them gives the same
-    values and runs faster in the interpreter.
+
+def _candidate_rate(rate: float, what: str) -> float:
+    """A Poisson candidate rate (cps), rejected where a gap can be ``inf``:
+    below about 2e-295 cps, -ln(1 - u) / rate in ps has no int."""
+    if rate > 0.0 and not math.isfinite(_MAX_UNIT_GAP / rate * PS_PER_S):
+        raise ParameterError("%s rate %.3g cps is too small: its exponential "
+                             "gaps overflow the picosecond grid" % (what, rate))
+    return rate
+
+
+def _kernel_args(params: DetectorParams):
+    """The detector bundle every kernel call site passes as ``det``.
+
+    ``(deadtime_ps, dark_rate, traps, jitter)``: ``traps`` is (mean traps
+    per avalanche, cumulative component weights, component lifetimes in ps)
+    and ``jitter`` is (core sigma in ps, tail fraction, tail scale, latency
+    in ps).  Native floats and tuples, not numpy scalars and arrays: the
+    kernels' arithmetic on them gives the same values and runs faster in
+    the interpreter.
     """
     trap = params.trap_model
     lam = trap.mean_traps(params.efficiency)
@@ -100,14 +112,11 @@ def _kernel_args(params: DetectorParams):
                         dtype=np.float64) * PS_PER_S
     jit = params.jitter_model
     sigma_ps = jit.core_sigma_at(params.efficiency) * PS_PER_S
-    return {
-        "dark_rate": float(dark_rate(params)),
-        "deadtime_ps": seconds_to_ps(params.deadtime),
-        "traps": (float(lam), tuple(cum_weights.tolist()),
-                  tuple(tau_ps.tolist())),
-        "jitter": (float(sigma_ps), float(jit.tail_fraction),
-                   float(jit.tail_scale_factor), seconds_to_ps(jit.latency)),
-    }
+    return (seconds_to_ps(params.deadtime),
+            _candidate_rate(float(dark_rate(params)), "dark count"),
+            (float(lam), tuple(cum_weights.tolist()), tuple(tau_ps.tolist())),
+            (float(sigma_ps), float(jit.tail_fraction),
+             float(jit.tail_scale_factor), seconds_to_ps(jit.latency)))
 
 
 def _duration_ps(duration: float) -> int:
@@ -131,17 +140,14 @@ def simulate(params: DetectorParams, timeline: OpticalTimeline,
     """
     duration_ps = _duration_ps(duration)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
-    args = _kernel_args(params)
+    det = _kernel_args(params)
+    rate_bg = _candidate_rate(timeline.background_rate * params.efficiency,
+                              "background candidate")
     pulse_times_ps, pulse_p = timeline_to_ps(timeline, params.efficiency)
-    bg_candidates = timeline.background_rate * params.efficiency
     with stream.uniforms(_KERNEL_SUBSTREAMS) as gens:
         times_ps, origins = _kernels.free_run(
-            duration_ps, args["deadtime_ps"],
-            args["dark_rate"], bg_candidates,
-            kernel_sequence(pulse_times_ps), kernel_sequence(pulse_p),
-            args["traps"], args["jitter"],
-            gens["darks"], gens["photons"], gens["traps"], gens["jitter"],
-            gens["background"])
+            duration_ps, rate_bg, pulse_times_ps.tolist(), pulse_p.tolist(),
+            det, gens)
     return ClickStream(np.asarray(times_ps, dtype=np.float64) / PS_PER_S,
                        np.asarray(origins, dtype=np.uint8))
 
@@ -158,12 +164,10 @@ def simulate_reference(params: DetectorParams, timeline: OpticalTimeline,
     duration_ps = _duration_ps(duration)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     gens = stream.generators(_KERNEL_SUBSTREAMS)
-    args = _kernel_args(params)
-    deadtime_ps = args["deadtime_ps"]
-    rate_dark = args["dark_rate"]
-    lam, cum, trap_tau_ps = args["traps"]
-    sigma_ps, _, _, latency_ps = args["jitter"]
-    rate_bg = timeline.background_rate * params.efficiency
+    (deadtime_ps, rate_dark, (lam, cum, trap_tau_ps),
+     (sigma_ps, _, _, latency_ps)) = _kernel_args(params)
+    rate_bg = _candidate_rate(timeline.background_rate * params.efficiency,
+                              "background candidate")
     pulse_times_ps, pulse_p = timeline_to_ps(timeline, params.efficiency)
 
     def gap_ps(generator, rate: float) -> int:

@@ -18,7 +18,6 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from ._backend import USE_NUMBA
 from .errors import ParameterError
 from .params import PS_PER_S, OpticalTimeline
 
@@ -72,17 +71,15 @@ class RandomStream:
     def uniforms(self, names: Iterable[str]) -> Iterator[dict]:
         """Kernel-ready uniform sources for the named substreams.
 
-        Each source's ``random()`` returns exactly the doubles that scalar
-        ``Generator.random()`` calls would, read from growing blocks.  On
-        exit, also when the body raises, every generator is rewound past its
-        unread values, so it ends where the scalar calls would have left it.
-        With numba active the raw generators are yielded instead.
+        Yields a name -> source mapping, the ``gens`` argument of the
+        kernels.  Each source's ``random()`` returns exactly the doubles
+        that scalar ``Generator.random()`` calls would, read from growing
+        blocks.  On exit, also when the body raises, every generator is
+        rewound past its unread values, so it ends where the scalar calls
+        would have left it.
         """
-        gens = self.generators(names)
-        if USE_NUMBA:
-            yield gens
-            return
-        sources = {n: _BufferedUniforms(g) for n, g in gens.items()}
+        sources = {n: _BufferedUniforms(g)
+                   for n, g in self.generators(names).items()}
         try:
             yield sources
         finally:

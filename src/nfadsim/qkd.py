@@ -287,32 +287,25 @@ def simulate_session(cfg: LinkConfig, op: QkdOperatingPoint, frames: int,
     slot_ps = frame_ps // 2
     duration = frames * (2.0 / cfg.pulse_rate)
 
-    det = op.data_detector
-    args_d = _kernel_args(det)
+    det_d = _kernel_args(op.data_detector)
     p_sig, p_dk = _data_budget(cfg, op)
     with stream.child(0).uniforms(
             ("darks", "photons", "traps", "jitter", "bits")) as gens:
         n_sifted, n_errors = _kernels.qkd_data(
-            frames, frame_ps, slot_ps, args_d["deadtime_ps"],
-            p_sig, cfg.optical_error, args_d["dark_rate"], args_d["traps"],
-            args_d["jitter"], gens["darks"], gens["photons"], gens["traps"],
-            gens["jitter"], gens["bits"])
+            frames, frame_ps, slot_ps, p_sig, cfg.optical_error, det_d, gens)
     if n_sifted == 0:
         raise NoSignalError("no sifted detections in the session")
     sifted = n_sifted / duration
     qber = min(0.5, n_errors / n_sifted)
 
-    args_m = _kernel_args(op.monitor_detector)
+    det_m = _kernel_args(op.monitor_detector)
     p_plus, p_minus, r_dark_m = _monitor_budget(cfg, op)
 
     def monitor_pass(child: int, p_frame: float) -> int:
         with stream.child(child).uniforms(
-                ("darks", "photons", "traps", "jitter")) as g:
-            return _kernels.qkd_monitor(
-                frames, frame_ps, slot_ps, args_m["deadtime_ps"],
-                p_frame, args_m["dark_rate"], args_m["traps"],
-                args_m["jitter"], g["darks"], g["photons"], g["traps"],
-                g["jitter"])
+                ("darks", "photons", "traps", "jitter")) as gens:
+            return _kernels.qkd_monitor(frames, frame_ps, slot_ps, p_frame,
+                                        det_m, gens)
 
     n_plus = monitor_pass(1, p_plus)
     n_minus = monitor_pass(2, p_minus)

@@ -1,113 +1,32 @@
-"""Bit-equality of the kernels across backends and uniform sources.
+"""Bit-equality of the kernels across uniform sources, and their outputs.
 
-The kernels draw nothing but Generator.random() uniforms and use math.*
-scalars, so the numba dispatcher and the plain function must produce the
-same output stream for the same generator state.  That contract is what
-lets NFADSIM_DISABLE_NUMBA=1 switch backends without changing results.
-On the Python backend the kernels read buffered uniforms
-(``RandomStream.uniforms``); fed raw generators instead they must give the
-same outputs and leave every substream in the same state.
+Every call site feeds the kernels the buffered uniform sources of
+``RandomStream.uniforms``.  Fed the raw generators of
+``RandomStream.generators`` instead, the kernels must give equal outputs
+and leave every substream in the same state.  Recorded outputs pin each
+kernel and the branches it takes.
 """
 
 import dataclasses
 import hashlib
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from nfadsim import _kernels
-from nfadsim._backend import USE_NUMBA, backend_name, kernel_sequence
 from nfadsim.calibration import make_detector
 from nfadsim.detector import _kernel_args, simulate
 from nfadsim.engine import RandomStream, seconds_to_ps, timeline_to_ps, pulsed_laser
 from nfadsim.params import DarkRateModel
 
-needs_numba = pytest.mark.skipif(
-    not USE_NUMBA, reason="numba backend disabled; nothing to compare")
-
-
-def _gens(seed, names):
-    stream = RandomStream(seed)
-    return [stream.generator(n) for n in names]
-
-
-def _free_run_args(det, timeline, duration, seed):
-    args = _kernel_args(det)
-    pulse_ps, pulse_p = timeline_to_ps(timeline, det.efficiency)
-    fixed = (seconds_to_ps(duration), args["deadtime_ps"], args["dark_rate"],
-             timeline.background_rate * det.efficiency, pulse_ps, pulse_p,
-             args["traps"], args["jitter"])
-    names = ("darks", "photons", "traps", "jitter", "background")
-    return fixed, names
-
-
-@needs_numba
-def test_free_run_matches_py_func():
-    det = make_detector(-90.0, 0.25, 3e-6)
-    tl = pulsed_laser(period=1e-6, mean_photon_number=0.3, count=10_000)
-    fixed, names = _free_run_args(det, tl, 0.011, 0)
-
-    t_jit, o_jit = _kernels.free_run(*fixed, *_gens(12, names))
-    t_py, o_py = _kernels.free_run.py_func(*fixed, *_gens(12, names))
-    assert len(t_jit) > 100
-    assert np.array_equal(np.asarray(t_jit), np.asarray(t_py))
-    assert np.array_equal(np.asarray(o_jit), np.asarray(o_py))
-
-
-@needs_numba
-def test_characterize_matches_py_func():
-    det = make_detector(-70.0, 0.2, 10e-6)
-    args = _kernel_args(det)
-    p_click = 1.0 - np.exp(-0.91 * det.efficiency)
-    fixed = (3000, seconds_to_ps(100e-6), seconds_to_ps(20e-9),
-             seconds_to_ps(150e-6), args["deadtime_ps"], p_click,
-             args["dark_rate"], args["traps"], args["jitter"],
-             seconds_to_ps(0.05))
-    names = ("darks", "photons", "traps", "jitter")
-
-    out_jit = _kernels.characterize(*fixed, *_gens(5, names))
-    out_py = _kernels.characterize.py_func(*fixed, *_gens(5, names))
-    assert out_jit[0] == out_py[0] and out_jit[1] == out_py[1]
-    assert np.array_equal(np.asarray(out_jit[2]), np.asarray(out_py[2]))
-    assert out_jit[3] == out_py[3] and out_jit[4] == out_py[4]
-    assert out_jit[0] > 100  # enough detections for this to be a real run
-
-
-@needs_numba
-def test_qkd_kernels_match_py_func():
-    det = make_detector(-90.0, 0.115, 10e-6)
-    args = _kernel_args(det)
-    frame_ps = seconds_to_ps(2.0 / 625e6)
-    common = (200_000, frame_ps, frame_ps // 2, args["deadtime_ps"])
-    tail = (args["dark_rate"], args["traps"], args["jitter"])
-
-    data_names = ("darks", "photons", "traps", "jitter", "bits")
-    res_jit = _kernels.qkd_data(*common, 2e-3, 0.005, *tail,
-                                *_gens(31, data_names))
-    res_py = _kernels.qkd_data.py_func(*common, 2e-3, 0.005, *tail,
-                                       *_gens(31, data_names))
-    assert res_jit == res_py
-    assert res_jit[0] > 50
-
-    mon_names = ("darks", "photons", "traps", "jitter")
-    n_jit = _kernels.qkd_monitor(*common, 1e-3, *tail, *_gens(32, mon_names))
-    n_py = _kernels.qkd_monitor.py_func(*common, 1e-3, *tail,
-                                        *_gens(32, mon_names))
-    assert n_jit == n_py
-    # 640 us of frames with a 10 us hold-off caps the count near 48.
-    assert n_jit > 30
-
 
 def _small_free_run():
     det = make_detector(-90.0, 0.25, 3e-6)
     tl = pulsed_laser(period=1e-6, mean_photon_number=0.3, count=2000)
-    fixed, names = _free_run_args(det, tl, 0.003, 0)
-    pulses = tuple(kernel_sequence(np.asarray(a)) for a in fixed[4:6])
-    return fixed[:4] + pulses + fixed[6:], names
+    pulse_ps, pulse_p = timeline_to_ps(tl, det.efficiency)
+    fixed = (seconds_to_ps(0.003), tl.background_rate * det.efficiency,
+             pulse_ps.tolist(), pulse_p.tolist(), _kernel_args(det))
+    return fixed, ("darks", "photons", "traps", "jitter", "background")
 
 
 def _flat_dark(rate_cps):
@@ -119,12 +38,10 @@ def _flat_dark(rate_cps):
 def _small_characterize(det=None, quiet=100e-6, bin_width=20e-9,
                         span=150e-6, timeout=0.05):
     det = det or make_detector(-70.0, 0.2, 10e-6)
-    args = _kernel_args(det)
     p_click = float(1.0 - np.exp(-0.91 * det.efficiency))
     fixed = (2000, seconds_to_ps(quiet), seconds_to_ps(bin_width),
-             seconds_to_ps(span), args["deadtime_ps"], p_click,
-             args["dark_rate"], args["traps"], args["jitter"],
-             seconds_to_ps(timeout))
+             seconds_to_ps(span), p_click, seconds_to_ps(timeout),
+             _kernel_args(det))
     return fixed, ("darks", "photons", "traps", "jitter")
 
 
@@ -147,10 +64,8 @@ def _starved_characterize():
 def _small_qkd(*budget):
     # A short hold-off and 25% efficiency: plenty of afterpulse releases.
     det = make_detector(-90.0, 0.25, 2e-6)
-    args = _kernel_args(det)
     frame_ps = seconds_to_ps(2.0 / 625e6)
-    return (2_000_000, frame_ps, frame_ps // 2, args["deadtime_ps"],
-            *budget, args["dark_rate"], args["traps"], args["jitter"])
+    return (2_000_000, frame_ps, frame_ps // 2, *budget, _kernel_args(det))
 
 
 _DATA = ("darks", "photons", "traps", "jitter", "bits")
@@ -167,6 +82,7 @@ _SMALL_CASES = {
     "qkd_data": lambda: (_small_qkd(2e-3, 0.005), _DATA),
     "qkd_data/always": lambda: (_small_qkd(1.0, 0.005), _DATA),
     "qkd_data/never": lambda: (_small_qkd(0.0, 0.005), _DATA),
+    "qkd_data/rare": lambda: (_small_qkd(1e-15, 0.005), _DATA),
     "qkd_monitor": lambda: (_small_qkd(1e-3), _MONITOR),
     "qkd_monitor/always": lambda: (_small_qkd(1.0), _MONITOR),
     "qkd_monitor/never": lambda: (_small_qkd(0.0), _MONITOR),
@@ -192,10 +108,10 @@ def test_buffered_uniforms_match_raw_generators(name, seed):
     kernel = _kernel(name)
     fixed, names = _SMALL_CASES[name]()
     raw_stream = RandomStream(seed)
-    raw = kernel(*fixed, *(raw_stream.generator(n) for n in names))
+    raw = kernel(*fixed, raw_stream.generators(names))
     stream = RandomStream(seed)
     with stream.uniforms(names) as sources:
-        buffered = kernel(*fixed, *(sources[n] for n in names))
+        buffered = kernel(*fixed, sources)
     assert _plain(buffered) == _plain(raw)
     for n in names:
         assert (stream.generator(n).bit_generator.state
@@ -203,7 +119,10 @@ def test_buffered_uniforms_match_raw_generators(name, seed):
 
 
 # Recorded with raw generators before the kernels read buffered uniforms,
-# and the branch cases before the kernels shared one event-step core:
+# the branch cases before the kernels shared one event-step core, and the
+# rare-signal case before the kernels took the detector bundle and the
+# substream map (seed 4 draws a first frame skip of about 1.2e19 ps, past
+# 2**63):
 # (c_d, c_lp, sha256 of the int64 histogram, live ps, starved) and
 # (n_sifted, n_errors) and the monitor click count.
 _GOLDEN = {
@@ -233,6 +152,8 @@ _GOLDEN = {
         150001000, True),
     ("qkd_data/always", 3): (3193, 23),
     ("qkd_data/never", 3): (1, 1),
+    ("qkd_data/rare", 3): (1, 1),
+    ("qkd_data/rare", 4): (0, 0),
     ("qkd_monitor/always", 3): 3195,
     ("qkd_monitor/never", 3): 1,
 }
@@ -242,7 +163,7 @@ _GOLDEN = {
 def test_kernels_keep_their_recorded_outputs(name, seed):
     fixed, names = _SMALL_CASES[name]()
     with RandomStream(seed).uniforms(names) as sources:
-        out = _kernel(name)(*fixed, *(sources[n] for n in names))
+        out = _kernel(name)(*fixed, sources)
     if name.startswith("characterize"):
         c_d, c_lp, hist, live_ps, starved = out
         hist_sha = hashlib.sha256(
@@ -264,38 +185,3 @@ def test_consecutive_simulate_calls_continue_one_stream():
         digest.update(s.origins.tobytes())
     assert digest.hexdigest() == (
         "81ea1df1fdfa50cc8dfaa8f50953cc8f9e50f25755944dfd02c6ed365e7b3548")
-
-
-_CHILD_SCRIPT = """
-import json, sys
-import numpy as np
-from nfadsim._backend import backend_name
-from nfadsim.calibration import make_detector
-from nfadsim.detector import simulate
-from nfadsim.engine import pulsed_laser
-
-det = make_detector(-90.0, 0.25, 3e-6)
-tl = pulsed_laser(period=1e-6, mean_photon_number=0.3, count=10_000)
-s = simulate(det, tl, 0.011, 4242)
-json.dump({"backend": backend_name(),
-           "times": [repr(t) for t in s.times],
-           "origins": [int(o) for o in s.origins]}, sys.stdout)
-"""
-
-
-def test_env_flag_selects_python_backend_with_identical_output():
-    env = dict(os.environ, NFADSIM_DISABLE_NUMBA="1")
-    proc = subprocess.run([sys.executable, "-c", _CHILD_SCRIPT],
-                          capture_output=True, text=True, env=env,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["backend"] == "python"
-
-    det = make_detector(-90.0, 0.25, 3e-6)
-    tl = pulsed_laser(period=1e-6, mean_photon_number=0.3, count=10_000)
-    here = simulate(det, tl, 0.011, 4242)
-    assert [repr(t) for t in here.times] == payload["times"]
-    assert [int(o) for o in here.origins] == payload["origins"]
-    # The local interpreter keeps whatever backend it started with.
-    assert backend_name() in ("numba", "python")

@@ -2,8 +2,6 @@
 
 import hashlib
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -272,12 +270,3 @@ class TestExitCodes:
         cfg = _cfg(tmp_path, QKD_FIXED_INI)
         assert cli.main(["qkd", "--config", cfg, "--out", str(blocker)]) == 2
         assert "runtime error" in capsys.readouterr().err
-
-
-def test_bench_runs_both_backends():
-    proc = subprocess.run(
-        [sys.executable, "-m", "nfadsim.bench", "--repeat", "1",
-         "--duration", "0.02", "--frames", "200000"],
-        capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "outputs match" in proc.stdout

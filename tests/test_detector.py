@@ -1,5 +1,6 @@
 """Detector simulation: reference equality, counting laws, monotonicity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -146,9 +147,9 @@ class TestReferenceFuzz:
     Rates and times are drawn in units of the deadtime so that every example
     stays small (at most a few thousand candidates) for the event-queue
     reference.  Candidate rates are whole hundredths of one per deadtime (at
-    least 500 cps when positive): rates near the smallest doubles give
-    infinite exponential gaps, which is an input check of its own (the
-    picosecond-grid guards), not an ordering question.
+    least 500 cps when positive).  One example runs darks at 1e-7 cps, whose
+    first gap lands beyond ``NEVER``; rates whose gaps are infinite are
+    rejected before any draw (``TestStreamInvariants``).
     """
 
     @settings(max_examples=300)
@@ -176,6 +177,7 @@ class TestReferenceFuzz:
                     tail_fraction=0.0))          # recorded exactly at the end
     @example(**dict(_FUZZ_BASE, trap_mean=1.2, dark_rt=0.0, mu=3.0,
                     components=[(1.0, 5.0)]))                 # near runaway
+    @example(**dict(_FUZZ_BASE, dark_rt=2e-13))  # 1e-7 cps: gaps past NEVER
     def test_kernel_matches_reference(self, temp_c, eta, deadtime, n_dead,
                                       dark_rt, trap_mean, components, fwhm,
                                       tail_fraction, tail_scale, latency_dt,
@@ -229,6 +231,17 @@ class TestStreamInvariants:
     def test_duration_just_inside_the_ps_grid_runs(self, sim, flat_dark):
         s = sim(flat_dark(0.0, 5e-6), OpticalTimeline.empty(), 4.6e6, 1)
         assert len(s) == 0
+
+    @pytest.mark.parametrize("sim", [simulate, simulate_reference])
+    @pytest.mark.parametrize("dark_cps, bg_cps", [(1e-300, 0.0),
+                                                  (0.0, 1e-300)])
+    def test_rates_with_infinite_gaps_are_rejected(self, sim, flat_dark,
+                                                   dark_cps, bg_cps):
+        # Below about 2e-295 cps, -ln(1 - u) / rate in ps is inf.
+        tl = dataclasses.replace(OpticalTimeline.empty(),
+                                 background_rate=bg_cps)
+        with pytest.raises(ParameterError, match="picosecond grid"):
+            sim(flat_dark(dark_cps, 5e-6), tl, 0.01, 1)
 
     def test_no_generation_mechanism_no_clicks(self, flat_dark):
         det = flat_dark(0.0, 5e-6)
