@@ -10,7 +10,7 @@ walks dark candidates and trap releases strictly before ``t_limit`` and
 returns the first that finds the detector armed, or ``NEVER``; the ones
 that find it held off are consumed.  ``_avalanche(t, ...)`` turns a click
 at raw time ``t`` into its recorded time and pushes the releases of the
-traps it fills.  Scheduled events belong to the caller (pulses and
+traps it fills that come at or after re-arm.  Scheduled events belong to the caller (pulses and
 background photons in ``free_run``, the signal in ``_session``), which
 passes the next one as the exclusive ``t_limit``.  So at equal times the
 order is: re-arm (armed means ``t >= armed_from``), scheduled event (a
@@ -26,12 +26,26 @@ count, then one (component, release delay) pair per trap.  A dark or
 background candidate draws the next gap when it is processed, armed or
 not; a pulse draws its click decision only while armed.
 
+Skip rules.  Work that cannot produce a click is skipped exactly, so the
+draw contract above and every output bit stay those of the plain event
+loop:
+- ``_avalanche`` keeps a release earlier than re-arm off the heap: popped,
+  it would draw nothing and find the detector held off.
+- After each click, ``free_run`` draws the next gaps of the held-off dark
+  and background candidates in tight loops, stopping at the duration so
+  each substream ends where the event loop leaves it, and jumps past the
+  held-off pulses by bisection.
+- In ``characterize``, an armed cycle whose pulse misses, with no dark or
+  release due inside its bin, is followed at once by the next cycle at the
+  bin's end: such idle runs cost one photon draw per cycle.
+
 Time is integer picoseconds in Python ints, which do not wrap: a gap or a
 frame skip beyond ``NEVER`` stays exact and is never reached.  Only an
 infinite gap has no int; ``detector`` rejects the rates that would draw one.
 """
 
 import math
+from bisect import bisect_left
 from heapq import heappop, heappush
 
 from .params import ORIGIN_AFTERPULSE, ORIGIN_DARK, ORIGIN_PHOTON, PS_PER_S
@@ -66,14 +80,17 @@ def _jitter_delay_ps(gen, jitter):
     return delay if delay > 0 else 0
 
 
-def _avalanche(t, rel_heap, jitter, traps, gen_jitter, gen_traps):
+def _avalanche(t, rel_heap, deadtime_ps, jitter, traps, gen_jitter,
+               gen_traps):
     """Click at raw time t: returns its recorded time, fills traps.
 
     Draws the jitter delay, then the trap count (Knuth's product of
     uniforms), then one (component, exponential delay) pair per trap; each
-    release goes onto the heap at t + delay.
+    release at t + delay goes onto the heap unless it falls before re-arm
+    at recorded + deadtime_ps, where it could never click.
     """
     recorded = t + _jitter_delay_ps(gen_jitter, jitter)
+    armed_from = recorded + deadtime_ps
     lam, cum_weights, tau_ps = traps
     if lam > 0.0:
         limit = math.exp(-lam)
@@ -89,7 +106,9 @@ def _avalanche(t, rel_heap, jitter, traps, gen_jitter, gen_traps):
             while comp < last and u >= cum_weights[comp]:
                 comp += 1
             u = gen_traps.random()
-            heappush(rel_heap, t + int(-math.log(1.0 - u) * tau_ps[comp]))
+            release = t + int(-math.log(1.0 - u) * tau_ps[comp])
+            if release >= armed_from:
+                heappush(rel_heap, release)
     return recorded
 
 
@@ -130,6 +149,8 @@ def free_run(duration_ps, bg_rate, pulse_times_ps, pulse_p_click, det, gens):
     gen_darks, gen_photons, gen_traps, gen_jitter, gen_background = (
         gens["darks"], gens["photons"], gens["traps"], gens["jitter"],
         gens["background"])
+    log, dark_random, bg_random = (math.log, gen_darks.random,
+                                   gen_background.random)
     times, origins = [], []
 
     rel_heap = [NEVER]
@@ -162,12 +183,23 @@ def free_run(duration_ps, bg_rate, pulse_times_ps, pulse_p_click, det, gens):
                 if t < armed_from:
                     continue
 
-        recorded = _avalanche(t, rel_heap, jitter, traps, gen_jitter,
-                              gen_traps)
+        recorded = _avalanche(t, rel_heap, deadtime_ps, jitter, traps,
+                              gen_jitter, gen_traps)
         if recorded < duration_ps:
             times.append(recorded)
             origins.append(origin)
         armed_from = recorded + deadtime_ps
+
+        # Held-off candidates draw only their next gap and held-off pulses
+        # draw nothing: skip them here.  Stopping at duration_ps leaves each
+        # substream where the event loop would.
+        stop = armed_from if armed_from < duration_ps else duration_ps
+        while next_dark < stop:
+            next_dark += int(-log(1.0 - dark_random()) / dark_rate * PS_PER_S)
+        while next_bg < stop:
+            next_bg += int(-log(1.0 - bg_random()) / bg_rate * PS_PER_S)
+        if i_pulse < n_pulses and pulse_times_ps[i_pulse] < armed_from:
+            i_pulse = bisect_left(pulse_times_ps, armed_from, i_pulse)
 
     return times, origins
 
@@ -195,7 +227,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
     last_click = -quiet_ps  # lets the first pulse fire at t = 0
     t_now = 0
 
-    for _ in range(n_pulses):
+    while c_lp < n_pulses:
         cycle_start = t_now
         target = last_click + quiet_ps
         if target < t_now:
@@ -210,8 +242,8 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
                                           rel_heap, dark_rate, gen_darks)
             if t == NEVER:
                 break
-            last_click = _avalanche(t, rel_heap, jitter, traps, gen_jitter,
-                                    gen_traps)
+            last_click = _avalanche(t, rel_heap, deadtime_ps, jitter, traps,
+                                    gen_jitter, gen_traps)
             armed_from = last_click + deadtime_ps
             if last_click >= target:
                 # Quiet window already satisfied before this click was
@@ -233,14 +265,25 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
             # otherwise the first armed dark or release inside the bin.
             # Deadtime >> bin: at most one click either way.
             t = NEVER
-            if target >= armed_from and gen_photons.random() < p_click_laser:
-                t = target
-            elif next_dark < bin_end or rel_heap[0] < bin_end:
+            due = next_dark if next_dark < rel_heap[0] else rel_heap[0]
+            if target >= armed_from:
+                # Idle run: while the pulse misses and nothing else is due
+                # inside its bin, the next cycle fires at this bin's end
+                # with no quiet wait, so run it here.
+                while gen_photons.random() >= p_click_laser:
+                    if due < bin_end or c_lp == n_pulses:
+                        break
+                    c_lp += 1
+                    target = bin_end
+                    bin_end += bin_ps
+                else:
+                    t = target
+            if t == NEVER and due < bin_end:
                 t, _, next_dark = _next_click(bin_end, next_dark, armed_from,
                                               rel_heap, dark_rate, gen_darks)
             if t != NEVER:
-                last_click = _avalanche(t, rel_heap, jitter, traps,
-                                        gen_jitter, gen_traps)
+                last_click = _avalanche(t, rel_heap, deadtime_ps, jitter,
+                                        traps, gen_jitter, gen_traps)
                 armed_from = last_click + deadtime_ps
                 if last_click < bin_end:
                     detection = last_click
@@ -255,8 +298,8 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
                                           rel_heap, dark_rate, gen_darks)
             if t == NEVER:
                 break
-            last_click = _avalanche(t, rel_heap, jitter, traps, gen_jitter,
-                                    gen_traps)
+            last_click = _avalanche(t, rel_heap, deadtime_ps, jitter, traps,
+                                    gen_jitter, gen_traps)
             armed_from = last_click + deadtime_ps
             idx = (last_click - detection) // bin_ps
             if 0 <= idx < n_bins:
@@ -325,8 +368,8 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
                 break
             # Scheduled while armed and never stale: always a click.
             t = sig_time
-        recorded = _avalanche(t, rel_heap, jitter, traps, gen_jitter,
-                              gen_traps)
+        recorded = _avalanche(t, rel_heap, deadtime_ps, jitter, traps,
+                              gen_jitter, gen_traps)
         armed_from = recorded + deadtime_ps
         n_clicks += 1
 

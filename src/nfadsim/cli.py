@@ -102,6 +102,13 @@ def _prep_characterize(cfg: RunConfig):
     return pcfg, points
 
 
+def _histogram_rows(bin_width: float, counts: np.ndarray):
+    """(bin start in s, count) rows, each one preformatted cell: the text
+    ``_fmt_cell`` would give the float start and the integer count."""
+    bw = float(bin_width)
+    return ((f"{i * bw!r},{n}",) for i, n in enumerate(counts.tolist()))
+
+
 def cmd_characterize(cfg: RunConfig, seed: int, outdir: Path) -> int:
     c = cfg.characterize
     pcfg, points = _prep_characterize(cfg)
@@ -124,14 +131,12 @@ def cmd_characterize(cfg: RunConfig, seed: int, outdir: Path) -> int:
             if dcr.value > 0.0 else None
 
         tag = _point_tag(temp_c, eta)
-        bw = counts.bin_width
         _write_csv(outdir / f"afterpulse_hist_{tag}.csv",
                    ("bin_start_s", "count"),
-                   ((i * bw, int(n)) for i, n in enumerate(counts.histogram)))
+                   _histogram_rows(counts.bin_width, counts.histogram))
         _write_csv(outdir / f"jitter_{tag}.csv",
                    ("bin_start_s", "count"),
-                   ((i * hist.bin_width, int(n))
-                    for i, n in enumerate(hist.counts)))
+                   _histogram_rows(hist.bin_width, hist.counts))
 
         dcr_rows.append((temp_c, eta, dcr.value, dcr.error))
         ap_rows.append((temp_c, eta, p_ap.value, p_ap.error))

@@ -1,10 +1,9 @@
-import dataclasses
-
 import pytest
 from hypothesis import settings
 
+from nfadsim import cli
 from nfadsim.calibration import make_detector
-from nfadsim.params import DarkRateModel, DetectorParams, TrapModel
+from nfadsim.params import DetectorParams
 
 # Property tests draw the same examples on every run and every machine, and
 # slow shared hosts do not turn a pass into a deadline failure.
@@ -25,14 +24,6 @@ def flat_dark():
 
     Afterpulsing is disabled, so the click stream is a pure Poisson process
     thinned by the deadtime; that is what the saturation-law oracles need.
+    It is the detector of the CLI's deadtime-law self-test.
     """
-
-    def build(rate_cps: float, deadtime: float) -> DetectorParams:
-        model = DarkRateModel(amplitude_thermal=0.0,
-                              activation_temperature=0.0,
-                              floor=rate_cps, efficiency_exponent=0.0,
-                              efficiency_ref=0.115)
-        det = make_detector(-90.0, 0.115, deadtime, dark_model=model)
-        return dataclasses.replace(det, trap_model=TrapModel.disabled())
-
-    return build
+    return cli._flat_dark_detector

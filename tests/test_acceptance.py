@@ -5,7 +5,6 @@ in a plain ``pytest -v`` run, then asserts.  Tolerances and time budgets
 are part of the criteria; the statistical ones run with fixed seeds.
 """
 
-import dataclasses
 import math
 import time
 
@@ -22,8 +21,7 @@ from nfadsim.characterize import (ProtocolConfig, afterpulse_total,
 from nfadsim.detector import simulate, total_afterpulses
 from nfadsim.engine import RandomStream, pulsed_laser
 from nfadsim.optimize import SearchSpace, optimize
-from nfadsim.params import (DarkRateModel, OpticalTimeline, TrapModel,
-                            celsius_to_kelvin)
+from nfadsim.params import OpticalTimeline, celsius_to_kelvin
 from nfadsim.qkd import (LinkConfig, QkdOperatingPoint, link_metrics,
                          simulate_session)
 
@@ -37,14 +35,6 @@ def report(capsys):
         assert ok, detail
 
     return emit
-
-
-def _flat_dark(rate_cps: float, deadtime: float):
-    flat = DarkRateModel(amplitude_thermal=0.0, activation_temperature=0.0,
-                         floor=rate_cps, efficiency_exponent=0.0,
-                         efficiency_ref=0.115)
-    det = make_detector(-90.0, 0.115, deadtime, dark_model=flat)
-    return dataclasses.replace(det, trap_model=TrapModel.disabled())
 
 
 def test_criterion_01_dark_rate_anchors(report):
@@ -88,14 +78,14 @@ def test_criterion_03_closed_loop_afterpulse(report):
            f"({dev:.2f} sigma from 2.2%, {elapsed:.1f} s)")
 
 
-def test_criterion_04_deadtime_law(report):
+def test_criterion_04_deadtime_law(report, flat_dark):
     t0 = time.perf_counter()
     tau = 1e-6
     worst = 0.0
     for i, rate in enumerate((1e4, 1e5, 1e6, 1e7)):
         expected = rate / (1.0 + rate * tau)
         duration = 1.0e6 / expected          # about 1e6 detected events
-        det = _flat_dark(rate, tau)
+        det = flat_dark(rate, tau)
         clicks = simulate(det, OpticalTimeline.empty(), duration,
                           RandomStream(400 + i))
         worst = max(worst, abs(len(clicks) / duration / expected - 1.0))

@@ -68,6 +68,19 @@ def _small_qkd(*budget):
     return (2_000_000, frame_ps, frame_ps // 2, *budget, _kernel_args(det))
 
 
+def _idle_characterize():
+    # 5% efficiency at -110 C: a pulse clicks with p = 4.4% and darks are
+    # rare, so misses come in long idle runs; at seed 3 the budget of 2000
+    # pulses runs out 84 cycles into one.
+    return _small_characterize(make_detector(-110.0, 0.05, 10e-6))
+
+
+def _held_off_characterize():
+    # A 101 us hold-off against a 100 us quiet window: after a click in the
+    # quiet wait, the pulse fires while the detector is still held off.
+    return _small_characterize(make_detector(-70.0, 0.2, 101e-6))
+
+
 _DATA = ("darks", "photons", "traps", "jitter", "bits")
 _MONITOR = ("darks", "photons", "traps", "jitter")
 
@@ -77,6 +90,8 @@ _SMALL_CASES = {
     "characterize": _small_characterize,
     "characterize/pending": _pending_characterize,
     "characterize/starved": _starved_characterize,
+    "characterize/idle_end": _idle_characterize,
+    "characterize/held_off": _held_off_characterize,
     "characterize/no_darks": lambda: _small_characterize(make_detector(
         -70.0, 0.2, 10e-6, dark_model=_flat_dark(0.0))),
     "qkd_data": lambda: (_small_qkd(2e-3, 0.005), _DATA),
@@ -122,7 +137,8 @@ def test_buffered_uniforms_match_raw_generators(name, seed):
 # the branch cases before the kernels shared one event-step core, and the
 # rare-signal case before the kernels took the detector bundle and the
 # substream map (seed 4 draws a first frame skip of about 1.2e19 ps, past
-# 2**63):
+# 2**63), and the idle-run and held-off cases before the kernels skipped
+# the events that cannot click:
 # (c_d, c_lp, sha256 of the int64 histogram, live ps, starved) and
 # (n_sifted, n_errors) and the monitor click count.
 _GOLDEN = {
@@ -150,6 +166,14 @@ _GOLDEN = {
         1, 1,
         "fbe2dc77cb9bf665a6ed03dc853a987a31da055c89496c4126e5d9589199edc8",
         150001000, True),
+    ("characterize/idle_end", 3): (
+        89, 2000,
+        "661415a365f18120df3b836ddecb4989cdbfe074229e18016d15ffe037db1b53",
+        13388310764, False),
+    ("characterize/held_off", 3): (
+        252, 2000,
+        "efc430a9d4eb88d9d8af3cee6a177acb65063d13ce07b55ddf04e0d456eeea8e",
+        38400841165, False),
     ("qkd_data/always", 3): (3193, 23),
     ("qkd_data/never", 3): (1, 1),
     ("qkd_data/rare", 3): (1, 1),

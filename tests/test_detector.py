@@ -91,6 +91,31 @@ class TestReferenceEquality:
         assert (t, origin) == (50, ORIGIN_DARK) and next_dark > 50
         assert heap == [50, _kernels.NEVER]
 
+    @pytest.mark.parametrize("deadtime_ps, kept", [(4000, True),
+                                                   (4001, False)])
+    def test_release_at_rearm_is_kept_and_earlier_ones_are_not(
+            self, deadtime_ps, kept):
+        # A click at 0 ps recorded at 1000 ps (pure latency) fills one trap
+        # whose release lands at 5000 ps.  Re-arm at exactly 5000 ps makes it
+        # live (armed means t >= armed_from); one more ps of hold-off makes
+        # it unable to click, so it never goes onto the heap.
+        jitter = (0.0, 1.0, 0.0, 1000)    # always the tail, of scale 0
+        traps = (1.0, (1.0,), (5000.5 / math.log(2.0),))
+        heap = [_kernels.NEVER]
+        recorded = _kernels._avalanche(
+            0, heap, deadtime_ps, jitter, traps,
+            _Scripted([0.5, 0.5]),                 # tail branch, x = 0
+            _Scripted([0.5, 0.1, 0.0, 0.5]))       # 1 trap, comp 0, ln 2
+        assert recorded == 1000
+        assert heap == ([5000, _kernels.NEVER] if kept else [_kernels.NEVER])
+
+
+class _Scripted:
+    """A uniform source that returns given values in order."""
+
+    def __init__(self, values):
+        self.random = iter(values).__next__
+
 
 def _fuzz_detector(temp_c, eta, deadtime, dark_rt, trap_mean, components,
                    fwhm, tail_fraction, tail_scale, latency_dt):
@@ -187,10 +212,16 @@ class TestReferenceFuzz:
                              latency_dt)
         duration = n_dead * deadtime
         tl = _fuzz_timeline(ticks, duration, mu, bg_rt, deadtime)
-        fast = simulate(det, tl, duration, seed)
-        slow = simulate_reference(det, tl, duration, seed)
+        fast_stream, slow_stream = RandomStream(seed), RandomStream(seed)
+        fast = simulate(det, tl, duration, fast_stream)
+        slow = simulate_reference(det, tl, duration, slow_stream)
         assert np.array_equal(fast.times, slow.times)
         assert np.array_equal(fast.origins, slow.origins)
+        # Every substream ends where the reference leaves it, so a later
+        # call on the same stream continues from the same draw.
+        for name in ("darks", "photons", "traps", "jitter", "background"):
+            assert (fast_stream.generator(name).bit_generator.state
+                    == slow_stream.generator(name).bit_generator.state), name
 
         times_ps = np.round(fast.times * 1e12).astype(np.int64)
         assert np.all(np.diff(times_ps) >= seconds_to_ps(deadtime))
