@@ -19,17 +19,16 @@ from .characterize import (CharacterizationCounts, CharacterizationResult,
                            tcspc_widths)
 from .detector import (dark_rate, first_generation_afterpulses, sample_jitter,
                        simulate, simulate_reference, total_afterpulses)
-from .engine import (EventQueue, RandomStream, poisson_process, pulsed_laser,
-                     seconds_to_ps)
+from .engine import EventQueue, RandomStream, pulsed_laser, seconds_to_ps
 from .errors import (ConfigError, EstimatorDomainError, ExtrapolationError,
                      NoSignalError, OpenSupportError, ParameterError,
                      ProtocolStarvationError)
 from .optimize import GridPoint, Optimum, SearchSpace, optimize
-from .params import (ClickRecord, ClickStream, DarkRateModel, DetectorParams,
-                     JitterModel, OpticalTimeline, TrapModel,
-                     celsius_to_kelvin, kelvin_to_celsius)
+from .params import (ClickStream, DarkRateModel, DetectorParams, JitterModel,
+                     OpticalTimeline, TrapModel, celsius_to_kelvin,
+                     kelvin_to_celsius)
 from .qkd import (LinkConfig, LinkMetrics, QkdOperatingPoint, binary_entropy,
-                  detected_rate, link_metrics, simulate_session)
+                  link_metrics, simulate_session)
 
 __version__ = "0.1.0"
 
@@ -43,16 +42,14 @@ __all__ = [
     "run_protocol", "tcspc_widths",
     "dark_rate", "first_generation_afterpulses", "sample_jitter", "simulate",
     "simulate_reference", "total_afterpulses",
-    "EventQueue", "RandomStream", "poisson_process", "pulsed_laser",
-    "seconds_to_ps",
+    "EventQueue", "RandomStream", "pulsed_laser", "seconds_to_ps",
     "ConfigError", "EstimatorDomainError", "ExtrapolationError",
     "NoSignalError", "OpenSupportError", "ParameterError",
     "ProtocolStarvationError",
     "GridPoint", "Optimum", "SearchSpace", "optimize",
-    "ClickRecord", "ClickStream", "DarkRateModel", "DetectorParams",
-    "JitterModel", "OpticalTimeline", "TrapModel", "celsius_to_kelvin",
-    "kelvin_to_celsius",
+    "ClickStream", "DarkRateModel", "DetectorParams", "JitterModel",
+    "OpticalTimeline", "TrapModel", "celsius_to_kelvin", "kelvin_to_celsius",
     "LinkConfig", "LinkMetrics", "QkdOperatingPoint", "binary_entropy",
-    "detected_rate", "link_metrics", "simulate_session",
+    "link_metrics", "simulate_session",
     "__version__",
 ]

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .detector import _kernel_args
+from .detector import _KERNEL_SUBSTREAMS, _kernel_args
 from .engine import RandomStream, seconds_to_ps
 from .errors import (EstimatorDomainError, NoSignalError, OpenSupportError,
                      ParameterError, ProtocolStarvationError)
@@ -178,8 +178,7 @@ def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
             (cfg.quiet_window, cfg.cycle_timeout))
 
     live_time = live_ps / PS_PER_S
-    with stream.child(1).uniforms(
-            ("darks", "photons", "traps", "jitter", "background")) as gens:
+    with stream.child(1).uniforms(_KERNEL_SUBSTREAMS) as gens:
         dark_times, _ = _kernels.free_run(live_ps, 0.0, [], [], det, gens)
     dark_counts = int(len(dark_times))
     r_dc = dark_counts / live_time if live_time > 0.0 else 0.0

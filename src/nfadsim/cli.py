@@ -29,7 +29,7 @@ from .config import RunConfig, parse_config
 from .engine import RandomStream
 from .errors import (ConfigError, EstimatorDomainError, ExtrapolationError,
                      NoSignalError, ParameterError)
-from .optimize import SearchSpace, optimize
+from .optimize import GridPoint, SearchSpace, optimize
 from .params import DarkRateModel, DetectorParams, TrapModel
 from .qkd import (LinkConfig, QkdOperatingPoint, link_metrics,
                   simulate_session)
@@ -68,12 +68,6 @@ def _write_json(path: Path, payload) -> None:
 
 def _point_tag(temp_c: float, eta: float) -> str:
     return f"T{temp_c:g}_eta{eta:g}"
-
-
-def _estimate_json(est, **extra):
-    payload = {"value": est.value, "error": est.error}
-    payload.update(extra)
-    return payload
 
 
 # ---------------------------------------------------------------- characterize
@@ -195,7 +189,13 @@ def _link_config(cfg: RunConfig, loss_db: float) -> LinkConfig:
                       monitor_duty=q.monitor_duty)
 
 
+def _check_losses(cfg: RunConfig) -> None:
+    if not cfg.qkd.losses_db:
+        raise ConfigError("losses_db must be non-empty")
+
+
 def _search_space(cfg: RunConfig) -> SearchSpace:
+    _check_losses(cfg)
     o = cfg.optimizer
     return SearchSpace(efficiency_grid=o.efficiencies,
                        deadtime_grid=tuple(t / 1e6 for t in o.deadtimes_us),
@@ -229,6 +229,26 @@ def _skr_row(loss_db, metrics, point):
             metrics.skr, point.efficiency_data, point.efficiency_monitor,
             point.deadtime_data * 1e6, point.deadtime_monitor * 1e6,
             point.temperature_c)
+
+
+def _op_row(loss_db, found, point, skr):
+    if point is None:
+        return (loss_db, found, None, None, None, None, None, skr)
+    return (loss_db, found, point.temperature_c, point.efficiency_data,
+            point.deadtime_data * 1e6, point.efficiency_monitor,
+            point.deadtime_monitor * 1e6, skr)
+
+
+def _fixed_rows(cfg: RunConfig, op: QkdOperatingPoint):
+    d, m = op.data_detector, op.monitor_detector
+    point = GridPoint(cfg.qkd.temperature_c, d.efficiency, d.deadtime,
+                      m.efficiency, m.deadtime)
+    skr_rows, op_rows = [], []
+    for loss in cfg.qkd.losses_db:
+        metrics = link_metrics(_link_config(cfg, loss), op)
+        skr_rows.append(_skr_row(loss, metrics, point))
+        op_rows.append(_op_row(loss, True, point, metrics.skr))
+    return skr_rows, op_rows, ()
 
 
 def _qkd_payload(cfg: RunConfig, seed: int, rows, optimizer_used: bool):
@@ -278,16 +298,7 @@ def _optimize_rows(cfg: RunConfig, grid_dump: bool):
     optima = optimize(space, base, per_detector=per_detector,
                       keep_table=grid_dump)
     skr_rows = [_skr_row(o.loss_db, o.metrics, o.point) for o in optima]
-    op_rows = []
-    for o in optima:
-        p = o.point
-        op_rows.append((o.loss_db, o.found,
-                        p.temperature_c if p else None,
-                        p.efficiency_data if p else None,
-                        p.deadtime_data * 1e6 if p else None,
-                        p.efficiency_monitor if p else None,
-                        p.deadtime_monitor * 1e6 if p else None,
-                        o.skr))
+    op_rows = [_op_row(o.loss_db, o.found, o.point, o.skr) for o in optima]
     dump_rows = _dump_rows(space, per_detector, optima) if grid_dump else ()
     return skr_rows, op_rows, dump_rows
 
@@ -300,30 +311,15 @@ _DUMP_HEADER = ("loss_db", "temp_C", "eta_D", "tau_D_us", "eta_M", "tau_M_us",
 
 def cmd_qkd(cfg: RunConfig, seed: int, outdir: Path,
             grid_dump: bool = False) -> int:
-    if not cfg.qkd.losses_db:
-        raise ConfigError("losses_db must be non-empty")
     if cfg.qkd.use_optimizer:
         _search_space(cfg)                      # validate before running
-        prepared = None
     else:
+        _check_losses(cfg)
         prepared = _fixed_point(cfg)
 
     outdir.mkdir(parents=True, exist_ok=True)
-    if cfg.qkd.use_optimizer:
-        skr_rows, op_rows, dump_rows = _optimize_rows(cfg, grid_dump)
-    else:
-        skr_rows, op_rows, dump_rows = [], [], []
-        for loss in cfg.qkd.losses_db:
-            metrics = link_metrics(_link_config(cfg, loss), prepared)
-            d, m = prepared.data_detector, prepared.monitor_detector
-            skr_rows.append((loss, metrics.sifted_rate, metrics.qber,
-                             metrics.visibility_raw,
-                             metrics.visibility_dark_subtracted, metrics.skr,
-                             d.efficiency, m.efficiency, d.deadtime * 1e6,
-                             m.deadtime * 1e6, cfg.qkd.temperature_c))
-            op_rows.append((loss, True, cfg.qkd.temperature_c, d.efficiency,
-                            d.deadtime * 1e6, m.efficiency, m.deadtime * 1e6,
-                            metrics.skr))
+    skr_rows, op_rows, dump_rows = _optimize_rows(cfg, grid_dump) \
+        if cfg.qkd.use_optimizer else _fixed_rows(cfg, prepared)
 
     _write_csv(outdir / "skr_vs_loss.csv", _SKR_HEADER, skr_rows)
     _write_csv(outdir / "qber_vis_vs_loss.csv",
@@ -339,8 +335,6 @@ def cmd_qkd(cfg: RunConfig, seed: int, outdir: Path,
 
 def cmd_optimize(cfg: RunConfig, seed: int, outdir: Path,
                  grid_dump: bool = False) -> int:
-    if not cfg.qkd.losses_db:
-        raise ConfigError("losses_db must be non-empty")
     _search_space(cfg)                          # validate before running
     outdir.mkdir(parents=True, exist_ok=True)
     _, op_rows, dump_rows = _optimize_rows(cfg, grid_dump)
@@ -415,8 +409,7 @@ def _validate_config(cfg: RunConfig) -> None:
     deadtime) fails the command without partial output.
     """
     _prep_characterize(cfg)
-    if not cfg.qkd.losses_db:
-        raise ConfigError("losses_db must be non-empty")
+    _check_losses(cfg)
     _link_config(cfg, cfg.qkd.losses_db[0])
     _fixed_point(cfg)
     _search_space(cfg)

@@ -103,65 +103,22 @@ class RunConfig:
     optimizer: OptimizerSection = field(default_factory=OptimizerSection)
 
 
-# section -> key -> parser; the dataclasses above hold the defaults.
-_PARSERS = {
-    "run": {"seed": _parse_int, "out": str},
-    "characterize": {
-        "temperatures_c": _parse_float_list,
-        "efficiencies": _parse_float_list,
-        "deadtime_us": _parse_float,
-        "pulses": _parse_int,
-        "laser_mu": _parse_float,
-        "quiet_window_us": _parse_float,
-        "histogram_span_us": _parse_float,
-        "jitter_draws": _parse_int,
-        "jitter_bin_ps": _parse_float,
-    },
-    "qkd": {
-        "losses_db": _parse_float_list,
-        "use_optimizer": _parse_bool,
-        "temperature_c": _parse_float,
-        "efficiency": _parse_float,
-        "deadtime_us": _parse_float,
-        "efficiency_monitor": _parse_float,
-        "deadtime_monitor_us": _parse_float,
-        "pulse_rate_hz": _parse_float,
-        "mu": _parse_float,
-        "monitor_fraction": _parse_float,
-        "visibility_intrinsic": _parse_float,
-        "optical_error": _parse_float,
-        "ec_inefficiency": _parse_float,
-        "pa_ratio": _parse_float,
-        "auth_rate_cost_bps": _parse_float,
-        "monitor_duty": _parse_float,
-    },
-    "optimizer": {
-        "efficiencies": _parse_float_list,
-        "deadtimes_us": _parse_float_list,
-        "temperatures_c": _parse_float_list,
-        "per_detector": _parse_bool,
-    },
+# Field annotation -> parser.  The section dataclasses are the whole schema:
+# an annotation missing here fails at import with a KeyError.
+_ANNOTATION_PARSERS = {
+    "int": _parse_int,
+    "str": str,
+    "float": _parse_float,
+    "Optional[float]": _parse_float,
+    "bool": _parse_bool,
+    "tuple": _parse_float_list,
 }
 
-_SECTION_TYPES = {
-    "run": RunSection,
-    "characterize": CharacterizeSection,
-    "qkd": QkdSection,
-    "optimizer": OptimizerSection,
-}
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(RunConfig)}
 
-
-def _check_schema() -> None:
-    """Raise TypeError if a section's parser keys differ from its fields."""
-    for name, cls in _SECTION_TYPES.items():
-        known = {f.name for f in fields(cls)}
-        if set(_PARSERS[name]) != known:
-            raise TypeError(f"schema drift in [{name}]: parsers "
-                            f"{sorted(_PARSERS[name])} != fields "
-                            f"{sorted(known)}")
-
-
-_check_schema()
+# section -> key -> parser
+_PARSERS = {name: {f.name: _ANNOTATION_PARSERS[f.type] for f in fields(cls)}
+            for name, cls in _SECTION_TYPES.items()}
 
 
 def _build_section(name: str, raw: dict):

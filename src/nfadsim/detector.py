@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -106,15 +107,15 @@ def _kernel_args(params: DetectorParams):
     """
     trap = params.trap_model
     lam = trap.mean_traps(params.efficiency)
-    weights = np.asarray(trap.weights(), dtype=np.float64)
-    cum_weights = np.cumsum(weights)
-    tau_ps = np.asarray(trap.lifetimes_at(params.temperature),
-                        dtype=np.float64) * PS_PER_S
+    cum_weights = tuple(accumulate(float(c[0])
+                                   for c in trap.release_components))
+    tau_ps = tuple(t * PS_PER_S
+                   for t in trap.lifetimes_at(params.temperature).tolist())
     jit = params.jitter_model
     sigma_ps = jit.core_sigma_at(params.efficiency) * PS_PER_S
     return (seconds_to_ps(params.deadtime),
             _candidate_rate(float(dark_rate(params)), "dark count"),
-            (float(lam), tuple(cum_weights.tolist()), tuple(tau_ps.tolist())),
+            (float(lam), cum_weights, tau_ps),
             (float(sigma_ps), float(jit.tail_fraction),
              float(jit.tail_scale_factor), seconds_to_ps(jit.latency)))
 

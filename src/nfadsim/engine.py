@@ -193,25 +193,6 @@ def pulsed_laser(period: float, mean_photon_number: float, count: int,
     return OpticalTimeline(times=times, mean_photon_numbers=mus)
 
 
-def poisson_process(rate: float, duration: float,
-                    generator: np.random.Generator) -> np.ndarray:
-    """Homogeneous Poisson event times on [0, duration), sorted, seconds.
-
-    Sampled as a Poisson-distributed count of uniform order statistics,
-    which is the standard conditional construction.
-    """
-    if rate < 0.0:
-        raise ParameterError("rate must be >= 0")
-    if duration < 0.0:
-        raise ParameterError("duration must be >= 0")
-    if rate == 0.0 or duration == 0.0:
-        return np.empty(0, dtype=np.float64)
-    n = int(generator.poisson(rate * duration))
-    times = generator.random(n) * duration
-    times.sort()
-    return times
-
-
 def seconds_to_ps(t: float) -> int:
     """Convert seconds to the internal integer picosecond grid."""
     return int(round(t * PS_PER_S))

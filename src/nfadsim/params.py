@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ EFFICIENCY_MAX = 0.35
 ORIGIN_PHOTON = 0
 ORIGIN_DARK = 1
 ORIGIN_AFTERPULSE = 2
-ORIGIN_NAMES = ("photon", "dark", "afterpulse")
 
 
 def celsius_to_kelvin(temp_c: float) -> float:
@@ -373,13 +372,6 @@ class OpticalTimeline:
         return len(self.times)
 
 
-class ClickRecord(NamedTuple):
-    """One detection: recorded timestamp and diagnostic origin."""
-
-    time: float
-    origin: str
-
-
 @dataclass(frozen=True)
 class ClickStream:
     """Array-backed click list produced by the simulator.
@@ -399,11 +391,6 @@ class ClickStream:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def records(self) -> list[ClickRecord]:
-        return [ClickRecord(float(t), ORIGIN_NAMES[int(o)])
-                for t, o in zip(self.times, self.origins)]
 
     def with_origins(self, origins: Sequence[int] | np.ndarray) -> "ClickStream":
         """Same click times with replaced tags (used by blindness tests)."""

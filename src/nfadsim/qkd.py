@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .detector import _kernel_args, afterpulse_feedback
+from .detector import _kernel_args, afterpulse_feedback, dark_rate
 from .engine import RandomStream, seconds_to_ps
 from .errors import NoSignalError, ParameterError
 from .params import PS_PER_S, DetectorParams
@@ -103,15 +103,6 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def detected_rate(incident: float, deadtime: float) -> float:
-    """Non-paralyzable saturation: incident/(1 + incident*deadtime)."""
-    if incident < 0.0:
-        raise ParameterError("incident rate must be >= 0")
-    if deadtime < 0.0:
-        raise ParameterError("deadtime must be >= 0")
-    return incident / (1.0 + incident * deadtime)
-
-
 def _saturated_rates(candidate_rate: float, deadtime: float,
                      feedback: tuple[float, float]) -> tuple[float, float]:
     """Detected click rate C and armed fraction with afterpulse feedback.
@@ -173,8 +164,7 @@ def _data_budget(cfg: LinkConfig, op: QkdOperatingPoint):
     det = op.data_detector
     p_sig = (1.0 - cfg.monitor_fraction) * \
         -math.expm1(-cfg.mu * cfg.transmittance * det.efficiency)
-    r_dark = det.dark_model.rate(det.temperature, det.efficiency)
-    p_dk = 2.0 * r_dark / cfg.pulse_rate
+    p_dk = 2.0 * dark_rate(det) / cfg.pulse_rate
     return p_sig, p_dk
 
 
@@ -185,8 +175,7 @@ def _monitor_budget(cfg: LinkConfig, op: QkdOperatingPoint):
     scale = cfg.monitor_duty * cfg.monitor_fraction
     p_plus = scale * -math.expm1(-a * (1.0 + v0))
     p_minus = scale * -math.expm1(-a * (1.0 - v0))
-    r_dark = det.dark_model.rate(det.temperature, det.efficiency)
-    return p_plus, p_minus, r_dark
+    return p_plus, p_minus, dark_rate(det)
 
 
 def _arm_rates(det: DetectorParams, candidate_rate: float):

@@ -17,7 +17,7 @@ from nfadsim import _kernels
 from nfadsim.calibration import make_detector
 from nfadsim.detector import _kernel_args, simulate
 from nfadsim.engine import RandomStream, seconds_to_ps, timeline_to_ps, pulsed_laser
-from nfadsim.params import DarkRateModel
+from nfadsim.params import DarkRateModel, TrapModel
 
 
 def _small_free_run():
@@ -209,3 +209,29 @@ def test_consecutive_simulate_calls_continue_one_stream():
         digest.update(s.origins.tobytes())
     assert digest.hexdigest() == (
         "81ea1df1fdfa50cc8dfaa8f50953cc8f9e50f25755944dfd02c6ed365e7b3548")
+
+
+_KERNEL_ARGS = {
+    "T-110_eta0.115_tau20us": (
+        make_detector(-110.0, 0.115, 20e-6),
+        "(20000000, 1.19, (0.9763, (0.96919, 1.0), (2364290.614069294, "
+        "68228399.46380536)), (69.25006681960173, 0.1, 2.8, 1000))"),
+    "T-50_eta0.30_tau2us": (
+        make_detector(-50.0, 0.30, 2e-6),
+        "(2000000, 14478.195040684588, (2.5468695652173907, (0.96919, 1.0), "
+        "(1565912.1043181166, 5759228.659182656)), (54.117693673843846, 0.1, "
+        "2.8, 1000))"),
+    "traps_disabled": (
+        dataclasses.replace(make_detector(-90.0, 0.2, 5e-6),
+                            trap_model=TrapModel.disabled()),
+        "(5000000, 77.63951971962554, (0.0, (1.0,), (1000000.0,)), "
+        "(62.297354833712966, 0.1, 2.8, 1000))"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_ARGS))
+def test_kernel_args_keep_their_values(name):
+    # Recorded from the bundle built with np.cumsum and ndarray products;
+    # the repr pins every value and every native type the kernels receive.
+    det, expected = _KERNEL_ARGS[name]
+    assert repr(_kernel_args(det)) == expected

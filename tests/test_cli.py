@@ -145,6 +145,27 @@ class TestQkdFixedPoint:
         for s, q in zip(skr_rows, qv_rows):
             assert [s[0], s[2], s[3], s[4]] == q
 
+    def test_outputs_keep_their_bytes(self, tmp_path):
+        # sha256 recorded from the fixed-point branch that spelled out its
+        # own rows; a distinct monitor detector fills every column.
+        golden = {
+            "skr_vs_loss.csv": "8ea4b4a95fbe81bc3c3721ecc2e5e83f"
+                               "e915373c695f6dd459692dccad087dcd",
+            "qber_vis_vs_loss.csv": "d7805d2e23c836b2a2a1440eac718218"
+                                    "3e80349b582a7f1b3696ae13fe1af66c",
+            "operating_points.csv": "eb8c38a97d56f0004dfc0d007c8b8f4d"
+                                    "8abcc428ffafad1cb8b372d615ade196",
+            "qkd_summary.json": "b7a8149fbf46dc73bdbaed6e5b181e83"
+                                "5d749821ef49ee6f25281bce3264aa31",
+        }
+        cfg = _cfg(tmp_path, QKD_FIXED_INI + "efficiency_monitor = 0.2\n"
+                   "deadtime_monitor_us = 5\n")
+        out = tmp_path / "out"
+        assert cli.main(["qkd", "--config", cfg, "--out", str(out)]) == 0
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+                == digest, name
+
 
 class TestQkdOptimized:
     def test_grid_dump_and_operating_points(self, tmp_path):
@@ -215,6 +236,21 @@ class TestOptimizeCommand:
                          "--grid-dump"]) == 0
         assert {p.name for p in out.iterdir()} == {"operating_points.csv",
                                                    "grid_dump.csv"}
+
+    def test_shared_outputs_keep_their_bytes(self, tmp_path):
+        golden = {
+            "grid_dump.csv": "2f2facef37e9e0915c06c66cff684c8d"
+                             "74db82bd86c2f531719288858e9f4ee6",
+            "operating_points.csv": "586451b5473419f7696d1ef9d502968d"
+                                    "081fc3f6db77ba20d820d69af6b9f949",
+        }
+        cfg = _cfg(tmp_path, QKD_OPT_INI)
+        out = tmp_path / "out"
+        assert cli.main(["optimize", "--config", cfg, "--out", str(out),
+                         "--grid-dump"]) == 0
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+                == digest, name
 
 
 class TestSelftest:

@@ -134,10 +134,3 @@ def test_malformed_file(tmp_path):
 def test_parsers_match_section_fields(name):
     fields = {f.name for f in dataclasses.fields(config._SECTION_TYPES[name])}
     assert set(config._PARSERS[name]) == fields
-
-
-def test_schema_drift_raises_without_assert(monkeypatch):
-    # A raise, not an assert, so the check survives python -O.
-    monkeypatch.setitem(config._PARSERS, "run", {"seed": config._parse_int})
-    with pytest.raises(TypeError, match=r"\[run\]"):
-        config._check_schema()

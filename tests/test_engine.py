@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy import stats
 
 from nfadsim.engine import (EVENT_BACKGROUND, EVENT_DARK, EVENT_PULSE,
                             EVENT_RELEASE, EventQueue, RandomStream,
-                            poisson_process, pulsed_laser, seconds_to_ps,
-                            timeline_to_ps)
+                            pulsed_laser, seconds_to_ps, timeline_to_ps)
 from nfadsim.errors import ParameterError
 
 
@@ -189,28 +187,6 @@ class TestSources:
             pulsed_laser(period=1e-6, mean_photon_number=-0.5, count=4)
         with pytest.raises(ParameterError):
             pulsed_laser(period=1e-6, mean_photon_number=0.5, count=-1)
-
-    def test_poisson_process_edge_cases(self):
-        g = RandomStream(0).generator("darks")
-        assert len(poisson_process(0.0, 1.0, g)) == 0
-        assert len(poisson_process(100.0, 0.0, g)) == 0
-        with pytest.raises(ParameterError):
-            poisson_process(-1.0, 1.0, g)
-
-    def test_poisson_process_sorted_within_window(self):
-        g = RandomStream(1).generator("darks")
-        times = poisson_process(5e4, 0.01, g)
-        assert np.all(np.diff(times) >= 0.0)
-        assert times[0] >= 0.0 and times[-1] < 0.01
-
-    def test_poisson_gaps_are_exponential(self):
-        # KS against Exp(rate) at alpha = 0.01, about 1e5 gaps, fixed seed.
-        rate = 2.0e5
-        times = poisson_process(rate, 0.52, RandomStream(9).generator("darks"))
-        gaps = np.diff(times)
-        assert len(gaps) > 100_000
-        result = stats.kstest(gaps, "expon", args=(0.0, 1.0 / rate))
-        assert result.pvalue > 0.01
 
 
 def test_seconds_to_ps_rounds_to_grid():

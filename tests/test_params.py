@@ -167,12 +167,6 @@ class TestClickStream:
             ClickStream(times=np.array([1.0, 2.0]),
                         origins=np.array([0], dtype=np.uint8))
 
-    def test_records_expose_named_origins(self):
-        s = ClickStream(times=np.array([1e-6, 2e-6, 3e-6]),
-                        origins=np.array([0, 1, 2], dtype=np.uint8))
-        assert [r.origin for r in s.records] == ["photon", "dark",
-                                                 "afterpulse"]
-
     def test_with_origins_keeps_times(self):
         s = ClickStream(times=np.array([1e-6, 2e-6]),
                         origins=np.array([0, 1], dtype=np.uint8))

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from nfadsim._kernels import NEVER
@@ -10,8 +9,7 @@ from nfadsim.calibration import make_detector
 from nfadsim.engine import seconds_to_ps
 from nfadsim.errors import NoSignalError, ParameterError
 from nfadsim.qkd import (LinkConfig, LinkMetrics, QkdOperatingPoint,
-                         binary_entropy, detected_rate, link_metrics,
-                         simulate_session)
+                         binary_entropy, link_metrics, simulate_session)
 
 
 def _op(temp_c=-110.0, eta=0.115, tau=20e-6):
@@ -38,35 +36,6 @@ class TestBinaryEntropy:
             binary_entropy(-0.01)
         with pytest.raises(ParameterError):
             binary_entropy(1.01)
-
-
-class TestDetectedRate:
-    def test_frozen_value(self):
-        assert detected_rate(1e5, 20e-6) == pytest.approx(
-            33333.333333333336, rel=1e-14)
-        assert detected_rate(1e5, 10e-6) == pytest.approx(5e4, rel=1e-12)
-
-    def test_zero_input(self):
-        assert detected_rate(0.0, 20e-6) == 0.0
-
-    def test_increasing_and_concave(self):
-        rates = np.array([detected_rate(r, 10e-6)
-                          for r in np.linspace(1e3, 1e6, 40)])
-        gaps = np.diff(rates)
-        assert np.all(gaps > 0.0)
-        assert np.all(np.diff(gaps) < 0.0)
-
-    def test_saturates_below_inverse_deadtime(self):
-        tau = 5e-6
-        for incident in (1e4, 1e6, 1e9):
-            assert detected_rate(incident, tau) < 1.0 / tau
-
-    def test_domain(self):
-        with pytest.raises(ParameterError):
-            detected_rate(-1.0, 10e-6)
-        with pytest.raises(ParameterError):
-            detected_rate(1e5, -10e-6)
-        assert detected_rate(1e5, 0.0) == 1e5
 
 
 class TestLinkConfig:
