@@ -144,6 +144,8 @@ def free_run(duration_ps, bg_rate, pulse_times_ps, pulse_p_click, det, gens):
     Pulses click with their per-pulse probability while armed.  Every click
     is recorded at raw time + jitter delay; the detector re-arms at
     recorded time + deadtime.  Trap releases while disarmed are lost.
+    The pulse arguments are any indexable sequences (lists, or memoryviews
+    of int64 and float64 arrays), times sorted ascending.
     """
     deadtime_ps, dark_rate, traps, jitter = det
     gen_darks, gen_photons, gen_traps, gen_jitter, gen_background = (

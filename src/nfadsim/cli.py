@@ -55,10 +55,14 @@ def _fmt_cell(value) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(_fmt_cell, row)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    """Write the header and rows, each line as it is formatted.
+
+    Rows stream to disk, so memory stays bounded by one line; a runtime
+    error part-way (exit 2) leaves a partial file behind.
+    """
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_fmt_cell, row)) + "\n" for row in rows)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -281,14 +285,14 @@ def _dump_rows(space: SearchSpace, per_detector: bool, optima):
     """
     side = [f"{_fmt_cell(eta)},{_fmt_cell(tau * 1e6)}"
             for eta in space.efficiency_grid for tau in space.deadtime_grid]
-    pairs = [f"{d},{m}" for d in side for m in side] if per_detector \
-        else [f"{d},{d}" for d in side]
-    points = [f"{_fmt_cell(t)},{p}" for t in space.temperature_grid
-              for p in pairs]
+    temps = [_fmt_cell(t) for t in space.temperature_grid]
     for o in optima:
         loss = _fmt_cell(o.loss_db)
-        for p, skr in zip(points, o.table.tolist()):
-            yield (f"{loss},{p},{skr!r}",)
+        skrs = iter(o.table.tolist())
+        for t in temps:
+            for d in side:
+                for m in (side if per_detector else (d,)):
+                    yield (f"{loss},{t},{d},{m},{next(skrs)!r}",)
 
 
 def _optimize_rows(cfg: RunConfig, grid_dump: bool):
@@ -313,6 +317,9 @@ def cmd_qkd(cfg: RunConfig, seed: int, outdir: Path,
             grid_dump: bool = False) -> int:
     if cfg.qkd.use_optimizer:
         _search_space(cfg)                      # validate before running
+    elif grid_dump:
+        raise ConfigError("--grid-dump needs the optimizer (use_optimizer = "
+                          "true): a fixed point has no grid")
     else:
         _check_losses(cfg)
         prepared = _fixed_point(cfg)

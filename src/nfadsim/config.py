@@ -9,6 +9,7 @@ physical parameter cannot pass silently.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -19,9 +20,12 @@ from .optimize import (DEFAULT_DEADTIME_GRID, DEFAULT_EFFICIENCY_GRID,
 
 def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(raw: str) -> int:

@@ -147,8 +147,8 @@ def simulate(params: DetectorParams, timeline: OpticalTimeline,
     pulse_times_ps, pulse_p = timeline_to_ps(timeline, params.efficiency)
     with stream.uniforms(_KERNEL_SUBSTREAMS) as gens:
         times_ps, origins = _kernels.free_run(
-            duration_ps, rate_bg, pulse_times_ps.tolist(), pulse_p.tolist(),
-            det, gens)
+            duration_ps, rate_bg, memoryview(pulse_times_ps),
+            memoryview(pulse_p), det, gens)
     return ClickStream(np.asarray(times_ps, dtype=np.float64) / PS_PER_S,
                        np.asarray(origins, dtype=np.uint8))
 
@@ -267,8 +267,10 @@ def sample_jitter(params: DetectorParams, n: int, generator) -> np.ndarray:
     """
     jm = params.jitter_model
     sigma = jm.core_sigma_at(params.efficiency)
-    u = generator.random(n)
-    tail = u < jm.tail_fraction
+    tail = generator.random(n) < jm.tail_fraction
     x = generator.standard_normal(n)
     x[tail] = generator.exponential(jm.tail_scale_factor, tail.sum())
-    return np.maximum(0.0, jm.latency + x * sigma)
+    # In place, the IEEE operations of np.maximum(0.0, latency + x * sigma).
+    x *= sigma
+    x += jm.latency
+    return np.maximum(0.0, x, out=x)

@@ -35,20 +35,20 @@ class LinkConfig:
     monitor_duty: float = 0.25
 
     def __post_init__(self):
-        if self.channel_loss_db < 0.0:
+        if not self.channel_loss_db >= 0.0:
             raise ParameterError("channel_loss_db must be >= 0")
-        if self.pulse_rate <= 0.0:
+        if not self.pulse_rate > 0.0:
             raise ParameterError("pulse_rate must be > 0")
-        if self.mu < 0.0:
+        if not self.mu >= 0.0:
             raise ParameterError("mu must be >= 0")
         for name in ("monitor_fraction", "interferometer_visibility_intrinsic",
                      "optical_error", "pa_ratio", "monitor_duty"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ParameterError(f"{name} must be in [0, 1]")
-        if self.ec_inefficiency < 1.0:
+        if not self.ec_inefficiency >= 1.0:
             raise ParameterError("ec_inefficiency must be >= 1")
-        if self.auth_rate_cost < 0.0:
+        if not self.auth_rate_cost >= 0.0:
             raise ParameterError("auth_rate_cost must be >= 0")
 
     @property

@@ -1,6 +1,7 @@
 """Quiet-window protocol estimators: frozen oracles and closed loops."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -260,6 +261,18 @@ class TestJitterWidths:
             measured = tcspc_widths(hist, level)
             assert measured == pytest.approx(
                 jm.predicted_width(0.16, level), rel=0.05)
+
+    def test_histogram_peak_memory_holds_one_array_of_delays(self):
+        # A million float64 delays are 8 MB; the draws and temporaries
+        # before the in-place build came to about 32 MB.
+        det = make_detector(-110.0, 0.16, 20e-6)
+        tracemalloc.start()
+        try:
+            measure_jitter_histogram(det, 1_000_000, RandomStream(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12_000_000
 
     def test_too_few_draws_rejected(self):
         det = make_detector(-110.0, 0.16, 20e-6)

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from nfadsim import cli
@@ -306,3 +308,58 @@ class TestExitCodes:
         cfg = _cfg(tmp_path, QKD_FIXED_INI)
         assert cli.main(["qkd", "--config", cfg, "--out", str(blocker)]) == 2
         assert "runtime error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("qkd", "[qkd]\nuse_optimizer = false\nlosses_db = nan\n",
+         "losses_db"),
+        ("characterize", "[characterize]\njitter_bin_ps = nan\n",
+         "jitter_bin_ps"),
+    ])
+    def test_non_finite_value_exits_1_without_output(self, tmp_path, capsys,
+                                                     command, text, key):
+        cfg = _cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
+
+    def test_grid_dump_without_optimizer_exits_1_without_output(
+            self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, QKD_FIXED_INI)
+        out = tmp_path / "out"
+        assert cli.main(["qkd", "--config", cfg, "--out", str(out),
+                         "--grid-dump"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "optimizer" in err
+        assert not out.exists()
+
+
+def _csv_rows(n):
+    """n rows holding every cell type ``_fmt_cell`` formats."""
+    for i in range(n):
+        yield (f"r{i}", None, i % 3 == 0, i - 7, np.int64(i) * 3,
+               i * 0.1 - 50.0, np.float64(i) / 7.0, -0.0, float("inf"))
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("n", [0, 1, 10_000])
+    def test_bytes_match_the_joined_text(self, tmp_path, n):
+        header = ("a", "b", "c", "d", "e", "f", "g", "h", "i")
+        lines = [",".join(map(cli._fmt_cell, row)) for row in _csv_rows(n)]
+        expected = "\n".join([",".join(header), *lines]) + "\n"
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, header, _csv_rows(n))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_peak_memory_is_bounded_by_a_line(self, tmp_path):
+        # One preformatted cell per row, as in the grid dump; the joined
+        # text is about 4.5 MB.
+        rows = [(f"{i},{i / 7.0!r}",) for i in range(200_000)]
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "t.csv", ("n", "x"), rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000

@@ -96,6 +96,17 @@ def test_bad_number(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("text, key", [
+    ("[qkd]\nlosses_db = 5, nan\n", "losses_db"),
+    ("[characterize]\njitter_bin_ps = inf\n", "jitter_bin_ps"),
+    ("[qkd]\nefficiency_monitor = -inf\n", "efficiency_monitor"),
+    ("[optimizer]\ndeadtimes_us = NaN\n", "deadtimes_us"),
+])
+def test_non_finite_number_is_named(tmp_path, text, key):
+    with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+        parse_config(_write(tmp_path, text))
+
+
 def test_bad_integer(tmp_path):
     path = _write(tmp_path, "[characterize]\npulses = 1e6\n")
     with pytest.raises(ConfigError, match="pulses"):

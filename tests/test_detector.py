@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,23 @@ class TestStreamInvariants:
         assert len(simulate(det, tl, 0.006, 44)) == 0
 
 
+class TestPulseMemory:
+    def test_simulate_adds_little_beyond_the_pulse_arrays(self):
+        # The kernel reads the int64 times and float64 click probabilities
+        # in place; list copies of them cost about 76 bytes per pulse.
+        n = 200_000
+        det = make_detector(-110.0, 0.115, 20e-6)
+        tl = pulsed_laser(period=1e-6, mean_photon_number=3.0, count=n)
+        tracemalloc.start()
+        try:
+            clicks = simulate(det, tl, n * 1e-6, RandomStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(clicks) > 1000
+        assert (peak - 16 * n) / n < 16
+
+
 class TestDeadtimeLaw:
     @pytest.mark.parametrize("r_tau", [0.01, 0.1, 1.0, 10.0])
     def test_saturation_within_three_sigma(self, flat_dark, r_tau):
@@ -380,7 +398,33 @@ class TestAfterpulseAnalytics:
             celsius_to_kelvin(-110.0), 0.115)
 
 
+def _jitter_expression(params, n, generator):
+    """sample_jitter with every temporary kept: the byte oracle."""
+    jm = params.jitter_model
+    sigma = jm.core_sigma_at(params.efficiency)
+    u = generator.random(n)
+    tail = u < jm.tail_fraction
+    x = generator.standard_normal(n)
+    x[tail] = generator.exponential(jm.tail_scale_factor, tail.sum())
+    return np.maximum(0.0, jm.latency + x * sigma)
+
+
 class TestJitterSampling:
+    @pytest.mark.parametrize("latency", [None, 0.0, 20e-12])
+    def test_in_place_draws_keep_their_bytes(self, latency):
+        det = make_detector(-110.0, 0.16, 20e-6)
+        if latency is not None:     # near zero: many delays clamp to 0.0
+            det = dataclasses.replace(det, jitter_model=dataclasses.replace(
+                det.jitter_model, latency=latency))
+        got_gen = RandomStream(6).generator("jitter")
+        want_gen = RandomStream(6).generator("jitter")
+        got = sample_jitter(det, 100_000, got_gen)
+        want = _jitter_expression(det, 100_000, want_gen)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state
+        if latency is not None:
+            assert np.count_nonzero(got == 0.0) > 1000
+
     def test_draws_are_nonnegative_and_cdf_is_proper(self):
         det = make_detector(-110.0, 0.16, 20e-6)
         delays = sample_jitter(det, 1_000_000,

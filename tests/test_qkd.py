@@ -50,6 +50,10 @@ class TestLinkConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
             LinkConfig(channel_loss_db=-1.0)
+        for name in ("channel_loss_db", "pulse_rate", "mu",
+                     "ec_inefficiency", "auth_rate_cost"):
+            with pytest.raises(ParameterError, match=name):
+                LinkConfig(**{"channel_loss_db": 10.0, name: float("nan")})
         with pytest.raises(ParameterError):
             LinkConfig(channel_loss_db=10.0, mu=-0.1)
         with pytest.raises(ParameterError):
