@@ -8,14 +8,16 @@ Event-step core.  Every click goes through one cycle: avalanche, timing
 jitter, trap filling, hold-off, re-arm.  ``_next_click(t_limit, ...)``
 walks dark candidates and trap releases strictly before ``t_limit`` and
 returns the first that finds the detector armed, or ``NEVER``; the ones
-that find it held off are consumed.  ``_avalanche(t, ...)`` turns a click
-at raw time ``t`` into its recorded time and pushes the releases of the
-traps it fills that come at or after re-arm.  Scheduled events belong to the caller (pulses and
-background photons in ``free_run``, the signal in ``_session``), which
-passes the next one as the exclusive ``t_limit``.  So at equal times the
-order is: re-arm (armed means ``t >= armed_from``), scheduled event (a
-pulse before a background photon), dark candidate, trap release: the kinds
-``engine.EVENT_*`` numbers for the reference simulator.
+that find it held off are consumed.  ``_avalanche_step(det, gens,
+rel_heap)``, built once per kernel call, gives ``avalanche(t)``: it turns
+a click at raw time ``t`` into its recorded time and pushes the releases
+of the traps it fills that come at or after re-arm.  Scheduled events
+belong to the caller (pulses and background photons in ``free_run``, the
+signal in ``_session``), which passes the next one as the exclusive
+``t_limit``.  So at equal times the order is: re-arm (armed means
+``t >= armed_from``), scheduled event (a pulse before a background
+photon), dark candidate, trap release: the kinds ``engine.EVENT_*``
+numbers for the reference simulator.
 
 Each kernel takes its own scalars, then ``det``, the ``(deadtime_ps,
 dark_rate, traps, jitter)`` of ``detector._kernel_args``, and ``gens``, a
@@ -29,8 +31,10 @@ not; a pulse draws its click decision only while armed.
 Skip rules.  Work that cannot produce a click is skipped exactly, so the
 draw contract above and every output bit stay those of the plain event
 loop:
-- ``_avalanche`` keeps a release earlier than re-arm off the heap: popped,
-  it would draw nothing and find the detector held off.
+- ``avalanche`` keeps a release earlier than re-arm off the heap: popped,
+  it would draw nothing and find the detector held off.  A release uniform
+  below ``_skip_below`` is drawn but not turned into a delay: the delay is
+  under the hold-off, so the release comes before re-arm >= t + hold-off.
 - After each click, ``free_run`` draws the next gaps of the held-off dark
   and background candidates in tight loops, stopping at the duration so
   each substream ends where the event loop leaves it, and jumps past the
@@ -61,55 +65,65 @@ def _exp_gap_ps(gen, rate_per_s):
     return int(-math.log(1.0 - gen.random()) / rate_per_s * PS_PER_S)
 
 
-def _jitter_delay_ps(gen, jitter):
-    # Mixture: Gaussian core (mode at latency) + one-sided exponential tail.
+def _skip_below(deadtime_ps, tau_ps):
+    """Release uniforms u below this have -ln(1 - u) * tau_ps < deadtime_ps,
+    rounding included.  At tau_ps = 0 or beyond 1e6 hold-offs the rounding
+    of 1 - u could outgrow the margin: nothing is skipped there."""
+    if 0.0 < tau_ps < deadtime_ps * 1e6:
+        return -math.expm1(-deadtime_ps / tau_ps) * (1.0 - 1e-9)
+    return 0.0
+
+
+def _avalanche_step(det, gens, rel_heap):
+    """One detector's click step: ``avalanche(t)``, for a click at raw time
+    t, draws the jitter delay, then the trap count (Knuth's product of
+    uniforms), then one (component, exponential delay) pair per trap, and
+    returns the recorded time.  A release at t + delay goes onto rel_heap
+    unless it falls before re-arm at recorded + deadtime_ps."""
+    deadtime_ps, _, (lam, cum_weights, tau_ps), jitter = det
     sigma_ps, tail_fraction, tail_scale, latency_ps = jitter
-    if gen.random() < tail_fraction:
-        x = -tail_scale * math.log(1.0 - gen.random())
-    else:
-        # Marsaglia polar method; the second variate is discarded so the
-        # draw count depends only on the rejection path.
-        while True:
-            a = 2.0 * gen.random() - 1.0
-            b = 2.0 * gen.random() - 1.0
-            s = a * a + b * b
-            if 0.0 < s < 1.0:
-                break
-        x = a * math.sqrt(-2.0 * math.log(s) / s)
-    delay = latency_ps + int(x * sigma_ps)
-    return delay if delay > 0 else 0
+    jitter_random, trap_random = gens["jitter"].random, gens["traps"].random
+    log, sqrt, push = math.log, math.sqrt, heappush
+    limit = math.exp(-lam)
+    last = len(cum_weights) - 1
+    skip_below = [_skip_below(deadtime_ps, tau) for tau in tau_ps]
 
+    def avalanche(t):
+        # Jitter: Gaussian core (mode at latency) + one-sided exponential tail.
+        if jitter_random() < tail_fraction:
+            x = -tail_scale * log(1.0 - jitter_random())
+        else:
+            # Marsaglia polar method; the second variate is discarded so
+            # the draw count depends only on the rejection path.
+            while True:
+                a = 2.0 * jitter_random() - 1.0
+                b = 2.0 * jitter_random() - 1.0
+                s = a * a + b * b
+                if 0.0 < s < 1.0:
+                    break
+            x = a * sqrt(-2.0 * log(s) / s)
+        delay = latency_ps + int(x * sigma_ps)
+        recorded = t + delay if delay > 0 else t
+        if lam > 0.0:
+            n_traps = 0
+            p = trap_random()
+            while p > limit:
+                n_traps += 1
+                p *= trap_random()
+            armed_from = recorded + deadtime_ps
+            for _ in range(n_traps):
+                u = trap_random()
+                comp = 0
+                while comp < last and u >= cum_weights[comp]:
+                    comp += 1
+                u = trap_random()
+                if u >= skip_below[comp]:
+                    release = t + int(-log(1.0 - u) * tau_ps[comp])
+                    if release >= armed_from:
+                        push(rel_heap, release)
+        return recorded
 
-def _avalanche(t, rel_heap, deadtime_ps, jitter, traps, gen_jitter,
-               gen_traps):
-    """Click at raw time t: returns its recorded time, fills traps.
-
-    Draws the jitter delay, then the trap count (Knuth's product of
-    uniforms), then one (component, exponential delay) pair per trap; each
-    release at t + delay goes onto the heap unless it falls before re-arm
-    at recorded + deadtime_ps, where it could never click.
-    """
-    recorded = t + _jitter_delay_ps(gen_jitter, jitter)
-    armed_from = recorded + deadtime_ps
-    lam, cum_weights, tau_ps = traps
-    if lam > 0.0:
-        limit = math.exp(-lam)
-        n_traps = 0
-        p = gen_traps.random()
-        while p > limit:
-            n_traps += 1
-            p *= gen_traps.random()
-        last = len(cum_weights) - 1
-        for _ in range(n_traps):
-            u = gen_traps.random()
-            comp = 0
-            while comp < last and u >= cum_weights[comp]:
-                comp += 1
-            u = gen_traps.random()
-            release = t + int(-math.log(1.0 - u) * tau_ps[comp])
-            if release >= armed_from:
-                heappush(rel_heap, release)
-    return recorded
+    return avalanche
 
 
 def _next_click(t_limit, next_dark, armed_from, rel_heap, dark_rate,
@@ -147,15 +161,15 @@ def free_run(duration_ps, bg_rate, pulse_times_ps, pulse_p_click, det, gens):
     The pulse arguments are any indexable sequences (lists, or memoryviews
     of int64 and float64 arrays), times sorted ascending.
     """
-    deadtime_ps, dark_rate, traps, jitter = det
-    gen_darks, gen_photons, gen_traps, gen_jitter, gen_background = (
-        gens["darks"], gens["photons"], gens["traps"], gens["jitter"],
-        gens["background"])
+    deadtime_ps, dark_rate, _, _ = det
+    gen_darks, gen_photons, gen_background = (
+        gens["darks"], gens["photons"], gens["background"])
     log, dark_random, bg_random = (math.log, gen_darks.random,
                                    gen_background.random)
     times, origins = [], []
 
     rel_heap = [NEVER]
+    avalanche = _avalanche_step(det, gens, rel_heap)
     next_dark = _exp_gap_ps(gen_darks, dark_rate) if dark_rate > 0.0 else NEVER
     next_bg = _exp_gap_ps(gen_background, bg_rate) if bg_rate > 0.0 else NEVER
     i_pulse = 0
@@ -185,8 +199,7 @@ def free_run(duration_ps, bg_rate, pulse_times_ps, pulse_p_click, det, gens):
                 if t < armed_from:
                     continue
 
-        recorded = _avalanche(t, rel_heap, deadtime_ps, jitter, traps,
-                              gen_jitter, gen_traps)
+        recorded = avalanche(t)
         if recorded < duration_ps:
             times.append(recorded)
             origins.append(origin)
@@ -216,14 +229,14 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
     for span_ps after the detection.  Returns
     (c_d, c_lp, histogram, live_ps, starved).
     """
-    deadtime_ps, dark_rate, traps, jitter = det
-    gen_darks, gen_photons, gen_traps, gen_jitter = (
-        gens["darks"], gens["photons"], gens["traps"], gens["jitter"])
+    deadtime_ps, dark_rate, _, _ = det
+    gen_darks, gen_photons = gens["darks"], gens["photons"]
     n_bins = span_ps // bin_ps
     hist = [0] * n_bins
     c_d = c_lp = 0
 
     rel_heap = [NEVER]
+    avalanche = _avalanche_step(det, gens, rel_heap)
     next_dark = _exp_gap_ps(gen_darks, dark_rate) if dark_rate > 0.0 else NEVER
     armed_from = 0
     last_click = -quiet_ps  # lets the first pulse fire at t = 0
@@ -244,8 +257,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
                                           rel_heap, dark_rate, gen_darks)
             if t == NEVER:
                 break
-            last_click = _avalanche(t, rel_heap, deadtime_ps, jitter, traps,
-                                    gen_jitter, gen_traps)
+            last_click = avalanche(t)
             armed_from = last_click + deadtime_ps
             if last_click >= target:
                 # Quiet window already satisfied before this click was
@@ -284,8 +296,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
                 t, _, next_dark = _next_click(bin_end, next_dark, armed_from,
                                               rel_heap, dark_rate, gen_darks)
             if t != NEVER:
-                last_click = _avalanche(t, rel_heap, deadtime_ps, jitter,
-                                        traps, gen_jitter, gen_traps)
+                last_click = avalanche(t)
                 armed_from = last_click + deadtime_ps
                 if last_click < bin_end:
                     detection = last_click
@@ -300,8 +311,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
                                           rel_heap, dark_rate, gen_darks)
             if t == NEVER:
                 break
-            last_click = _avalanche(t, rel_heap, deadtime_ps, jitter, traps,
-                                    gen_jitter, gen_traps)
+            last_click = avalanche(t)
             armed_from = last_click + deadtime_ps
             idx = (last_click - detection) // bin_ps
             if 0 <= idx < n_bins:
@@ -319,15 +329,17 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
     known latency) is decoded to a (frame, slot) pair and counted as an
     error when the slot disagrees with that frame's bit.
     """
-    deadtime_ps, dark_rate, traps, jitter = det
-    gen_darks, gen_photons, gen_traps, gen_jitter = (
-        gens["darks"], gens["photons"], gens["traps"], gens["jitter"])
-    gen_bits = gens["bits"] if decode else None
+    deadtime_ps, dark_rate, _, jitter = det
+    gen_darks = gens["darks"]
+    photon_random = gens["photons"].random
+    bits_random = gens["bits"].random if decode else None
+    log = math.log
     duration_ps = n_frames * frame_ps
     latency_ps = jitter[3]
     n_clicks = n_errors = 0
 
     rel_heap = [NEVER]
+    avalanche = _avalanche_step(det, gens, rel_heap)
     next_dark = _exp_gap_ps(gen_darks, dark_rate) if dark_rate > 0.0 else NEVER
     armed_from = 0
 
@@ -335,7 +347,7 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
     # clicks in the NEVER // frame_ps frames of the whole picosecond grid,
     # and its log(1 - p) is 0: it is run as no signal at all.
     use_signal = 1.0 - p_click_frame < 1.0
-    log_q = math.log(1.0 - p_click_frame) if p_click_frame < 1.0 else 0.0
+    log_q = log(1.0 - p_click_frame) if p_click_frame < 1.0 else 0.0
     # sig_time -1: the first signal click is drawn before the first event.
     sig_time = -1 if use_signal else NEVER
     sig_frame = sig_bit = 0
@@ -348,12 +360,12 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
         if use_signal and sig_time < armed_from:
             sig_frame = armed_from // frame_ps + 1 if n_clicks else 0
             if log_q < 0.0:
-                sig_frame += int(math.log(1.0 - gen_photons.random()) / log_q)
+                sig_frame += int(log(1.0 - photon_random()) / log_q)
             slot = 0
             if decode:
-                sig_bit = 0 if gen_bits.random() < 0.5 else 1
+                sig_bit = 0 if bits_random() < 0.5 else 1
                 slot = sig_bit
-                if gen_photons.random() < p_optical_error:
+                if photon_random() < p_optical_error:
                     slot = 1 - slot
             sig_time = sig_frame * frame_ps + slot * slot_ps + slot_ps // 2
 
@@ -370,8 +382,7 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
                 break
             # Scheduled while armed and never stale: always a click.
             t = sig_time
-        recorded = _avalanche(t, rel_heap, deadtime_ps, jitter, traps,
-                              gen_jitter, gen_traps)
+        recorded = avalanche(t)
         armed_from = recorded + deadtime_ps
         n_clicks += 1
 
@@ -385,7 +396,7 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
             else:
                 # Bits of frames without a scheduled signal pulse are drawn
                 # lazily; a fair coin either way.
-                true_bit = 0 if gen_bits.random() < 0.5 else 1
+                true_bit = 0 if bits_random() < 0.5 else 1
             if slot_hat != true_bit:
                 n_errors += 1
 

@@ -55,9 +55,9 @@ def _fmt_cell(value) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """Write the header and rows, each line as it is formatted.
+    """Write the header and rows, each row as it is formatted.
 
-    Rows stream to disk, so memory stays bounded by one line; a runtime
+    Rows stream to disk, so memory stays bounded by one row; a runtime
     error part-way (exit 2) leaves a partial file behind.
     """
     with path.open("w", encoding="utf-8", newline="") as fh:
@@ -278,21 +278,25 @@ def _qkd_payload(cfg: RunConfig, seed: int, rows, optimizer_used: bool):
 
 
 def _dump_rows(space: SearchSpace, per_detector: bool, optima):
-    """``grid_dump.csv`` rows in ``Optimum.table`` order, each one text cell.
+    """``grid_dump.csv`` text in ``Optimum.table`` order, one cell per (loss,
+    temperature, Data side) group: the group's lines joined by newlines.
 
-    The loss and point columns take few distinct values, so their text is
-    formatted once; only the key rate is formatted per row.
+    One template holds a group's Monitor sides, so a single format call
+    writes its key rates; the rest of its text is formatted once.
     """
     side = [f"{_fmt_cell(eta)},{_fmt_cell(tau * 1e6)}"
             for eta in space.efficiency_grid for tau in space.deadtime_grid]
     temps = [_fmt_cell(t) for t in space.temperature_grid]
+    monitors = [m + "," for m in side] if per_detector else [""]
+    heads = [d + "," if per_detector else f"{d},{d}," for d in side]
+    template = "\n".join("{0}%s{%d!r}" % (m, k)
+                         for k, m in enumerate(monitors, 1))
     for o in optima:
-        loss = _fmt_cell(o.loss_db)
-        skrs = iter(o.table.tolist())
+        chunks = zip(*[iter(o.table.tolist())] * len(monitors))
         for t in temps:
-            for d in side:
-                for m in (side if per_detector else (d,)):
-                    yield (f"{loss},{t},{d},{m},{next(skrs)!r}",)
+            prefix = f"{_fmt_cell(o.loss_db)},{t},"
+            for head, chunk in zip(heads, chunks):
+                yield (template.format(prefix + head, *chunk),)
 
 
 def _optimize_rows(cfg: RunConfig, grid_dump: bool):

@@ -111,6 +111,8 @@ def _kernel_args(params: DetectorParams):
                                    for c in trap.release_components))
     tau_ps = tuple(t * PS_PER_S
                    for t in trap.lifetimes_at(params.temperature).tolist())
+    if not all(map(math.isfinite, tau_ps)):
+        raise ParameterError("trap lifetime overflows the picosecond grid")
     jit = params.jitter_model
     sigma_ps = jit.core_sigma_at(params.efficiency) * PS_PER_S
     return (seconds_to_ps(params.deadtime),

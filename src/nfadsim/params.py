@@ -148,7 +148,8 @@ class TrapModel:
         total = 0.0
         for weight, tau_ref, activation in self.release_components:
             _require(0.0 <= weight <= 1.0, "component weight must lie in [0, 1]")
-            _require(tau_ref > 0.0, "component lifetime must be positive")
+            _require(_finite(tau_ref) and tau_ref > 0.0,
+                     "component lifetime must be positive and finite")
             _require(activation > 0.0,
                      "component activation temperature must be positive "
                      "(lifetimes must grow as temperature falls)")

@@ -210,3 +210,33 @@ def test_criterion_10_origin_tags_do_not_leak(report):
     ok = before == after and np.array_equal(shuffled.times, clicks.times)
     report(10, ok, "permuting origin tags changes no estimate "
            f"({before[0]} clicks, all statistics identical)")
+
+
+def test_paper_ledger():
+    """The model's figures beside the abstract's, each pinned at 1e-3.
+
+    The abstract reports 1 cps of dark counts at 10% efficiency and
+    -110 C, 2.2% afterpulsing at a 20 us hold-off, and 350 bps of secret
+    key over 30 dB on the 625 MHz COW link.  Operating points:
+
+    - dark rate: -110 C at 10% (0.7937 cps; the paper's 1 cps) and at the
+      11.5% calibration anchor (1.19 cps);
+    - total afterpulsing, cascades included: -110 C, 20 us hold-off, at
+      10% (2.008%) and 11.5% (2.316%; the paper's 2.2%);
+    - key rate: ``link_metrics`` with the default ``LinkConfig`` at 30 dB,
+      Data and Monitor both at -110 C and 20 us, at 10% (162.1 bps) and
+      30% (432.7 bps), against the paper's 350 bps.
+    """
+    rows = []
+    for eta, dcr, p_ap in ((0.10, 0.7937, 0.02008),
+                            (0.115, 1.19, 0.02316)):
+        det = make_detector(-110.0, eta, 20e-6)
+        rows.append((det.dark_model.rate(det.temperature, eta), dcr))
+        rows.append((total_afterpulses(det), p_ap))
+    for eta, skr in ((0.10, 162.1), (0.30, 432.7)):
+        det = make_detector(-110.0, eta, 20e-6)
+        metrics = link_metrics(LinkConfig(channel_loss_db=30.0),
+                               QkdOperatingPoint(det, det))
+        rows.append((metrics.skr, skr))
+    for got, want in rows:
+        assert got == pytest.approx(want, rel=1e-3)

@@ -61,9 +61,9 @@ def _starved_characterize():
     return _small_characterize(det, timeout=1e-3)
 
 
-def _small_qkd(*budget):
+def _small_qkd(*budget, det=None):
     # A short hold-off and 25% efficiency: plenty of afterpulse releases.
-    det = make_detector(-90.0, 0.25, 2e-6)
+    det = det or make_detector(-90.0, 0.25, 2e-6)
     frame_ps = seconds_to_ps(2.0 / 625e6)
     return (2_000_000, frame_ps, frame_ps // 2, *budget, _kernel_args(det))
 
@@ -81,6 +81,12 @@ def _held_off_characterize():
     return _small_characterize(make_detector(-70.0, 0.2, 101e-6))
 
 
+def _short_hold(eta):
+    # At -50 C the trap lifetimes are 1.6 and 5.8 us against a 2 us
+    # hold-off, so trap delays fall both before and after re-arm.
+    return make_detector(-50.0, eta, 2e-6)
+
+
 _DATA = ("darks", "photons", "traps", "jitter", "bits")
 _MONITOR = ("darks", "photons", "traps", "jitter")
 
@@ -94,10 +100,13 @@ _SMALL_CASES = {
     "characterize/held_off": _held_off_characterize,
     "characterize/no_darks": lambda: _small_characterize(make_detector(
         -70.0, 0.2, 10e-6, dark_model=_flat_dark(0.0))),
+    "characterize/short_hold": lambda: _small_characterize(_short_hold(0.2)),
     "qkd_data": lambda: (_small_qkd(2e-3, 0.005), _DATA),
     "qkd_data/always": lambda: (_small_qkd(1.0, 0.005), _DATA),
     "qkd_data/never": lambda: (_small_qkd(0.0, 0.005), _DATA),
     "qkd_data/rare": lambda: (_small_qkd(1e-15, 0.005), _DATA),
+    "qkd_data/short_hold": lambda: (
+        _small_qkd(2e-3, 0.005, det=_short_hold(0.25)), _DATA),
     "qkd_monitor": lambda: (_small_qkd(1e-3), _MONITOR),
     "qkd_monitor/always": lambda: (_small_qkd(1.0), _MONITOR),
     "qkd_monitor/never": lambda: (_small_qkd(0.0), _MONITOR),
@@ -138,7 +147,8 @@ def test_buffered_uniforms_match_raw_generators(name, seed):
 # rare-signal case before the kernels took the detector bundle and the
 # substream map (seed 4 draws a first frame skip of about 1.2e19 ps, past
 # 2**63), and the idle-run and held-off cases before the kernels skipped
-# the events that cannot click:
+# the events that cannot click, and the short-hold cases before the kernels
+# skipped the release delays that end before re-arm:
 # (c_d, c_lp, sha256 of the int64 histogram, live ps, starved) and
 # (n_sifted, n_errors) and the monitor click count.
 _GOLDEN = {
@@ -174,10 +184,15 @@ _GOLDEN = {
         252, 2000,
         "efc430a9d4eb88d9d8af3cee6a177acb65063d13ce07b55ddf04e0d456eeea8e",
         38400841165, False),
+    ("characterize/short_hold", 3): (
+        316, 2000,
+        "c15c7941c149b59020963af2e30c95a0730d88409b7cf4ce77da8f9c11eb8f29",
+        55126213561, False),
     ("qkd_data/always", 3): (3193, 23),
     ("qkd_data/never", 3): (1, 1),
     ("qkd_data/rare", 3): (1, 1),
     ("qkd_data/rare", 4): (0, 0),
+    ("qkd_data/short_hold", 3): (2064, 329),
     ("qkd_monitor/always", 3): 3195,
     ("qkd_monitor/never", 3): 1,
 }

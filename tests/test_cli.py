@@ -209,6 +209,23 @@ class TestQkdOptimized:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
                 == digest, name
 
+    def test_per_detector_dump_of_an_uneven_grid_keeps_its_bytes(
+            self, tmp_path):
+        # Six Data sides (3 eta x 2 tau) over three temperatures and three
+        # losses: 324 rows in 54 groups of six.  sha256 recorded from the
+        # writer that formatted the dump one row at a time.
+        text = (QKD_OPT_INI.replace("10, 25", "10, 25, 30")
+                .replace("0.1, 0.2", "0.1, 0.15, 0.2")
+                .replace("-50, -110", "-50, -90, -110"))
+        cfg = _cfg(tmp_path, text + "per_detector = true\n")
+        out = tmp_path / "out"
+        assert cli.main(["qkd", "--config", cfg, "--out", str(out),
+                         "--grid-dump"]) == 0
+        data = (out / "grid_dump.csv").read_bytes()
+        assert data.count(b"\n") == 1 + 3 * 3 * 6 * 6
+        assert hashlib.sha256(data).hexdigest() == (
+            "a886c351ff0e77e6c80acc902b2c7ddf0d4780c5430cd625b10d6a69b82b4791")
+
     def test_zero_key_rate_dumps_positive_zero(self, tmp_path):
         # At 200 dB, K < 0 (QBER 0.5) times V == 0 is -0.0; with no
         # authentication cost the dump must still print 0.0.

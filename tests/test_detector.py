@@ -103,12 +103,80 @@ class TestReferenceEquality:
         jitter = (0.0, 1.0, 0.0, 1000)    # always the tail, of scale 0
         traps = (1.0, (1.0,), (5000.5 / math.log(2.0),))
         heap = [_kernels.NEVER]
-        recorded = _kernels._avalanche(
-            0, heap, deadtime_ps, jitter, traps,
-            _Scripted([0.5, 0.5]),                 # tail branch, x = 0
-            _Scripted([0.5, 0.1, 0.0, 0.5]))       # 1 trap, comp 0, ln 2
+        recorded = _kernels._avalanche_step(
+            (deadtime_ps, 0.0, traps, jitter),
+            {"jitter": _Scripted([0.5, 0.5]),       # tail branch, x = 0
+             "traps": _Scripted([0.5, 0.1, 0.0, 0.5])},  # 1 trap, comp 0, ln 2
+            heap)(0)
         assert recorded == 1000
         assert heap == ([5000, _kernels.NEVER] if kept else [_kernels.NEVER])
+
+
+class TestReleaseSkip:
+    """Release delays drawn below ``_skip_below`` are not computed."""
+
+    @settings(max_examples=500)
+    @given(deadtime_ps=st.integers(1, 10**13),
+           tau_ps=st.floats(1e-3, 1e35), u=st.floats(0.0, 1.0,
+                                                   exclude_max=True),
+           fraction=st.floats(0.0, 1.0), ulps=st.integers(1, 8))
+    @example(deadtime_ps=1, tau_ps=1e16, u=0.0, fraction=1.0, ulps=1)
+    @example(deadtime_ps=1, tau_ps=9.99e5, u=0.0, fraction=1.0, ulps=1)
+    @example(deadtime_ps=10**7, tau_ps=1e-3, u=0.0, fraction=1.0, ulps=1)
+    def test_skipped_uniforms_release_before_rearm(self, deadtime_ps, tau_ps,
+                                                   u, fraction, ulps):
+        # Random uniforms, uniforms spread below the bound, and uniforms a
+        # few ulps below it.
+        bound = _kernels._skip_below(deadtime_ps, tau_ps)
+        near = bound
+        for _ in range(ulps):
+            near = math.nextafter(near, 0.0)
+        for v in (u, bound * fraction, near):
+            if v < bound:
+                assert int(-math.log(1.0 - v) * tau_ps) < deadtime_ps
+
+    @pytest.mark.parametrize("tau_ps", [0.0, 1e12])
+    def test_no_skip_where_rounding_could_win(self, tau_ps):
+        # A zero lifetime, and one a million hold-offs long.
+        assert _kernels._skip_below(10**6, tau_ps) == 0.0
+
+    @pytest.mark.parametrize("ulps_below, kept", [(0, True), (1, False)])
+    def test_a_release_exactly_at_rearm_is_kept(self, ulps_below, kept):
+        # Zero jitter: a click at 0 ps is recorded at 0 ps and re-arms at
+        # 1000 ps.  u is the smallest uniform whose delay from a 1500 ps
+        # lifetime reaches 1000 ps: its release is kept.  One ulp less
+        # releases at 999 ps, during the hold-off.
+        deadtime_ps, tau_ps = 1000, 1500.0
+        u = -math.expm1(-deadtime_ps / tau_ps)
+        while int(-math.log(1.0 - u) * tau_ps) >= deadtime_ps:
+            u = math.nextafter(u, 0.0)
+        while int(-math.log(1.0 - u) * tau_ps) < deadtime_ps:
+            u = math.nextafter(u, 1.0)
+        for _ in range(ulps_below):
+            u = math.nextafter(u, 0.0)
+        heap = [_kernels.NEVER]
+        recorded = _kernels._avalanche_step(
+            (deadtime_ps, 0.0, (1.0, (1.0,), (tau_ps,)), (0.0, 1.0, 0.0, 0)),
+            {"jitter": _Scripted([0.5, 0.5]),       # tail branch, x = 0
+             "traps": _Scripted([0.5, 0.1, 0.0, u])},  # 1 trap, comp 0
+            heap)(0)
+        assert recorded == 0
+        assert heap == ([1000, _kernels.NEVER] if kept else [_kernels.NEVER])
+
+
+def _lifetime_detector(temp_c, component):
+    """A detector that fills one trap per avalanche on average, with one
+    release component (weight, tau_ref in s, activation in K)."""
+    return dataclasses.replace(
+        make_detector(temp_c, 0.2, 5e-6),
+        trap_model=TrapModel(mean_traps_per_avalanche=1.0,
+                             efficiency_exponent=0.0, efficiency_ref=0.115,
+                             release_components=(component,),
+                             reference_temperature=183.15))
+
+
+def _dense_laser():
+    return pulsed_laser(period=1e-6, mean_photon_number=3.0, count=2000)
 
 
 class _Scripted:
@@ -274,6 +342,27 @@ class TestStreamInvariants:
                                  background_rate=bg_cps)
         with pytest.raises(ParameterError, match="picosecond grid"):
             sim(flat_dark(dark_cps, 5e-6), tl, 0.01, 1)
+
+    @pytest.mark.parametrize("sim", [simulate, simulate_reference])
+    @pytest.mark.parametrize("component", [(1.0, math.inf, 2000.0),
+                                           (1.0, 1e300, 2000.0)])
+    def test_trap_lifetimes_with_no_int_delay_are_rejected(self, sim,
+                                                           component):
+        # An infinite lifetime is refused by the model; 1e300 s is finite
+        # but reaches inf on the picosecond grid (3.8e312 ps at -110 C).
+        with pytest.raises(ParameterError, match="lifetime"):
+            sim(_lifetime_detector(-110.0, component), _dense_laser(), 0.002,
+                1)
+
+    def test_a_lifetime_that_underflows_to_zero_ps_runs(self):
+        # 5e-324 s shrinks to 0.0 at -50 C: every release comes at its
+        # avalanche's raw time, inside the hold-off.
+        det = _lifetime_detector(-50.0, (1.0, 5e-324, 2000.0))
+        fast = simulate(det, _dense_laser(), 0.002, 1)
+        slow = simulate_reference(det, _dense_laser(), 0.002, 1)
+        assert len(fast) > 100
+        assert np.array_equal(fast.times, slow.times)
+        assert np.array_equal(fast.origins, slow.origins)
 
     def test_no_generation_mechanism_no_clicks(self, flat_dark):
         det = flat_dark(0.0, 5e-6)

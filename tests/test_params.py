@@ -63,6 +63,14 @@ class TestTrapModel:
                       release_components=((1.0, 1e-6, 0.0),),
                       reference_temperature=183.15)
 
+    @pytest.mark.parametrize("tau_ref", [math.inf, math.nan, 0.0])
+    def test_lifetime_must_be_positive_and_finite(self, tau_ref):
+        with pytest.raises(ParameterError, match="lifetime"):
+            TrapModel(mean_traps_per_avalanche=0.5, efficiency_exponent=1.0,
+                      efficiency_ref=0.115,
+                      release_components=((1.0, tau_ref, 100.0),),
+                      reference_temperature=183.15)
+
     def test_disabled_model_fills_no_traps(self):
         assert TrapModel.disabled().mean_traps(0.3) == 0.0
 
