@@ -1,8 +1,10 @@
 """Simulation kernels: the detector's event loop in plain Python.
 
-The kernels draw nothing but ``gen.random()`` uniforms and use only
-``math.*`` scalar routines; exponential, normal, Poisson and categorical
-variates are derived here by inversion/rejection.
+The kernels draw nothing but uniforms, one at a time from ``gen.random()``
+or, for the laser decisions of ``characterize``, as ndarrays from
+``gen.block(n)``, and use only ``math.*`` scalar routines; exponential,
+normal, Poisson and categorical variates are derived here by
+inversion/rejection.
 
 Event-step core.  Every click goes through one cycle: avalanche, timing
 jitter, trap filling, hold-off, re-arm.  ``_next_click(t_limit, ...)``
@@ -37,11 +39,15 @@ loop:
   under the hold-off, so the release comes before re-arm >= t + hold-off.
 - After each click, ``free_run`` draws the next gaps of the held-off dark
   and background candidates in tight loops, stopping at the duration so
-  each substream ends where the event loop leaves it, and jumps past the
-  held-off pulses by bisection.
+  each substream ends where the event loop leaves it.  It steps past one
+  held-off pulse with a single test and past more by bisection.
 - In ``characterize``, an armed cycle whose pulse misses, with no dark or
   release due inside its bin, is followed at once by the next cycle at the
-  bin's end: such idle runs cost one photon draw per cycle.
+  bin's end.  Such an idle run reads its laser decisions from a block of
+  photon draws and jumps to the first one below ``p_click_laser``; with
+  none, it ends after k + 1 misses, k = min(cycles until the next dark or
+  release is due, pulses left), where the cycle-by-cycle loop would stop.
+  Draws it did not use go back to the source with ``unread``.
 
 Time is integer picoseconds in Python ints, which do not wrap: a gap or a
 frame skip beyond ``NEVER`` stays exact and is never reached.  Only an
@@ -58,6 +64,9 @@ from .params import ORIGIN_AFTERPULSE, ORIGIN_DARK, ORIGIN_PHOTON, PS_PER_S
 # It also sits at the bottom of every release heap, so the heap is never
 # empty and its top can be compared without a length test.
 NEVER = 1 << 62
+
+# Laser decisions ``characterize`` reads per photon block.
+_LASER_BLOCK = 1024
 
 
 def _exp_gap_ps(gen, rate_per_s):
@@ -214,7 +223,9 @@ def free_run(duration_ps, bg_rate, pulse_times_ps, pulse_p_click, det, gens):
         while next_bg < stop:
             next_bg += int(-log(1.0 - bg_random()) / bg_rate * PS_PER_S)
         if i_pulse < n_pulses and pulse_times_ps[i_pulse] < armed_from:
-            i_pulse = bisect_left(pulse_times_ps, armed_from, i_pulse)
+            i_pulse += 1
+            if i_pulse < n_pulses and pulse_times_ps[i_pulse] < armed_from:
+                i_pulse = bisect_left(pulse_times_ps, armed_from, i_pulse)
 
     return times, origins
 
@@ -230,7 +241,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
     (c_d, c_lp, histogram, live_ps, starved).
     """
     deadtime_ps, dark_rate, _, _ = det
-    gen_darks, gen_photons = gens["darks"], gens["photons"]
+    gen_darks, photons = gens["darks"], gens["photons"]
     n_bins = span_ps // bin_ps
     hist = [0] * n_bins
     c_d = c_lp = 0
@@ -241,6 +252,10 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
     armed_from = 0
     last_click = -quiet_ps  # lets the first pulse fire at t = 0
     t_now = 0
+    # Laser decisions: a block of photon draws, the positions of its hits
+    # (draws below p_click_laser) closed by NEVER, and the next one to read.
+    block = photons.block(0)
+    hits, i_hit, pos = [NEVER], 0, 0
 
     while c_lp < n_pulses:
         cycle_start = t_now
@@ -266,6 +281,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
                 break
             target = last_click + quiet_ps
             if target - cycle_start > timeout_ps:
+                photons.unread(block[pos:])
                 return c_d, c_lp, hist, t_now, True
 
         c_lp += 1
@@ -283,15 +299,31 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
             if target >= armed_from:
                 # Idle run: while the pulse misses and nothing else is due
                 # inside its bin, the next cycle fires at this bin's end
-                # with no quiet wait, so run it here.
-                while gen_photons.random() >= p_click_laser:
-                    if due < bin_end or c_lp == n_pulses:
-                        break
-                    c_lp += 1
-                    target = bin_end
-                    bin_end += bin_ps
-                else:
-                    t = target
+                # with no quiet wait.  Up to the next due event or the
+                # budget, k more cycles can follow this one, one draw each:
+                # the run jumps to its first hit.
+                k = n_pulses - c_lp
+                if due < bin_end + k * bin_ps:  # due >= target: k >= 0
+                    k = (due - bin_end) // bin_ps + 1
+                while hits[i_hit] - pos > k and pos + k >= len(block):
+                    # The draws left in the block all miss and the run goes
+                    # on: read them again with the next ones.
+                    photons.unread(block[pos:])
+                    block = photons.block(min(len(block) - pos + _LASER_BLOCK,
+                                              n_pulses - c_lp + 1))
+                    hits = (block < p_click_laser).nonzero()[0].tolist()
+                    hits.append(NEVER)
+                    i_hit = pos = 0
+                skip = hits[i_hit] - pos
+                if skip <= k:                   # a hit after skip misses
+                    t = target + skip * bin_ps
+                    i_hit += 1
+                else:                           # k + 1 misses
+                    skip = k
+                pos += skip + 1
+                c_lp += skip
+                target += skip * bin_ps
+                bin_end = target + bin_ps
             if t == NEVER and due < bin_end:
                 t, _, next_dark = _next_click(bin_end, next_dark, armed_from,
                                               rel_heap, dark_rate, gen_darks)
@@ -317,6 +349,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
             if 0 <= idx < n_bins:
                 hist[idx] += 1
 
+    photons.unread(block[pos:])
     return c_d, c_lp, hist, t_now, False
 
 

@@ -101,10 +101,13 @@ def _prep_characterize(cfg: RunConfig):
 
 
 def _histogram_rows(bin_width: float, counts: np.ndarray):
-    """(bin start in s, count) rows, each one preformatted cell: the text
-    ``_fmt_cell`` would give the float start and the integer count."""
-    bw = float(bin_width)
-    return ((f"{i * bw!r},{n}",) for i, n in enumerate(counts.tolist()))
+    """The (bin start in s, count) lines as one preformatted cell, the text
+    ``_fmt_cell`` would give the float start and the integer count; none
+    without bins.  A generator, so the writer does the formatting."""
+    if len(counts):
+        bw = float(bin_width)
+        yield ("\n".join([f"{i * bw!r},{n}"
+                          for i, n in enumerate(counts.tolist())]),)
 
 
 def cmd_characterize(cfg: RunConfig, seed: int, outdir: Path) -> int:

@@ -74,7 +74,9 @@ class RandomStream:
         Yields a name -> source mapping, the ``gens`` argument of the
         kernels.  Each source's ``random()`` returns exactly the doubles
         that scalar ``Generator.random()`` calls would, read from growing
-        blocks.  On exit, also when the body raises, every generator is
+        blocks.  ``block(n)`` reads the next n of those doubles as one
+        ndarray, and ``unread(values)`` gives back the ones a caller did
+        not use.  On exit, also when the body raises, every generator is
         rewound past its unread values, so it ends where the scalar calls
         would have left it.
         """
@@ -109,6 +111,11 @@ class _BufferedUniforms:
     4096 values.  A block draw consumes one 64-bit output per double, as the
     scalar call does, so the values are the same; ``close`` rewinds the
     generator by the values drawn but never read.
+
+    ``block(n)`` reads the next n values as an ndarray: what is left of
+    the list block, then fresh draws.  ``unread(values)`` puts the unused
+    tail of a block read back in front: later reads return those values
+    again, and ``close`` counts them as never read.
     """
 
     __slots__ = ("random", "_gen", "_block")
@@ -118,6 +125,15 @@ class _BufferedUniforms:
         self._block: list = [iter(())]  # the block being read
         self.random = itertools.chain.from_iterable(
             _blocks(gen, self._block)).__next__
+
+    def block(self, n: int) -> np.ndarray:
+        head = list(itertools.islice(self._block[0], n))
+        return np.concatenate((head, self._gen.random(n - len(head))))
+
+    def unread(self, values: np.ndarray) -> None:
+        # The chain still holds the emptied block; _blocks serves this one
+        # next.
+        self._block[0] = iter(values.tolist() + list(self._block[0]))
 
     def close(self) -> None:
         self.random = _closed
@@ -137,9 +153,10 @@ class _BufferedUniforms:
 def _blocks(gen: np.random.Generator, current: list):
     size = _FIRST_BLOCK
     while True:
-        current[0] = iter(gen.random(size).tolist())
+        if not operator.length_hint(current[0]):
+            current[0] = iter(gen.random(size).tolist())
+            size = min(2 * size, _LAST_BLOCK)
         yield current[0]
-        size = min(2 * size, _LAST_BLOCK)
 
 
 class EventQueue:

@@ -177,9 +177,15 @@ class TrapModel:
         """Component lifetimes in seconds at the given temperature."""
         _require(temperature > 0.0, "temperature must be positive kelvin")
         taus = []
-        for _, tau_ref, activation in self.release_components:
-            taus.append(tau_ref * math.exp(
-                activation * (1.0 / temperature - 1.0 / self.reference_temperature)))
+        for k, (_, tau_ref, activation) in enumerate(self.release_components):
+            try:
+                taus.append(tau_ref * math.exp(activation * (
+                    1.0 / temperature - 1.0 / self.reference_temperature)))
+            except OverflowError:
+                raise ParameterError(
+                    f"trap release component {k} ({tau_ref:g} s, "
+                    f"{activation:g} K) has no finite lifetime at "
+                    f"{temperature:g} K") from None
         return np.array(taus, dtype=np.float64)
 
 

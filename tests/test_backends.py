@@ -2,8 +2,9 @@
 
 Every call site feeds the kernels the buffered uniform sources of
 ``RandomStream.uniforms``.  Fed the raw generators of
-``RandomStream.generators`` instead, the kernels must give equal outputs
-and leave every substream in the same state.  Recorded outputs pin each
+``RandomStream.generators`` instead, read one scalar draw at a time, the
+kernels must give equal outputs and leave every substream in the same
+state.  Recorded outputs pin each
 kernel and the branches it takes.
 """
 
@@ -36,9 +37,9 @@ def _flat_dark(rate_cps):
 
 
 def _small_characterize(det=None, quiet=100e-6, bin_width=20e-9,
-                        span=150e-6, timeout=0.05):
+                        span=150e-6, timeout=0.05, mu=0.91):
     det = det or make_detector(-70.0, 0.2, 10e-6)
-    p_click = float(1.0 - np.exp(-0.91 * det.efficiency))
+    p_click = float(1.0 - np.exp(-mu * det.efficiency))
     fixed = (2000, seconds_to_ps(quiet), seconds_to_ps(bin_width),
              seconds_to_ps(span), p_click, seconds_to_ps(timeout),
              _kernel_args(det))
@@ -75,6 +76,14 @@ def _idle_characterize():
     return _small_characterize(make_detector(-110.0, 0.05, 10e-6))
 
 
+def _sparse_characterize():
+    # 5% efficiency and a 0.1 photon pulse: a pulse clicks with p = 0.5%,
+    # so idle runs are about 200 cycles long.  At seed 3 one run crosses the
+    # photon block boundary at draw 1024 and the last one ends on the budget
+    # of 2000 pulses.
+    return _small_characterize(make_detector(-110.0, 0.05, 10e-6), mu=0.1)
+
+
 def _held_off_characterize():
     # A 101 us hold-off against a 100 us quiet window: after a click in the
     # quiet wait, the pulse fires while the detector is still held off.
@@ -98,6 +107,7 @@ _SMALL_CASES = {
     "characterize/starved": _starved_characterize,
     "characterize/idle_end": _idle_characterize,
     "characterize/held_off": _held_off_characterize,
+    "characterize/sparse": _sparse_characterize,
     "characterize/no_darks": lambda: _small_characterize(make_detector(
         -70.0, 0.2, 10e-6, dark_model=_flat_dark(0.0))),
     "characterize/short_hold": lambda: _small_characterize(_short_hold(0.2)),
@@ -126,13 +136,29 @@ def _plain(result):
     return result
 
 
+class _ScalarBlocks:
+    """A raw generator with the block read of the buffered sources: a block
+    is n scalar draws, and unread values are rewound by ``advance``."""
+
+    def __init__(self, gen):
+        self.random = gen.random
+        self._bits = gen.bit_generator
+
+    def block(self, n):
+        return np.array([self.random() for _ in range(n)])
+
+    def unread(self, values):
+        self._bits.advance(-len(values) % (1 << 128))
+
+
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("name", sorted(_SMALL_CASES))
 def test_buffered_uniforms_match_raw_generators(name, seed):
     kernel = _kernel(name)
     fixed, names = _SMALL_CASES[name]()
     raw_stream = RandomStream(seed)
-    raw = kernel(*fixed, raw_stream.generators(names))
+    raw = kernel(*fixed, {n: _ScalarBlocks(g) for n, g
+                          in raw_stream.generators(names).items()})
     stream = RandomStream(seed)
     with stream.uniforms(names) as sources:
         buffered = kernel(*fixed, sources)
@@ -148,7 +174,8 @@ def test_buffered_uniforms_match_raw_generators(name, seed):
 # substream map (seed 4 draws a first frame skip of about 1.2e19 ps, past
 # 2**63), and the idle-run and held-off cases before the kernels skipped
 # the events that cannot click, and the short-hold cases before the kernels
-# skipped the release delays that end before re-arm:
+# skipped the release delays that end before re-arm, and the sparse case
+# before the kernel read its laser decisions in blocks:
 # (c_d, c_lp, sha256 of the int64 histogram, live ps, starved) and
 # (n_sifted, n_errors) and the monitor click count.
 _GOLDEN = {
@@ -184,6 +211,14 @@ _GOLDEN = {
         252, 2000,
         "efc430a9d4eb88d9d8af3cee6a177acb65063d13ce07b55ddf04e0d456eeea8e",
         38400841165, False),
+    ("characterize/sparse", 3): (
+        10, 2000,
+        "0946e2eb0fb9ea7ddd935efd1922bc7d1f27101c69ce6d2f5145c7ee28f1b6ba",
+        1539810118, False),
+    ("characterize/sparse", 11): (
+        8, 2000,
+        "0946e2eb0fb9ea7ddd935efd1922bc7d1f27101c69ce6d2f5145c7ee28f1b6ba",
+        1239848801, False),
     ("characterize/short_hold", 3): (
         316, 2000,
         "c15c7941c149b59020963af2e30c95a0730d88409b7cf4ce77da8f9c11eb8f29",
@@ -209,6 +244,31 @@ def test_kernels_keep_their_recorded_outputs(name, seed):
             np.asarray(hist, dtype=np.int64).tobytes()).hexdigest()
         out = (c_d, c_lp, hist_sha, live_ps, starved)
     assert _plain(out) == _GOLDEN[name, seed]
+
+
+# The next photon draw after each characterize case at seed 3, recorded
+# with the loop that drew one laser decision per cycle.  The raw side of
+# the test above reads blocks through the same kernel code, so this is
+# what shows a block's unused draws going back to the stream.
+_NEXT_PHOTON = {
+    "characterize": 0.20700743807743294,
+    "characterize/held_off": 0.43135843027709264,
+    "characterize/idle_end": 0.20700743807743294,
+    "characterize/no_darks": 0.20700743807743294,
+    "characterize/pending": 0.34275622794544436,
+    "characterize/short_hold": 0.20700743807743294,
+    "characterize/sparse": 0.20700743807743294,
+    "characterize/starved": 0.6325138865874828,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEXT_PHOTON))
+def test_characterize_leaves_the_photon_stream_where_it_read_to(name):
+    fixed, names = _SMALL_CASES[name]()
+    stream = RandomStream(3)
+    with stream.uniforms(names) as sources:
+        _kernel(name)(*fixed, sources)
+    assert stream.generator("photons").random() == _NEXT_PHOTON[name]
 
 
 def test_consecutive_simulate_calls_continue_one_stream():

@@ -10,6 +10,7 @@ import pytest
 from nfadsim import cli
 from nfadsim.calibration import make_detector
 from nfadsim.optimize import SearchSpace, optimize
+from nfadsim.params import TrapModel
 from nfadsim.qkd import LinkConfig, QkdOperatingPoint, link_metrics
 
 CHAR_INI = """
@@ -104,6 +105,49 @@ class TestCharacterize:
             eta_a, err_a = float(a[2]), float(a[3])
             eta_b, err_b = float(b[2]), float(b[3])
             assert abs(eta_a - eta_b) <= 3.0 * (err_a ** 2 + err_b ** 2) ** 0.5
+
+    def test_outputs_keep_their_bytes(self, tmp_path):
+        # sha256 recorded from the kernel that drew one laser decision per
+        # cycle and the writer that formatted one histogram row at a time.
+        golden = {
+            "afterpulse_hist_T-90_eta0.115.csv": (
+                "815ee606ce4ac02541a705686dd9e9e7"
+                "4b5b338d8eff103dde72f1f69f8a073f"),
+            "afterpulse_hist_T-90_eta0.16.csv": (
+                "d20c69cf654620e3ced4e0d20b1a29d7"
+                "893e6faa96679d09be5cbbb8cd116d03"),
+            "afterpulse_vs_eff.csv": (
+                "7d429f757596f5ce44a62813d4980c7a"
+                "12ebbde9591ebd5ab71b71a2742089f5"),
+            "dcr_vs_eff.csv": (
+                "efe70b84e245174225137b5cd670d683"
+                "7dfa839813e42b45e2853526fb542615"),
+            "estimates.csv": (
+                "9702a58634e6b5231887125aec005e7b"
+                "ca550e2efa194cfaf0a2ff548b967646"),
+            "jitter_T-90_eta0.115.csv": (
+                "e7e36562b31460da7724d100ff0308b0"
+                "426303f3d44c1a8ab455c7a66cb8609d"),
+            "jitter_T-90_eta0.16.csv": (
+                "9c4a76d3220a9abbdac1274522be6ecd"
+                "dcfde0865f7c4745ac19e44f767ca18a"),
+            "parameters.txt": (
+                "e2b9e014705849e85e0597a602939172"
+                "38bf73ee4860bf06b5b930770af6204a"),
+            "summary.json": (
+                "8a03ae83377d720b32d07d6102a6d58c"
+                "f91e5891c2acf37606c894abaed1b7c5"),
+        }
+        cfg = _cfg(tmp_path, "[characterize]\ntemperatures_c = -90\n"
+                   "efficiencies = 0.115, 0.16\npulses = 4000\n"
+                   "jitter_draws = 20000\n")
+        out = tmp_path / "out"
+        assert cli.main(["characterize", "--config", cfg, "--seed", "7",
+                         "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == set(golden)
+        for name, digest in golden.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+                == digest, name
 
     def test_empty_point_grid_exits_1_without_output(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "[characterize]\ntemperatures_c =\n")
@@ -305,6 +349,22 @@ class TestExitCodes:
         assert cli.main(["selftest", "--config", cfg]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_a_lifetime_exponent_past_the_float_range_exits_1(
+            self, tmp_path, capsys, monkeypatch):
+        # No INI key sets the trap model, so the detector factory is
+        # replaced: 2e6 K puts the Arrhenius exponent past exp()'s range.
+        trap = TrapModel(mean_traps_per_avalanche=1.0, efficiency_exponent=0.0,
+                         efficiency_ref=0.115,
+                         release_components=((1.0, 1e-6, 2e6),),
+                         reference_temperature=183.15)
+        real = cli.calibration.make_detector
+        monkeypatch.setattr(cli.calibration, "make_detector",
+                            lambda *args: real(*args, trap_model=trap))
+        cfg = _cfg(tmp_path, QKD_FIXED_INI.replace("-90", "-110"))
+        assert cli.main(["qkd", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "component 0" in capsys.readouterr().err
+
     def test_efficiency_off_the_jitter_table_exits_1(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "[characterize]\nefficiencies = 0.01\n")
         out = tmp_path / "out"
@@ -368,6 +428,13 @@ class TestCsvWriter:
         path = tmp_path / "t.csv"
         cli._write_csv(path, header, _csv_rows(n))
         assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_a_histogram_without_bins_writes_the_header_alone(self,
+                                                               tmp_path):
+        path = tmp_path / "h.csv"
+        cli._write_csv(path, ("bin_start_s", "count"),
+                       cli._histogram_rows(1e-9, np.zeros(0, np.int64)))
+        assert path.read_bytes() == b"bin_start_s,count\n"
 
     def test_peak_memory_is_bounded_by_a_line(self, tmp_path):
         # One preformatted cell per row, as in the grid dump; the joined

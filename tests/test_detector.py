@@ -111,6 +111,26 @@ class TestReferenceEquality:
         assert recorded == 1000
         assert heap == ([5000, _kernels.NEVER] if kept else [_kernels.NEVER])
 
+    @pytest.mark.parametrize("pulses, clicks", [
+        ([0, 1000], [0, 1000]),                      # nothing held off
+        ([0, 999, 1000], [0, 1000]),                 # one held off
+        ([0, 999, 1001, 2000, 2001], [0, 1001, 2001]),
+        ([0, 1, 500, 999, 1000], [0, 1000]),         # several held off
+        ([0, 999, 999, 1999], [0, 1999]),
+        ([0, 400, 999], [0]),                        # held off to the end
+    ])
+    def test_held_off_pulses_are_skipped_up_to_rearm(self, pulses, clicks):
+        # No jitter, darks or traps; every armed pulse clicks and re-arms
+        # the detector 1000 ps later.  A pulse exactly at re-arm clicks and
+        # one 1 ps earlier does not.
+        det = (1000, 0.0, (0.0, (1.0,), (1.0,)), (0.0, 1.0, 0.0, 0))
+        times = memoryview(np.array(pulses, dtype=np.int64))
+        p_click = memoryview(np.ones(len(pulses)))
+        with RandomStream(1).uniforms(RandomStream.SUBSTREAMS) as gens:
+            recorded, _ = _kernels.free_run(5000, 0.0, times, p_click, det,
+                                            gens)
+        assert recorded == clicks
+
 
 class TestReleaseSkip:
     """Release delays drawn below ``_skip_below`` are not computed."""
@@ -353,6 +373,15 @@ class TestStreamInvariants:
         with pytest.raises(ParameterError, match="lifetime"):
             sim(_lifetime_detector(-110.0, component), _dense_laser(), 0.002,
                 1)
+
+    @pytest.mark.parametrize("sim", [simulate, simulate_reference])
+    def test_a_lifetime_exponent_past_the_float_range_is_rejected(self, sim):
+        # 2e6 K puts the Arrhenius exponent at 1339 at -110 C, past the
+        # 709.8 where exp() overflows.
+        det = _lifetime_detector(-110.0, (1.0, 1e-6, 2e6))
+        with pytest.raises(ParameterError,
+                           match=r"component 0 \(.*\) .* at 163\.15 K"):
+            sim(det, _dense_laser(), 0.002, 1)
 
     def test_a_lifetime_that_underflows_to_zero_ps_runs(self):
         # 5e-324 s shrinks to 0.0 at -50 C: every release comes at its

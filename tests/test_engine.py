@@ -97,6 +97,30 @@ class TestBufferedUniforms:
         assert drawn == expected
         assert stream.generator("darks").bit_generator.state == end_state
 
+    @given(ops=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 5000),
+                                  st.integers(0, 5000)), max_size=5),
+           seed=_SEED)
+    @example(ops=[], seed=0)
+    @example(ops=[(1, 10, 3), (60, 100, 50)], seed=1)   # inside a list block
+    @example(ops=[(0, 4097, 0), (5, 0, 0)], seed=2)
+    def test_block_reads_and_unread_tails_follow_scalar_calls(self, ops,
+                                                              seed):
+        # Each op: that many scalar reads, a block read, and the tail after
+        # the first `keep` values of the block given back.
+        stream = RandomStream(seed)
+        read = []
+        with stream.uniforms(("darks",)) as sources:
+            source = sources["darks"]
+            for n_scalar, size, keep in ops:
+                read.extend(source.random() for _ in range(n_scalar))
+                block = source.block(size)
+                assert block.dtype == np.float64 and len(block) == size
+                read.extend(block[:keep].tolist())
+                source.unread(block[keep:])
+        expected, end_state = _scalar_draws(seed, len(read))
+        assert read == expected
+        assert stream.generator("darks").bit_generator.state == end_state
+
     def test_substreams_are_read_and_rewound_independently(self):
         stream = RandomStream(9)
         with stream.uniforms(("darks", "jitter")) as sources:

@@ -8,6 +8,7 @@ from nfadsim._kernels import NEVER
 from nfadsim.calibration import make_detector
 from nfadsim.engine import seconds_to_ps
 from nfadsim.errors import NoSignalError, ParameterError
+from nfadsim.params import TrapModel
 from nfadsim.qkd import (LinkConfig, LinkMetrics, QkdOperatingPoint,
                          binary_entropy, link_metrics, simulate_session)
 
@@ -108,6 +109,18 @@ class TestAnalyticModel:
         m = link_metrics(cfg, _op())
         data_frames = cfg.frame_rate * (1.0 - cfg.monitor_fraction)
         assert 0.0 < m.sifted_rate <= data_frames
+
+    def test_a_lifetime_exponent_past_the_float_range_is_rejected(self):
+        # 2e6 K puts the Arrhenius exponent at 1339 at -110 C, past the
+        # 709.8 where exp() overflows.
+        trap = TrapModel(mean_traps_per_avalanche=1.0, efficiency_exponent=0.0,
+                         efficiency_ref=0.115,
+                         release_components=((1.0, 1e-6, 2e6),),
+                         reference_temperature=183.15)
+        det = make_detector(-110.0, 0.115, 20e-6, trap_model=trap)
+        op = QkdOperatingPoint(data_detector=det, monitor_detector=det)
+        with pytest.raises(ParameterError, match="component 0"):
+            link_metrics(LinkConfig(channel_loss_db=30.0), op)
 
     def test_skr_costs_reduce_the_rate(self):
         lean = LinkConfig(channel_loss_db=10.0, ec_inefficiency=1.0,
