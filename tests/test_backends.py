@@ -4,8 +4,7 @@ Every call site feeds the kernels the buffered uniform sources of
 ``RandomStream.uniforms``.  Fed the raw generators of
 ``RandomStream.generators`` instead, read one scalar draw at a time, the
 kernels must give equal outputs and leave every substream in the same
-state.  Recorded outputs pin each
-kernel and the branches it takes.
+state.  Recorded outputs pin each kernel and the branches it takes.
 """
 
 import dataclasses
