@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -79,9 +79,8 @@ class CharacterizationCounts:
     f: float
     mu: float
     deadtime: float            # identifies the structural-zero bins
-    live_time: float
+    live_time: float           # also the dark pass's duration
     dark_counts: int
-    dark_live_time: float
 
     def __post_init__(self):
         if self.c_d < 0 or self.c_lp < 0 or self.dark_counts < 0:
@@ -107,16 +106,15 @@ class CharacterizationCounts:
 
     @property
     def r_dc_error(self) -> float:
-        if self.dark_live_time <= 0.0:
+        if self.live_time <= 0.0:
             return 0.0
-        return math.sqrt(self.dark_counts) / self.dark_live_time
+        return math.sqrt(self.dark_counts) / self.live_time
 
 
 @dataclass(frozen=True)
 class JitterHistogram:
     bin_width: float
     counts: np.ndarray
-    normalization: int = field(default=0)
 
     def __post_init__(self):
         if self.bin_width <= 0.0:
@@ -125,7 +123,6 @@ class JitterHistogram:
         if np.any(counts < 0):
             raise ParameterError("histogram counts must be >= 0")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "normalization", int(counts.sum()))
 
 
 @dataclass(frozen=True)
@@ -133,8 +130,8 @@ class CharacterizationResult:
     efficiency: Estimate
     dark_rate: Estimate
     afterpulse_total: Estimate
-    histogram_density: np.ndarray   # per-nanosecond probability density
     efficiency_systematic: float    # multiplicative band from the source mu
+    counts: CharacterizationCounts
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency.value <= 1.0:
@@ -142,9 +139,16 @@ class CharacterizationResult:
         for est in (self.efficiency, self.dark_rate, self.afterpulse_total):
             if est.error < 0.0:
                 raise ParameterError("standard errors must be >= 0")
-        if self.afterpulse_total.value < -self.afterpulse_total.error:
-            raise ParameterError("afterpulse estimate negative beyond its "
-                                 "standard error")
+
+
+def _check_deadtime(cfg: ProtocolConfig, deadtime: float) -> None:
+    """Reject a hold-off outside the protocol's operating regime."""
+    deadtime_ps = seconds_to_ps(deadtime)
+    if seconds_to_ps(cfg.histogram_span) < deadtime_ps:
+        raise ParameterError("histogram_span must cover the deadtime")
+    if deadtime_ps < seconds_to_ps(cfg.bin_width):
+        raise ParameterError("deadtime below one clock bin is outside the "
+                             "protocol's operating regime")
 
 
 def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
@@ -154,13 +158,8 @@ def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
     The laser pass and the laser-disabled pass use independent child random
     streams of the given seed, so togging one never perturbs the other.
     """
+    _check_deadtime(cfg, detector.deadtime)
     bin_ps = seconds_to_ps(cfg.bin_width)
-    deadtime_ps = seconds_to_ps(detector.deadtime)
-    if seconds_to_ps(cfg.histogram_span) < deadtime_ps:
-        raise ParameterError("histogram_span must cover the deadtime")
-    if deadtime_ps < bin_ps:
-        raise ParameterError("deadtime below one clock bin is outside the "
-                             "protocol's operating regime")
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     det = _kernel_args(detector)
     p_click = -math.expm1(-cfg.laser_mu * detector.efficiency)
@@ -187,8 +186,7 @@ def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
         c_d=int(c_d), c_lp=int(c_lp), r_dc=r_dc,
         histogram=np.asarray(hist, dtype=np.int64),
         f=cfg.fpga_clock, mu=cfg.laser_mu, deadtime=detector.deadtime,
-        live_time=live_time, dark_counts=dark_counts,
-        dark_live_time=live_time)
+        live_time=live_time, dark_counts=dark_counts)
 
 
 def efficiency_estimate(counts: CharacterizationCounts) -> Estimate:
@@ -252,15 +250,15 @@ def histogram_density(counts: CharacterizationCounts) -> np.ndarray:
 
 def characterize_point(detector: DetectorParams, cfg: ProtocolConfig,
                        seed) -> CharacterizationResult:
-    """Protocol run + estimators bundled into one result object."""
+    """Protocol run + estimators bundled into one result with its counts."""
     counts = run_protocol(detector, cfg, seed)
     eta = efficiency_estimate(counts)
     return CharacterizationResult(
         efficiency=eta,
         dark_rate=dark_rate_estimate(counts),
         afterpulse_total=afterpulse_total(counts),
-        histogram_density=histogram_density(counts),
-        efficiency_systematic=eta.value * cfg.mu_systematic)
+        efficiency_systematic=eta.value * cfg.mu_systematic,
+        counts=counts)
 
 
 def measure_jitter_histogram(detector: DetectorParams, draws: int, seed,

@@ -21,14 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration
-from .characterize import (ProtocolConfig, afterpulse_total,
-                           dark_rate_estimate, efficiency_estimate,
-                           figure_of_merit, measure_jitter_histogram,
-                           run_protocol, tcspc_widths)
+from .characterize import (ProtocolConfig, _check_deadtime,
+                           characterize_point, figure_of_merit,
+                           measure_jitter_histogram, tcspc_widths)
 from .config import RunConfig, parse_config
 from .engine import RandomStream
 from .errors import (ConfigError, EstimatorDomainError, ExtrapolationError,
-                     NoSignalError, ParameterError)
+                     NoSignalError, OpenSupportError, ParameterError)
 from .optimize import GridPoint, SearchSpace, optimize
 from .params import DarkRateModel, DetectorParams, TrapModel
 from .qkd import (LinkConfig, QkdOperatingPoint, link_metrics,
@@ -70,10 +69,6 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(text + "\n", encoding="utf-8", newline="")
 
 
-def _point_tag(temp_c: float, eta: float) -> str:
-    return f"T{temp_c:g}_eta{eta:g}"
-
-
 # ---------------------------------------------------------------- characterize
 
 def _prep_characterize(cfg: RunConfig):
@@ -93,6 +88,7 @@ def _prep_characterize(cfg: RunConfig):
     for t in c.temperatures_c:
         for eta in c.efficiencies:
             det = calibration.make_detector(t, eta, c.deadtime_us / 1e6)
+            _check_deadtime(pcfg, det.deadtime)
             # Probe the jitter table now: width extraction must not die
             # halfway through a sweep.
             det.jitter_model.fwhm_at(eta)
@@ -115,44 +111,42 @@ def cmd_characterize(cfg: RunConfig, seed: int, outdir: Path) -> int:
     pcfg, points = _prep_characterize(cfg)
 
     outdir.mkdir(parents=True, exist_ok=True)
-    summary_rows = []
-    dcr_rows = []
-    ap_rows = []
+    rows = []
     for index, (temp_c, eta, det) in enumerate(points):
         base = RandomStream(seed).child(index)
-        counts = run_protocol(det, pcfg, base)
-        eta_est = efficiency_estimate(counts)
-        dcr = dark_rate_estimate(counts)
-        p_ap = afterpulse_total(counts)
+        point = characterize_point(det, pcfg, base)
         hist = measure_jitter_histogram(det, c.jitter_draws, base.child(2),
                                         bin_width=c.jitter_bin_ps * 1e-12)
         fwhm = tcspc_widths(hist, 0.5)
         w1pct = tcspc_widths(hist, 0.01)
-        fom = figure_of_merit(eta_est.value, dcr.value, fwhm) \
-            if dcr.value > 0.0 else None
+        dcr = point.dark_rate.value
+        fom = figure_of_merit(point.efficiency.value, dcr, fwhm) \
+            if dcr > 0.0 else None
 
-        tag = _point_tag(temp_c, eta)
+        tag = f"T{temp_c:g}_eta{eta:g}"
         _write_csv(outdir / f"afterpulse_hist_{tag}.csv",
                    ("bin_start_s", "count"),
-                   _histogram_rows(counts.bin_width, counts.histogram))
+                   _histogram_rows(point.counts.bin_width,
+                                   point.counts.histogram))
         _write_csv(outdir / f"jitter_{tag}.csv",
                    ("bin_start_s", "count"),
                    _histogram_rows(hist.bin_width, hist.counts))
 
-        dcr_rows.append((temp_c, eta, dcr.value, dcr.error))
-        ap_rows.append((temp_c, eta, p_ap.value, p_ap.error))
-        summary_rows.append((temp_c, eta, eta_est.value, eta_est.error,
-                             dcr.value, dcr.error, p_ap.value, p_ap.error,
-                             fwhm * 1e12, w1pct * 1e12, fom))
+        # The estimates.csv columns, then the efficiency systematic.
+        rows.append((temp_c, eta, *point.efficiency, *point.dark_rate,
+                     *point.afterpulse_total, fwhm * 1e12, w1pct * 1e12, fom,
+                     point.efficiency_systematic))
 
     _write_csv(outdir / "dcr_vs_eff.csv",
-               ("temp_C", "eta_set", "dcr_cps", "dcr_err_cps"), dcr_rows)
+               ("temp_C", "eta_set", "dcr_cps", "dcr_err_cps"),
+               ((r[0], r[1], r[4], r[5]) for r in rows))
     _write_csv(outdir / "afterpulse_vs_eff.csv",
-               ("temp_C", "eta_set", "p_ap", "p_ap_err"), ap_rows)
+               ("temp_C", "eta_set", "p_ap", "p_ap_err"),
+               ((r[0], r[1], r[6], r[7]) for r in rows))
     _write_csv(outdir / "estimates.csv",
                ("temp_C", "eta_set", "eta_est", "eta_err", "dcr_cps",
                 "dcr_err_cps", "p_ap", "p_ap_err", "fwhm_ps", "w1pct_ps",
-                "H"), summary_rows)
+                "H"), (r[:11] for r in rows))
     _write_json(outdir / "summary.json", {
         "seed": seed,
         "protocol": {
@@ -166,12 +160,12 @@ def cmd_characterize(cfg: RunConfig, seed: int, outdir: Path) -> int:
         "points": [
             {"temp_c": row[0], "eta_set": row[1],
              "efficiency": {"value": row[2], "error": row[3],
-                            "systematic": row[2] * pcfg.mu_systematic},
+                            "systematic": row[11]},
              "dark_rate_cps": {"value": row[4], "error": row[5]},
              "afterpulse_total": {"value": row[6], "error": row[7]},
              "fwhm_ps": row[8], "width_1pct_ps": row[9],
              "figure_of_merit": row[10]}
-            for row in summary_rows
+            for row in rows
         ],
     })
     (outdir / "parameters.txt").write_text(
@@ -388,13 +382,13 @@ def _selftest_checks(seed: int):
     # Closed-loop efficiency and afterpulse estimates on the calibrated
     # reference point.
     ref = calibration.make_detector(-110.0, 0.115, 20e-6)
-    counts = run_protocol(ref, ProtocolConfig(pulses_requested=200_000),
-                          RandomStream(seed).child(1))
-    eta = efficiency_estimate(counts)
+    point = characterize_point(ref, ProtocolConfig(pulses_requested=200_000),
+                               RandomStream(seed).child(1))
+    eta = point.efficiency
     dev = abs(eta.value - 0.115) / eta.error
     yield ("efficiency-closed-loop", dev < 3.5,
            f"estimate {eta.value:.4f} is {dev:.2f} sigma from truth")
-    pap = afterpulse_total(counts)
+    pap = point.afterpulse_total
     dev = abs(pap.value - 0.022) / pap.error
     yield ("afterpulse-closed-loop", dev < 3.5,
            f"estimate {pap.value:.4f} is {dev:.2f} sigma from 0.022")
@@ -469,6 +463,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config) if args.config else RunConfig()
         seed = cfg.run.seed if args.seed is None else args.seed
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         outdir = Path(cfg.run.out if args.out is None else args.out)
         if args.command == "selftest":
             _validate_config(cfg)
@@ -489,7 +485,7 @@ def main(argv=None) -> int:
         # Grid construction may still surface a physical-domain violation.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, EstimatorDomainError, NoSignalError,
+    except (OSError, EstimatorDomainError, NoSignalError, OpenSupportError,
             RuntimeError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,7 @@ import numpy as np
 
 from . import _kernels
 from .engine import (EVENT_BACKGROUND, EVENT_DARK, EVENT_PULSE, EVENT_RELEASE,
-                     EventQueue, RandomStream, exponential_gap_seconds,
-                     seconds_to_ps, timeline_to_ps)
+                     EventQueue, RandomStream, seconds_to_ps, timeline_to_ps)
 from .errors import ParameterError
 from .params import (ClickStream, DetectorParams, OpticalTimeline,
                      ORIGIN_AFTERPULSE, ORIGIN_DARK, ORIGIN_PHOTON, PS_PER_S)
@@ -175,8 +174,7 @@ def simulate_reference(params: DetectorParams, timeline: OpticalTimeline,
 
     def gap_ps(generator, rate: float) -> int:
         # Truncate like the kernels do; round() would disagree by 1 ps.
-        return int(exponential_gap_seconds(generator.random(), rate)
-                   * PS_PER_S)
+        return int(-math.log(1.0 - generator.random()) / rate * PS_PER_S)
 
     queue = EventQueue()
     for t, p in zip(pulse_times_ps, pulse_p):

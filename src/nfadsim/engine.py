@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import heapq
 import itertools
-import math
 import operator
 from typing import Any, Iterable, Iterator
 
@@ -182,9 +181,6 @@ class EventQueue:
     def peek_time(self) -> int:
         return self._heap[0][0]
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def __bool__(self) -> bool:
         return bool(self._heap)
 
@@ -226,8 +222,3 @@ def timeline_to_ps(timeline: OpticalTimeline, efficiency: float
     times_ps = np.round(timeline.times * PS_PER_S).astype(np.int64)
     p_click = -np.expm1(-timeline.mean_photon_numbers * efficiency)
     return times_ps, p_click.astype(np.float64)
-
-
-def exponential_gap_seconds(u: float, rate: float) -> float:
-    """Inverse-CDF exponential gap used by the reference simulator."""
-    return -math.log(1.0 - u) / rate

@@ -43,10 +43,6 @@ def _require(cond: bool, message: str) -> None:
         raise ParameterError(message)
 
 
-def _finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
 @dataclass(frozen=True)
 class DarkRateModel:
     """Dark count rate versus temperature and efficiency.
@@ -83,7 +79,8 @@ class DarkRateModel:
         for name in ("amplitude_thermal", "activation_temperature", "floor",
                      "efficiency_exponent", "efficiency_ref"):
             value = getattr(self, name)
-            _require(_finite(value), f"dark model {name} must be finite")
+            _require(math.isfinite(value),
+                     f"dark model {name} must be finite")
             _require(value >= 0.0, f"dark model {name} must be >= 0")
         _require(self.efficiency_ref > 0.0, "dark model efficiency_ref must be > 0")
 
@@ -135,7 +132,7 @@ class TrapModel:
     reference_temperature: float
 
     def __post_init__(self) -> None:
-        _require(_finite(self.mean_traps_per_avalanche)
+        _require(math.isfinite(self.mean_traps_per_avalanche)
                  and self.mean_traps_per_avalanche >= 0.0,
                  "mean_traps_per_avalanche must be finite and >= 0")
         _require(self.efficiency_ref > 0.0, "trap efficiency_ref must be > 0")
@@ -148,7 +145,7 @@ class TrapModel:
         total = 0.0
         for weight, tau_ref, activation in self.release_components:
             _require(0.0 <= weight <= 1.0, "component weight must lie in [0, 1]")
-            _require(_finite(tau_ref) and tau_ref > 0.0,
+            _require(math.isfinite(tau_ref) and tau_ref > 0.0,
                      "component lifetime must be positive and finite")
             _require(activation > 0.0,
                      "component activation temperature must be positive "
@@ -268,12 +265,13 @@ class JitterModel:
         for eff, fwhm in self.fwhm_table:
             _require(0.0 <= eff <= 1.0, "table efficiency must lie in [0, 1]")
             _require(eff > last_eff, "fwhm_table efficiencies must increase")
-            _require(fwhm > 0.0 and _finite(fwhm), "table FWHM must be > 0")
+            _require(fwhm > 0.0 and math.isfinite(fwhm),
+                     "table FWHM must be > 0")
             last_eff = eff
         _require(0.0 <= self.tail_fraction < 1.0,
                  "tail_fraction must lie in [0, 1)")
         _require(self.tail_scale_factor > 0.0, "tail_scale_factor must be > 0")
-        _require(self.latency >= 0.0 and _finite(self.latency),
+        _require(self.latency >= 0.0 and math.isfinite(self.latency),
                  "latency must be finite and >= 0")
         # Fails fast if the tail would swamp the Gaussian peak.
         _mixture_unit_width(self.tail_fraction, self.tail_scale_factor, 0.5)
@@ -285,8 +283,6 @@ class JitterModel:
             raise ExtrapolationError(
                 f"efficiency {efficiency} outside jitter table range "
                 f"[{table[0][0]}, {table[-1][0]}]")
-        if len(table) == 1:
-            return table[0][1]
         effs = [p[0] for p in table]
         fwhms = [p[1] for p in table]
         return float(np.interp(efficiency, effs, fwhms))
@@ -335,7 +331,7 @@ class DetectorParams:
                  f"[{TEMPERATURE_MIN_K}, {TEMPERATURE_MAX_K}] K")
         _require(0.0 <= self.efficiency <= EFFICIENCY_MAX,
                  f"efficiency {self.efficiency} outside [0, {EFFICIENCY_MAX}]")
-        _require(self.deadtime > 0.0 and _finite(self.deadtime),
+        _require(self.deadtime > 0.0 and math.isfinite(self.deadtime),
                  "deadtime must be positive and finite")
 
 

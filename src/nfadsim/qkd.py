@@ -169,13 +169,18 @@ def _data_budget(cfg: LinkConfig, op: QkdOperatingPoint):
 
 
 def _monitor_budget(cfg: LinkConfig, op: QkdOperatingPoint):
+    """The Monitor's arms at the two interference extremes (+, then -), each
+    as (per-frame signal candidate probability, closed-form detected rate,
+    armed fraction), and its dark rate."""
     det = op.monitor_detector
     v0 = cfg.interferometer_visibility_intrinsic
     a = cfg.mu * cfg.transmittance * det.efficiency
     scale = cfg.monitor_duty * cfg.monitor_fraction
-    p_plus = scale * -math.expm1(-a * (1.0 + v0))
-    p_minus = scale * -math.expm1(-a * (1.0 - v0))
-    return p_plus, p_minus, dark_rate(det)
+    r_dark = dark_rate(det)
+    p_arms = (scale * -math.expm1(-a * (1.0 + v0)),
+              scale * -math.expm1(-a * (1.0 - v0)))
+    return [(p, *_arm_rates(det, cfg.frame_rate * p + r_dark))
+            for p in p_arms], r_dark
 
 
 def _arm_rates(det: DetectorParams, candidate_rate: float):
@@ -196,13 +201,26 @@ def _vis_factor(cfg: LinkConfig, vis_raw: float) -> float:
     return vis_raw / v0 if v0 > 0.0 else 0.0
 
 
-def _skr(cfg: LinkConfig, sifted: float, qber: float,
-         vis_raw: float) -> float:
+def _link_result(cfg: LinkConfig, sifted: float, qber: float,
+                 monitor) -> LinkMetrics:
+    """Both modes' metrics from the Data sifted rate and QBER and, per
+    Monitor arm (+, then -), its clicks and the detected dark baseline."""
+    (n_plus, dark_plus), (n_minus, dark_minus) = monitor
+    if n_plus + n_minus > 0:
+        vis_raw = max(0.0, (n_plus - n_minus) / (n_plus + n_minus))
+        den = (n_plus - dark_plus) + (n_minus - dark_minus)
+        vis_ds = ((n_plus - dark_plus) - (n_minus - dark_minus)) / den \
+            if den > 0.0 else vis_raw
+        vis_ds = min(1.0, max(vis_raw, vis_ds))
+    else:
+        vis_raw = vis_ds = 0.0
     # The key rate factors into a Data half and a Monitor half; the
     # optimizer relies on this split (and on this association order) to
     # take the product over detector pairs without re-evaluating them.
     secret = _key_factor(cfg, sifted, qber) * _vis_factor(cfg, vis_raw)
-    return max(0.0, secret - cfg.auth_rate_cost)
+    return LinkMetrics(sifted_rate=sifted, qber=qber, visibility_raw=vis_raw,
+                       visibility_dark_subtracted=vis_ds,
+                       skr=max(0.0, secret - cfg.auth_rate_cost))
 
 
 def link_metrics(cfg: LinkConfig, op: QkdOperatingPoint) -> LinkMetrics:
@@ -233,28 +251,10 @@ def link_metrics(cfg: LinkConfig, op: QkdOperatingPoint) -> LinkMetrics:
     else:
         qber = 0.5
 
-    mon = op.monitor_detector
-    p_plus, p_minus, r_dark_m = _monitor_budget(cfg, op)
-    arms = []
-    for p_frame in (p_plus, p_minus):
-        c_arm, armed_arm = _arm_rates(mon, f_b * p_frame + r_dark_m)
-        arms.append((c_arm, r_dark_m * armed_arm))
-    (c_plus, dark_plus), (c_minus, dark_minus) = arms
-    if c_plus + c_minus > 0.0:
-        vis_raw = max(0.0, (c_plus - c_minus) / (c_plus + c_minus))
-        den = (c_plus - dark_plus) + (c_minus - dark_minus)
-        if den > 0.0:
-            vis_ds = ((c_plus - dark_plus) - (c_minus - dark_minus)) / den
-            vis_ds = min(1.0, max(vis_raw, vis_ds))
-        else:
-            vis_ds = vis_raw
-    else:
-        vis_raw = 0.0
-        vis_ds = 0.0
-
-    return LinkMetrics(sifted_rate=clicks, qber=qber, visibility_raw=vis_raw,
-                       visibility_dark_subtracted=vis_ds,
-                       skr=_skr(cfg, clicks, qber, vis_raw))
+    arms, r_dark_m = _monitor_budget(cfg, op)
+    return _link_result(cfg, clicks, qber,
+                        [(c_arm, r_dark_m * armed_arm)
+                         for _, c_arm, armed_arm in arms])
 
 
 def simulate_session(cfg: LinkConfig, op: QkdOperatingPoint, frames: int,
@@ -288,34 +288,13 @@ def simulate_session(cfg: LinkConfig, op: QkdOperatingPoint, frames: int,
     qber = min(0.5, n_errors / n_sifted)
 
     det_m = _kernel_args(op.monitor_detector)
-    p_plus, p_minus, r_dark_m = _monitor_budget(cfg, op)
-
-    def monitor_pass(child: int, p_frame: float) -> int:
+    arms, r_dark_m = _monitor_budget(cfg, op)
+    totals = []
+    for child, (p_frame, _, armed) in enumerate(arms, 1):
         with stream.child(child).uniforms(
                 ("darks", "photons", "traps", "jitter")) as gens:
-            return _kernels.qkd_monitor(frames, frame_ps, slot_ps, p_frame,
-                                        det_m, gens)
-
-    n_plus = monitor_pass(1, p_plus)
-    n_minus = monitor_pass(2, p_minus)
-    total = n_plus + n_minus
-    if total > 0:
-        vis_raw = max(0.0, (n_plus - n_minus) / total)
-        # Subtract the model-expected detected dark counts from each arm.
-        f_b = cfg.frame_rate
-        dark_detected = []
-        for p_frame in (p_plus, p_minus):
-            _, armed_arm = _arm_rates(op.monitor_detector,
-                                      f_b * p_frame + r_dark_m)
-            dark_detected.append(duration * r_dark_m * armed_arm)
-        num = (n_plus - dark_detected[0]) - (n_minus - dark_detected[1])
-        den = (n_plus - dark_detected[0]) + (n_minus - dark_detected[1])
-        vis_ds = num / den if den > 0.0 else vis_raw
-        vis_ds = min(1.0, max(vis_raw, vis_ds))
-    else:
-        vis_raw = 0.0
-        vis_ds = 0.0
-
-    return LinkMetrics(sifted_rate=sifted, qber=qber, visibility_raw=vis_raw,
-                       visibility_dark_subtracted=vis_ds,
-                       skr=_skr(cfg, sifted, qber, vis_raw))
+            n_arm = _kernels.qkd_monitor(frames, frame_ps, slot_ps, p_frame,
+                                         det_m, gens)
+        # The model-expected detected dark counts in this arm.
+        totals.append((n_arm, duration * r_dark_m * armed))
+    return _link_result(cfg, sifted, qber, totals)

@@ -401,6 +401,43 @@ class TestExitCodes:
         assert err.startswith("error: ") and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_a_negative_seed_exits_1_without_output(self, tmp_path, capsys,
+                                                    where):
+        out = tmp_path / "out"
+        argv = ["characterize", "--out", str(out)]
+        argv += ["--seed", "-1"] if where == "flag" else \
+            ["--config", _cfg(tmp_path, "[run]\nseed = -1\n")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("deadtime_us", ["0.01", "160"])
+    def test_a_deadtime_outside_the_protocol_exits_1_without_output(
+            self, tmp_path, capsys, deadtime_us):
+        # Below one 20 ns clock bin, or longer than the 150 us span.
+        cfg = _cfg(tmp_path, f"[characterize]\ndeadtime_us = {deadtime_us}\n")
+        out = tmp_path / "out"
+        assert cli.main(["characterize", "--config", cfg, "--out",
+                         str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "deadtime" in err
+        assert not out.exists()
+
+    def test_a_jitter_bin_wider_than_the_spread_exits_2(self, tmp_path,
+                                                        capsys):
+        # Every delay lands in the first bin, so the histogram never falls
+        # below half its peak on the left.
+        cfg = _cfg(tmp_path, "[characterize]\npulses = 2000\n"
+                             "jitter_draws = 1000\njitter_bin_ps = 1e9\n")
+        assert cli.main(["characterize", "--config", cfg, "--out",
+                         str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and "level" in err
+        assert len(err.splitlines()) == 1
+
     def test_grid_dump_without_optimizer_exits_1_without_output(
             self, tmp_path, capsys):
         cfg = _cfg(tmp_path, QKD_FIXED_INI)
