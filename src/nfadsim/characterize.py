@@ -10,6 +10,7 @@ estimators with first-order error propagation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -144,8 +145,8 @@ class CharacterizationResult:
 def _check_deadtime(cfg: ProtocolConfig, deadtime: float) -> None:
     """Reject a hold-off outside the protocol's operating regime."""
     deadtime_ps = seconds_to_ps(deadtime)
-    if seconds_to_ps(cfg.histogram_span) < deadtime_ps:
-        raise ParameterError("histogram_span must cover the deadtime")
+    if seconds_to_ps(min(cfg.histogram_span, cfg.quiet_window)) < deadtime_ps:
+        raise ParameterError("deadtime exceeds histogram_span or quiet_window")
     if deadtime_ps < seconds_to_ps(cfg.bin_width):
         raise ParameterError("deadtime below one clock bin is outside the "
                              "protocol's operating regime")
@@ -261,20 +262,63 @@ def characterize_point(detector: DetectorParams, cfg: ProtocolConfig,
         counts=counts)
 
 
+_JITTER_CHUNK = 65_536
+
+
+def _split_bins(v: np.ndarray, bin_width: float, minlength: int):
+    """(Counts per bin of the values numpy's edges cannot move, the rest)."""
+    q = v / bin_width
+    near = ((abs(np.rint(q) - q) < 1e-6) | (q > 1e9)) & (v > 0.0)
+    return np.bincount(q[~near].astype(np.intp), minlength=minlength), v[near]
+
+
+def _exact_histogram(chunks, bin_width: float) -> np.ndarray:
+    """np.histogram(v, bins=n, range=(0, n * bin_width)) of the nonnegative
+    chunks' concatenation v, with n = ceil(max(v) / bin_width) + 1."""
+    counts, aside, top = np.zeros(0, dtype=np.intp), [], 0.0
+    for v in chunks:
+        top = v.max(initial=top)
+        binned, near = _split_bins(v, bin_width, len(counts))
+        binned[:len(counts)] += counts
+        counts = binned
+        aside.append(near)
+    n = int(np.ceil(top / bin_width)) + 1
+    hist = np.histogram(np.concatenate(aside), n, (0.0, n * bin_width))[0]
+    hist[:len(counts)] += counts
+    return hist
+
+
 def measure_jitter_histogram(detector: DetectorParams, draws: int, seed,
                              bin_width: float = 2e-12) -> JitterHistogram:
-    """Histogram of response delays, emulating a TCSPC acquisition."""
+    """Histogram of response delays, emulating a TCSPC acquisition.
+
+    The counts and generator end state of np.histogram of all delays at once
+    (n = ceil(max / bin_width) + 1 bins on [0, n * bin_width)), drawn (all
+    tail decisions, kept whole, then normals, then tail exponentials) and
+    binned in _JITTER_CHUNK steps.  numpy's edges fl(i * s), s = fl(fl(n *
+    bin_width) / n), lie within about 4 * 2**-53 * i bins of i * bin_width,
+    so 0.0 and every delay with q = delay / bin_width below 1e9 and over 1e-6
+    from an integer are in bin floor(q); np.histogram bins the others.
+    """
     if draws < 1:
         raise ParameterError("draws must be >= 1")
     if bin_width <= 0.0:
         raise ParameterError("bin_width must be > 0")
-    from .detector import sample_jitter
+    jm = detector.jitter_model
+    sigma = jm.core_sigma_at(detector.efficiency)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
-    delays = sample_jitter(detector, draws, stream.generator("jitter"))
-    edges_n = int(np.ceil(delays.max() / bin_width)) + 1
-    hist, _ = np.histogram(delays, bins=edges_n,
-                           range=(0.0, edges_n * bin_width))
-    return JitterHistogram(bin_width=bin_width, counts=hist)
+    gen = stream.generator("jitter")
+    tail = np.empty(draws, dtype=bool)
+    spans = [tail[i:i + _JITTER_CHUNK] for i in range(0, draws, _JITTER_CHUNK)]
+    for span in spans:
+        np.less(gen.random(len(span)), jm.tail_fraction, out=span)
+    units = itertools.chain(
+        (gen.standard_normal(len(span))[~span] for span in spans),
+        (gen.exponential(jm.tail_scale_factor, span.sum()) for span in spans))
+    delays = (np.maximum(0.0, np.add(np.multiply(x, sigma, out=x),
+                                     jm.latency, out=x), out=x) for x in units)
+    return JitterHistogram(bin_width=bin_width,
+                           counts=_exact_histogram(delays, bin_width))
 
 
 def tcspc_widths(hist: JitterHistogram, level: float) -> float:

@@ -96,14 +96,16 @@ def _prep_characterize(cfg: RunConfig):
     return pcfg, points
 
 
-def _histogram_rows(bin_width: float, counts: np.ndarray):
+def _histogram_rows(bin_width: float, counts: np.ndarray, starts=None):
     """The (bin start in s, count) lines as one preformatted cell, the text
     ``_fmt_cell`` would give the float start and the integer count; none
-    without bins.  A generator, so the writer does the formatting."""
+    without bins.  A generator, so the writer does the formatting.  Calls
+    sharing ``starts`` share the bin-start texts, keyed by bin width."""
     if len(counts):
         bw = float(bin_width)
-        yield ("\n".join([f"{i * bw!r},{n}"
-                          for i, n in enumerate(counts.tolist())]),)
+        col = (starts if starts is not None else {}).setdefault(bw, [])
+        col.extend(repr(i * bw) for i in range(len(col), len(counts)))
+        yield ("\n".join(map("{},{}".format, col, counts.tolist())),)
 
 
 def cmd_characterize(cfg: RunConfig, seed: int, outdir: Path) -> int:
@@ -111,7 +113,7 @@ def cmd_characterize(cfg: RunConfig, seed: int, outdir: Path) -> int:
     pcfg, points = _prep_characterize(cfg)
 
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    rows, starts = [], {}
     for index, (temp_c, eta, det) in enumerate(points):
         base = RandomStream(seed).child(index)
         point = characterize_point(det, pcfg, base)
@@ -127,10 +129,10 @@ def cmd_characterize(cfg: RunConfig, seed: int, outdir: Path) -> int:
         _write_csv(outdir / f"afterpulse_hist_{tag}.csv",
                    ("bin_start_s", "count"),
                    _histogram_rows(point.counts.bin_width,
-                                   point.counts.histogram))
+                                   point.counts.histogram, starts))
         _write_csv(outdir / f"jitter_{tag}.csv",
                    ("bin_start_s", "count"),
-                   _histogram_rows(hist.bin_width, hist.counts))
+                   _histogram_rows(hist.bin_width, hist.counts, starts))
 
         # The estimates.csv columns, then the efficiency systematic.
         rows.append((temp_c, eta, *point.efficiency, *point.dark_rate,

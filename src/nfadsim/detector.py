@@ -258,19 +258,3 @@ def simulate_reference(params: DetectorParams, timeline: OpticalTimeline,
     return ClickStream(np.asarray(out_times, dtype=np.float64) / PS_PER_S,
                        np.asarray(out_origins, dtype=np.uint8))
 
-
-def sample_jitter(params: DetectorParams, n: int, generator) -> np.ndarray:
-    """Draw n response delays (seconds) from the timing-jitter mixture.
-
-    Distribution-level utility for histogram tests; not draw-compatible with
-    the simulation kernels.
-    """
-    jm = params.jitter_model
-    sigma = jm.core_sigma_at(params.efficiency)
-    tail = generator.random(n) < jm.tail_fraction
-    x = generator.standard_normal(n)
-    x[tail] = generator.exponential(jm.tail_scale_factor, tail.sum())
-    # In place, the IEEE operations of np.maximum(0.0, latency + x * sigma).
-    x *= sigma
-    x += jm.latency
-    return np.maximum(0.0, x, out=x)

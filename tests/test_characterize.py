@@ -1,15 +1,19 @@
 """Quiet-window protocol estimators: frozen oracles and closed loops."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nfadsim.calibration import make_detector
 from nfadsim.characterize import (CharacterizationCounts, JitterHistogram,
-                                  ProtocolConfig, afterpulse_total,
+                                  ProtocolConfig, _exact_histogram,
+                                  _split_bins, afterpulse_total,
                                   characterize_point, dark_rate_estimate,
                                   efficiency_estimate, figure_of_merit,
                                   histogram_density, measure_jitter_histogram,
@@ -203,14 +207,16 @@ class TestProtocolClosedLoop:
         assert len(histogram_density(result.counts)) == 7500
 
     def test_characterize_point_keeps_a_negative_afterpulse_estimate(self):
-        # Few afterpulses survive a 140 us hold-off, so on some seeds the
-        # estimate falls more than one standard error below zero; the
-        # command writes such estimates, and the bundle returns them too.
-        det = make_detector(-70.0, 0.20, 140e-6)
+        # Few afterpulses survive a 100 us hold-off, the longest the default
+        # quiet window allows, so on some seeds the estimate falls more
+        # than one standard error below zero; the command writes such
+        # estimates, and the bundle returns them too.
+        det = make_detector(-70.0, 0.20, 100e-6)
         result = characterize_point(det, ProtocolConfig(
-            pulses_requested=20_000), RandomStream(2))
-        assert result.afterpulse_total == (-0.0030373537476011004,
-                                           0.0021413802776644154)
+            pulses_requested=20_000), RandomStream(6))
+        assert result.efficiency.value == pytest.approx(0.20, abs=0.002)
+        assert result.afterpulse_total == (-0.008747818170398665,
+                                           0.0036183151936906768)
         assert result.afterpulse_total == afterpulse_total(result.counts)
 
 
@@ -247,6 +253,13 @@ class TestProtocolValidation:
         with pytest.raises(ParameterError):
             run_protocol(det, ProtocolConfig(), RandomStream(1))
 
+    def test_deadtime_beyond_the_quiet_window_rejected(self):
+        # The pulse after the quiet window would meet a held-off detector:
+        # at 101 us the efficiency read 0.145 of 0.20.
+        det = make_detector(-70.0, 0.20, 101e-6)
+        with pytest.raises(ParameterError, match="deadtime"):
+            run_protocol(det, ProtocolConfig(), RandomStream(1))
+
     def test_deadtime_below_clock_bin_rejected(self):
         det = make_detector(-90.0, 0.115, 10e-9)
         with pytest.raises(ParameterError):
@@ -273,17 +286,19 @@ class TestJitterWidths:
             assert measured == pytest.approx(
                 jm.predicted_width(0.16, level), rel=0.05)
 
-    def test_histogram_peak_memory_holds_one_array_of_delays(self):
-        # A million float64 delays are 8 MB; the draws and temporaries
-        # before the in-place build came to about 32 MB.
+    def test_histogram_peak_memory_is_bounded_by_the_chunk(self):
+        # Drawing 4e6 delays whole and binning them with np.histogram
+        # traced 39 MB; in chunks, the one bool per draw of tail decisions
+        # (4 MB) and one chunk's temporaries remain.
         det = make_detector(-110.0, 0.16, 20e-6)
+        measure_jitter_histogram(det, 10, RandomStream(7))   # lazy imports
         tracemalloc.start()
         try:
-            measure_jitter_histogram(det, 1_000_000, RandomStream(7))
+            measure_jitter_histogram(det, 4_000_000, RandomStream(7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12_000_000
+        assert peak < 8_000_000
 
     def test_too_few_draws_rejected(self):
         det = make_detector(-110.0, 0.16, 20e-6)
@@ -305,6 +320,114 @@ class TestJitterWidths:
             tcspc_widths(hist, 0.0)
         with pytest.raises(ParameterError):
             tcspc_widths(hist, 1.0)
+
+
+def _jitter_expression(params, n, generator):
+    """The delays drawn whole, with every temporary kept: the byte oracle."""
+    jm = params.jitter_model
+    sigma = jm.core_sigma_at(params.efficiency)
+    u = generator.random(n)
+    tail = u < jm.tail_fraction
+    x = generator.standard_normal(n)
+    x[tail] = generator.exponential(jm.tail_scale_factor, tail.sum())
+    return np.maximum(0.0, jm.latency + x * sigma)
+
+
+def _numpy_histogram(delays, bin_width):
+    n = int(np.ceil(delays.max() / bin_width)) + 1
+    return np.histogram(delays, bins=n, range=(0.0, n * bin_width))[0]
+
+
+def _assert_oracle_bytes(det, draws, seed, bin_width=2e-12):
+    """The histogram, and the generator's end state, of the oracle."""
+    stream = RandomStream(seed)
+    got = measure_jitter_histogram(det, draws, stream, bin_width=bin_width)
+    want_gen = RandomStream(seed).generator("jitter")
+    delays = _jitter_expression(det, draws, want_gen)
+    want = _numpy_histogram(delays, bin_width)
+    assert got.counts.tobytes() == want.astype(np.int64).tobytes()
+    assert (stream.generator("jitter").bit_generator.state
+            == want_gen.bit_generator.state)
+    return delays
+
+
+# Bin counts whose np.histogram edges are not i * bin_width:
+# fl(fl(n * bin_width) / n) != bin_width.
+_MOVED_EDGES = {bw: [n for n in range(2, 4000) if n * bw / n != bw]
+                for bw in (2e-12, 5e-12)}
+
+
+@st.composite
+def _chunked_values(draw):
+    """(bin width, chunks): values on numpy's moved edges, one ulp either
+    side, anywhere, and zeros, in a random order and random chunks."""
+    bw = draw(st.sampled_from(sorted(_MOVED_EDGES)))
+    n = draw(st.sampled_from(_MOVED_EDGES[bw]))
+    edges = np.linspace(0.0, n * bw, n + 1)
+    on = edges[draw(st.lists(st.integers(0, n - 2), max_size=30))]
+    anywhere = draw(st.lists(st.floats(0.0, (n - 2) * bw), max_size=30))
+    values = np.concatenate([
+        on, np.nextafter(on, 0.0), np.nextafter(on, 1.0), anywhere,
+        np.zeros(draw(st.integers(0, 3))),
+        [(n - 1.5) * bw]])                  # sets n = ceil(max / bw) + 1
+    values = values[draw(st.permutations(range(len(values))))]
+    cuts = draw(st.lists(st.integers(0, len(values)), max_size=6))
+    return bw, np.split(values, sorted(cuts))
+
+
+class TestJitterSampling:
+    @pytest.mark.parametrize("latency", [None, 0.0, 20e-12])
+    def test_chunked_draws_keep_their_bytes(self, latency):
+        det = make_detector(-110.0, 0.16, 20e-6)
+        if latency is not None:     # near zero: many delays clamp to 0.0
+            det = dataclasses.replace(det, jitter_model=dataclasses.replace(
+                det.jitter_model, latency=latency))
+        delays = _assert_oracle_bytes(det, 100_000, 6)
+        if latency is not None:
+            assert np.count_nonzero(delays == 0.0) > 1000
+
+    @pytest.mark.parametrize("draws", [1, 65_535, 65_537, 1_000_000])
+    def test_draws_around_the_chunk_keep_their_bytes(self, draws):
+        _assert_oracle_bytes(make_detector(-110.0, 0.115, 20e-6), draws, 9)
+
+    def test_counts_sum_to_the_draws(self):
+        det = make_detector(-110.0, 0.16, 20e-6)
+        hist = measure_jitter_histogram(det, 1_000_000, RandomStream(3))
+        assert hist.counts.sum() == 1_000_000
+
+    def test_mode_sits_near_latency(self):
+        det = make_detector(-110.0, 0.16, 20e-6)
+        hist = measure_jitter_histogram(det, 500_000, RandomStream(4))
+        mode = (np.argmax(hist.counts) + 0.5) * hist.bin_width
+        assert abs(mode - det.jitter_model.latency) < 25e-12
+
+    def test_tail_is_one_sided(self):
+        # Below-mode mass comes from the Gaussian half alone:
+        # (1 - tail_fraction) / 2 of all draws.  The latency, 1 ns, is the
+        # start of bin 500.
+        det = make_detector(-110.0, 0.16, 20e-6)
+        jm = det.jitter_model
+        hist = measure_jitter_histogram(det, 1_000_000, RandomStream(5))
+        below = hist.counts[:round(jm.latency / hist.bin_width)].sum()
+        assert below / 1_000_000 == pytest.approx(
+            (1.0 - jm.tail_fraction) / 2.0, abs=0.003)
+
+    @given(_chunked_values())
+    @example((2e-12, [np.array([0.0])]))
+    @example((5e-12, [np.array([]), np.array([7.3e-12])]))
+    @settings(max_examples=300)
+    def test_chunks_bin_as_numpy_does(self, case):
+        bw, chunks = case
+        want = _numpy_histogram(np.concatenate(chunks), bw)
+        got = _exact_histogram(iter(chunks), bw)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_values_past_1e9_bins_go_to_numpy(self):
+        bw = 2e-12
+        v = np.array([(2.0 ** 33 + 0.5) * bw, 2.0 ** 53 * bw, 3.5 * bw])
+        binned, near = _split_bins(v, bw, 0)
+        assert binned.tolist() == [0, 0, 0, 1]
+        assert near.tolist() == v[:2].tolist()
 
 
 class TestFigureOfMerit:

@@ -414,10 +414,11 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("deadtime_us", ["0.01", "160"])
+    @pytest.mark.parametrize("deadtime_us", ["0.01", "101", "160"])
     def test_a_deadtime_outside_the_protocol_exits_1_without_output(
             self, tmp_path, capsys, deadtime_us):
-        # Below one 20 ns clock bin, or longer than the 150 us span.
+        # Below one 20 ns clock bin, longer than the 100 us quiet window, or
+        # longer than the 150 us span.
         cfg = _cfg(tmp_path, f"[characterize]\ndeadtime_us = {deadtime_us}\n")
         out = tmp_path / "out"
         assert cli.main(["characterize", "--config", cfg, "--out",
@@ -425,6 +426,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "deadtime" in err
         assert not out.exists()
+
+    def test_a_deadtime_equal_to_the_quiet_window_runs(self, tmp_path):
+        cfg = _cfg(tmp_path, "[characterize]\ntemperatures_c = -70\n"
+                             "efficiencies = 0.2\ndeadtime_us = 100\n"
+                             "pulses = 2000\njitter_draws = 100000\n")
+        out = tmp_path / "out"
+        assert cli.main(["characterize", "--config", cfg, "--out",
+                         str(out)]) == 0
+        assert (out / "estimates.csv").exists()
 
     def test_a_jitter_bin_wider_than_the_spread_exits_2(self, tmp_path,
                                                         capsys):
@@ -472,6 +482,17 @@ class TestCsvWriter:
         cli._write_csv(path, ("bin_start_s", "count"),
                        cli._histogram_rows(1e-9, np.zeros(0, np.int64)))
         assert path.read_bytes() == b"bin_start_s,count\n"
+
+    def test_histograms_sharing_bin_starts_keep_their_text(self):
+        # A shorter, a longer and a shorter histogram at one bin width, as
+        # the jitter points of one run are, and one at another width.
+        starts = {}
+        for bw, n in ((2e-12, 3), (2e-12, 7), (2e-9, 5), (2e-12, 4)):
+            counts = np.arange(n, dtype=np.int64) * 11
+            (shared,), = cli._histogram_rows(bw, counts, starts)
+            assert shared == "\n".join(f"{cli._fmt_cell(i * bw)},{c}"
+                                        for i, c in enumerate(counts))
+        assert sorted(len(col) for col in starts.values()) == [5, 7]
 
     def test_peak_memory_is_bounded_by_a_line(self, tmp_path):
         # One preformatted cell per row, as in the grid dump; the joined

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from nfadsim import _kernels
 from nfadsim.calibration import make_detector
 from nfadsim.detector import (afterpulse_feedback, dark_rate,
-                              first_generation_afterpulses, sample_jitter,
-                              simulate, simulate_reference, total_afterpulses)
+                              first_generation_afterpulses, simulate,
+                              simulate_reference, total_afterpulses)
 from nfadsim.engine import RandomStream, pulsed_laser, seconds_to_ps
 from nfadsim.errors import ParameterError
 from nfadsim.params import (ORIGIN_AFTERPULSE, ORIGIN_DARK, DarkRateModel,
@@ -515,60 +515,3 @@ class TestAfterpulseAnalytics:
         assert dark_rate(det) == det.dark_model.rate(
             celsius_to_kelvin(-110.0), 0.115)
 
-
-def _jitter_expression(params, n, generator):
-    """sample_jitter with every temporary kept: the byte oracle."""
-    jm = params.jitter_model
-    sigma = jm.core_sigma_at(params.efficiency)
-    u = generator.random(n)
-    tail = u < jm.tail_fraction
-    x = generator.standard_normal(n)
-    x[tail] = generator.exponential(jm.tail_scale_factor, tail.sum())
-    return np.maximum(0.0, jm.latency + x * sigma)
-
-
-class TestJitterSampling:
-    @pytest.mark.parametrize("latency", [None, 0.0, 20e-12])
-    def test_in_place_draws_keep_their_bytes(self, latency):
-        det = make_detector(-110.0, 0.16, 20e-6)
-        if latency is not None:     # near zero: many delays clamp to 0.0
-            det = dataclasses.replace(det, jitter_model=dataclasses.replace(
-                det.jitter_model, latency=latency))
-        got_gen = RandomStream(6).generator("jitter")
-        want_gen = RandomStream(6).generator("jitter")
-        got = sample_jitter(det, 100_000, got_gen)
-        want = _jitter_expression(det, 100_000, want_gen)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert got_gen.bit_generator.state == want_gen.bit_generator.state
-        if latency is not None:
-            assert np.count_nonzero(got == 0.0) > 1000
-
-    def test_draws_are_nonnegative_and_cdf_is_proper(self):
-        det = make_detector(-110.0, 0.16, 20e-6)
-        delays = sample_jitter(det, 1_000_000,
-                               RandomStream(3).generator("jitter"))
-        assert np.all(delays >= 0.0)
-        assert np.all(np.isfinite(delays))
-        cdf = np.arange(1, len(delays) + 1) / len(delays)
-        assert cdf[0] > 0.0 and cdf[-1] == 1.0
-        assert np.all(np.diff(np.sort(delays)) >= 0.0)
-
-    def test_mode_sits_near_latency(self):
-        det = make_detector(-110.0, 0.16, 20e-6)
-        delays = sample_jitter(det, 500_000,
-                               RandomStream(4).generator("jitter"))
-        hist, edges = np.histogram(delays, bins=400,
-                                   range=(0.5e-9, 1.5e-9))
-        mode = 0.5 * (edges[np.argmax(hist)] + edges[np.argmax(hist) + 1])
-        assert abs(mode - det.jitter_model.latency) < 25e-12
-
-    def test_tail_is_one_sided(self):
-        # Below-mode mass comes from the Gaussian half alone:
-        # (1 - tail_fraction) / 2 of all draws.
-        det = make_detector(-110.0, 0.16, 20e-6)
-        jm = det.jitter_model
-        delays = sample_jitter(det, 1_000_000,
-                               RandomStream(5).generator("jitter"))
-        below = np.mean(delays < jm.latency)
-        assert below == pytest.approx((1.0 - jm.tail_fraction) / 2.0,
-                                      abs=0.003)
