@@ -26,6 +26,10 @@ from .errors import (EstimatorDomainError, NoSignalError, OpenSupportError,
 from .params import PS_PER_S, DetectorParams
 
 
+# Most bins a histogram may have: finer bins cost memory and time for nothing.
+_MAX_BINS = 10**6
+
+
 class Estimate(NamedTuple):
     """A value with its one-sigma statistical error."""
     value: float
@@ -53,8 +57,9 @@ class ProtocolConfig:
         if not 75e-6 <= self.quiet_window <= 150e-6:
             warnings.warn("quiet_window outside the usual 75-150 us policy "
                           "range", stacklevel=2)
-        if self.histogram_span <= 0.0:
-            raise ParameterError("histogram_span must be > 0")
+        if not 0.0 < self.histogram_span <= _MAX_BINS / self.fpga_clock:
+            raise ParameterError("histogram_span must be > 0 and at most "
+                                 f"{_MAX_BINS} clock bins")
         if self.pulses_requested < 1:
             raise ParameterError("pulses_requested must be >= 1")
         if self.laser_mu <= 0.0:

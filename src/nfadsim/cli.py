@@ -1,9 +1,10 @@
 """Command-line runner: characterize | qkd | optimize | selftest.
 
-Every run is two-phase: first all configuration is parsed and every physical
-object constructed (validation errors exit 1 before anything touches disk),
-then simulations run and files are written (runtime/IO errors exit 2).  A
-selftest that runs but fails its checks exits 3.
+Every run is two-phase: "compute", then "write".  A command checks its
+configuration, runs and returns its outputs; then one writer makes the output
+directory and writes them.  So a validation error (exit 1) or a runtime error
+(exit 2) leaves no output directory, unless it is an OSError while writing.
+selftest writes nothing, and exits 3 if one of its checks fails.
 
 Output files are deterministic byte for byte for a given config and seed:
 floats are serialized with ``repr`` (lossless round-trip), JSON keys are
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration
-from .characterize import (ProtocolConfig, _check_deadtime,
+from .characterize import (_MAX_BINS, ProtocolConfig, _check_deadtime,
                            characterize_point, figure_of_merit,
                            measure_jitter_histogram, tcspc_widths)
 from .config import RunConfig, parse_config
@@ -37,8 +38,6 @@ from .qkd import (LinkConfig, QkdOperatingPoint, link_metrics,
 # term that would consume it.
 SECURITY_PARAMETER = 4e-9
 PA_RATIO_MEANING = "secret bits per sifted bit (compression ratio)"
-
-_VALIDATION_ERRORS = (ConfigError, ParameterError, ExtrapolationError)
 
 
 def _fmt_cell(value) -> str:
@@ -69,6 +68,20 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(text + "\n", encoding="utf-8", newline="")
 
 
+def _write_outputs(outdir: Path, outputs) -> None:
+    """Make ``outdir``, then write each (file name, content) by its suffix:
+    a CSV's (header, rows), a JSON payload or text."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, content in outputs:
+        path = outdir / name
+        if path.suffix == ".csv":
+            _write_csv(path, *content)
+        elif path.suffix == ".json":
+            _write_json(path, content)
+        else:
+            path.write_text(content, encoding="utf-8", newline="")
+
+
 # ---------------------------------------------------------------- characterize
 
 def _prep_characterize(cfg: RunConfig):
@@ -82,16 +95,18 @@ def _prep_characterize(cfg: RunConfig):
                           laser_mu=c.laser_mu)
     if c.jitter_draws < 1:
         raise ConfigError("jitter_draws must be >= 1")
-    if c.jitter_bin_ps <= 0.0:
-        raise ConfigError("jitter_bin_ps must be > 0")
     points = []
     for t in c.temperatures_c:
         for eta in c.efficiencies:
             det = calibration.make_detector(t, eta, c.deadtime_us / 1e6)
             _check_deadtime(pcfg, det.deadtime)
-            # Probe the jitter table now: width extraction must not die
-            # halfway through a sweep.
-            det.jitter_model.fwhm_at(eta)
+            # Probe the jitter table now (width extraction must not die
+            # halfway through a sweep) for the spread the bins must cover.
+            jm = det.jitter_model
+            span = jm.latency + 10.0 * jm.fwhm_at(eta)
+            if not span <= c.jitter_bin_ps * 1e-12 * _MAX_BINS:
+                raise ConfigError(f"jitter_bin_ps must be > 0 and give at "
+                                  f"most {_MAX_BINS} bins over {span:g} s")
             points.append((t, eta, det))
     return pcfg, points
 
@@ -108,12 +123,10 @@ def _histogram_rows(bin_width: float, counts: np.ndarray, starts=None):
         yield ("\n".join(map("{},{}".format, col, counts.tolist())),)
 
 
-def cmd_characterize(cfg: RunConfig, seed: int, outdir: Path) -> int:
+def cmd_characterize(cfg: RunConfig, seed: int, grid_dump: bool = False):
     c = cfg.characterize
     pcfg, points = _prep_characterize(cfg)
-
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows, starts = [], {}
+    outputs, rows, starts = [], [], {}
     for index, (temp_c, eta, det) in enumerate(points):
         base = RandomStream(seed).child(index)
         point = characterize_point(det, pcfg, base)
@@ -126,79 +139,82 @@ def cmd_characterize(cfg: RunConfig, seed: int, outdir: Path) -> int:
             if dcr > 0.0 else None
 
         tag = f"T{temp_c:g}_eta{eta:g}"
-        _write_csv(outdir / f"afterpulse_hist_{tag}.csv",
-                   ("bin_start_s", "count"),
-                   _histogram_rows(point.counts.bin_width,
-                                   point.counts.histogram, starts))
-        _write_csv(outdir / f"jitter_{tag}.csv",
-                   ("bin_start_s", "count"),
-                   _histogram_rows(hist.bin_width, hist.counts, starts))
+        outputs += [
+            (f"afterpulse_hist_{tag}.csv", (("bin_start_s", "count"),
+             _histogram_rows(point.counts.bin_width, point.counts.histogram,
+                             starts))),
+            (f"jitter_{tag}.csv", (("bin_start_s", "count"),
+             _histogram_rows(hist.bin_width, hist.counts, starts)))]
 
         # The estimates.csv columns, then the efficiency systematic.
         rows.append((temp_c, eta, *point.efficiency, *point.dark_rate,
                      *point.afterpulse_total, fwhm * 1e12, w1pct * 1e12, fom,
                      point.efficiency_systematic))
 
-    _write_csv(outdir / "dcr_vs_eff.csv",
-               ("temp_C", "eta_set", "dcr_cps", "dcr_err_cps"),
-               ((r[0], r[1], r[4], r[5]) for r in rows))
-    _write_csv(outdir / "afterpulse_vs_eff.csv",
-               ("temp_C", "eta_set", "p_ap", "p_ap_err"),
-               ((r[0], r[1], r[6], r[7]) for r in rows))
-    _write_csv(outdir / "estimates.csv",
-               ("temp_C", "eta_set", "eta_est", "eta_err", "dcr_cps",
-                "dcr_err_cps", "p_ap", "p_ap_err", "fwhm_ps", "w1pct_ps",
-                "H"), (r[:11] for r in rows))
-    _write_json(outdir / "summary.json", {
-        "seed": seed,
-        "protocol": {
-            "pulses": c.pulses,
-            "laser_mu": c.laser_mu,
-            "quiet_window_us": c.quiet_window_us,
-            "histogram_span_us": c.histogram_span_us,
-            "deadtime_us": c.deadtime_us,
-            "fpga_clock_hz": pcfg.fpga_clock,
-        },
-        "points": [
-            {"temp_c": row[0], "eta_set": row[1],
-             "efficiency": {"value": row[2], "error": row[3],
-                            "systematic": row[11]},
-             "dark_rate_cps": {"value": row[4], "error": row[5]},
-             "afterpulse_total": {"value": row[6], "error": row[7]},
-             "fwhm_ps": row[8], "width_1pct_ps": row[9],
-             "figure_of_merit": row[10]}
-            for row in rows
-        ],
-    })
-    (outdir / "parameters.txt").write_text(
-        calibration.parameter_summary() + "\n", encoding="utf-8", newline="")
-    return 0
+    return [*outputs,
+            ("dcr_vs_eff.csv",
+             (("temp_C", "eta_set", "dcr_cps", "dcr_err_cps"),
+              ((r[0], r[1], r[4], r[5]) for r in rows))),
+            ("afterpulse_vs_eff.csv",
+             (("temp_C", "eta_set", "p_ap", "p_ap_err"),
+              ((r[0], r[1], r[6], r[7]) for r in rows))),
+            ("estimates.csv", (("temp_C", "eta_set", "eta_est", "eta_err",
+                                "dcr_cps", "dcr_err_cps", "p_ap", "p_ap_err",
+                                "fwhm_ps", "w1pct_ps", "H"),
+                               (r[:11] for r in rows))),
+            ("summary.json", {
+                "seed": seed,
+                "protocol": {
+                    "pulses": c.pulses,
+                    "laser_mu": c.laser_mu,
+                    "quiet_window_us": c.quiet_window_us,
+                    "histogram_span_us": c.histogram_span_us,
+                    "deadtime_us": c.deadtime_us,
+                    "fpga_clock_hz": pcfg.fpga_clock,
+                },
+                "points": [
+                    {"temp_c": row[0], "eta_set": row[1],
+                     "efficiency": {"value": row[2], "error": row[3],
+                                    "systematic": row[11]},
+                     "dark_rate_cps": {"value": row[4], "error": row[5]},
+                     "afterpulse_total": {"value": row[6], "error": row[7]},
+                     "fwhm_ps": row[8], "width_1pct_ps": row[9],
+                     "figure_of_merit": row[10]}
+                    for row in rows
+                ],
+            }),
+            ("parameters.txt", calibration.parameter_summary() + "\n")]
 
 
 # ------------------------------------------------------------------------ qkd
 
-def _link_config(cfg: RunConfig, loss_db: float) -> LinkConfig:
+# [qkd] key -> the LinkConfig field it sets; losses_db sets channel_loss_db,
+# one LinkConfig per loss.
+_LINK_FIELDS = {"pulse_rate_hz": "pulse_rate",
+                "visibility_intrinsic": "interferometer_visibility_intrinsic",
+                "auth_rate_cost_bps": "auth_rate_cost",
+                **{k: k for k in ("mu", "monitor_fraction", "optical_error",
+                                  "ec_inefficiency", "pa_ratio",
+                                  "monitor_duty")}}
+
+
+def _link_configs(cfg: RunConfig) -> list:
+    """One LinkConfig per [qkd] loss; an error names its [qkd] key."""
     q = cfg.qkd
-    return LinkConfig(channel_loss_db=loss_db,
-                      pulse_rate=q.pulse_rate_hz,
-                      mu=q.mu,
-                      monitor_fraction=q.monitor_fraction,
-                      interferometer_visibility_intrinsic=
-                      q.visibility_intrinsic,
-                      optical_error=q.optical_error,
-                      ec_inefficiency=q.ec_inefficiency,
-                      pa_ratio=q.pa_ratio,
-                      auth_rate_cost=q.auth_rate_cost_bps,
-                      monitor_duty=q.monitor_duty)
-
-
-def _check_losses(cfg: RunConfig) -> None:
-    if not cfg.qkd.losses_db:
-        raise ConfigError("losses_db must be non-empty")
+    if not q.losses_db:
+        raise ConfigError("[qkd] losses_db must not be empty")
+    fields = {f: getattr(q, k) for k, f in _LINK_FIELDS.items()}
+    try:
+        return [LinkConfig(channel_loss_db=loss, **fields)
+                for loss in q.losses_db]
+    except ParameterError as exc:       # the message starts with the field
+        name, _, rest = str(exc).partition(" ")
+        key = {"channel_loss_db": "losses_db",
+               **{f: k for k, f in _LINK_FIELDS.items()}}.get(name, name)
+        raise ConfigError(f"[qkd] {key} {rest}") from exc
 
 
 def _search_space(cfg: RunConfig) -> SearchSpace:
-    _check_losses(cfg)
     o = cfg.optimizer
     return SearchSpace(efficiency_grid=o.efficiencies,
                        deadtime_grid=tuple(t / 1e6 for t in o.deadtimes_us),
@@ -242,16 +258,18 @@ def _op_row(loss_db, found, point, skr):
             point.deadtime_monitor * 1e6, skr)
 
 
-def _fixed_rows(cfg: RunConfig, op: QkdOperatingPoint):
+def _fixed_rows(cfg: RunConfig):
+    links = _link_configs(cfg)
+    op = _fixed_point(cfg)
     d, m = op.data_detector, op.monitor_detector
     point = GridPoint(cfg.qkd.temperature_c, d.efficiency, d.deadtime,
                       m.efficiency, m.deadtime)
     skr_rows, op_rows = [], []
-    for loss in cfg.qkd.losses_db:
-        metrics = link_metrics(_link_config(cfg, loss), op)
+    for loss, link in zip(cfg.qkd.losses_db, links):
+        metrics = link_metrics(link, op)
         skr_rows.append(_skr_row(loss, metrics, point))
         op_rows.append(_op_row(loss, True, point, metrics.skr))
-    return skr_rows, op_rows, ()
+    return skr_rows, op_rows, []
 
 
 def _qkd_payload(cfg: RunConfig, seed: int, rows, optimizer_used: bool):
@@ -299,15 +317,16 @@ def _dump_rows(space: SearchSpace, per_detector: bool, optima):
 
 
 def _optimize_rows(cfg: RunConfig, grid_dump: bool):
+    base = _link_configs(cfg)[0]
     space = _search_space(cfg)
-    base = _link_config(cfg, space.loss_grid[0])
     per_detector = cfg.optimizer.per_detector
     optima = optimize(space, base, per_detector=per_detector,
                       keep_table=grid_dump)
     skr_rows = [_skr_row(o.loss_db, o.metrics, o.point) for o in optima]
     op_rows = [_op_row(o.loss_db, o.found, o.point, o.skr) for o in optima]
-    dump_rows = _dump_rows(space, per_detector, optima) if grid_dump else ()
-    return skr_rows, op_rows, dump_rows
+    dump = [("grid_dump.csv",
+             (_DUMP_HEADER, _dump_rows(space, per_detector, optima)))]
+    return skr_rows, op_rows, dump if grid_dump else []
 
 
 _OP_HEADER = ("loss_db", "found", "temp_C", "eta_D", "tau_D_us", "eta_M",
@@ -316,42 +335,26 @@ _DUMP_HEADER = ("loss_db", "temp_C", "eta_D", "tau_D_us", "eta_M", "tau_M_us",
                 "skr_bps")
 
 
-def cmd_qkd(cfg: RunConfig, seed: int, outdir: Path,
-            grid_dump: bool = False) -> int:
+def cmd_qkd(cfg: RunConfig, seed: int, grid_dump: bool = False):
     if cfg.qkd.use_optimizer:
-        _search_space(cfg)                      # validate before running
+        skr_rows, op_rows, dump = _optimize_rows(cfg, grid_dump)
     elif grid_dump:
         raise ConfigError("--grid-dump needs the optimizer (use_optimizer = "
                           "true): a fixed point has no grid")
     else:
-        _check_losses(cfg)
-        prepared = _fixed_point(cfg)
-
-    outdir.mkdir(parents=True, exist_ok=True)
-    skr_rows, op_rows, dump_rows = _optimize_rows(cfg, grid_dump) \
-        if cfg.qkd.use_optimizer else _fixed_rows(cfg, prepared)
-
-    _write_csv(outdir / "skr_vs_loss.csv", _SKR_HEADER, skr_rows)
-    _write_csv(outdir / "qber_vis_vs_loss.csv",
-               ("loss_db", "qber", "vis_raw", "vis_dark_sub"),
-               ((r[0], r[2], r[3], r[4]) for r in skr_rows))
-    _write_csv(outdir / "operating_points.csv", _OP_HEADER, op_rows)
-    if grid_dump:
-        _write_csv(outdir / "grid_dump.csv", _DUMP_HEADER, dump_rows)
-    _write_json(outdir / "qkd_summary.json",
-                _qkd_payload(cfg, seed, skr_rows, cfg.qkd.use_optimizer))
-    return 0
+        skr_rows, op_rows, dump = _fixed_rows(cfg)
+    return [("skr_vs_loss.csv", (_SKR_HEADER, skr_rows)),
+            ("qber_vis_vs_loss.csv",
+             (("loss_db", "qber", "vis_raw", "vis_dark_sub"),
+              ((r[0], r[2], r[3], r[4]) for r in skr_rows))),
+            ("operating_points.csv", (_OP_HEADER, op_rows)), *dump,
+            ("qkd_summary.json",
+             _qkd_payload(cfg, seed, skr_rows, cfg.qkd.use_optimizer))]
 
 
-def cmd_optimize(cfg: RunConfig, seed: int, outdir: Path,
-                 grid_dump: bool = False) -> int:
-    _search_space(cfg)                          # validate before running
-    outdir.mkdir(parents=True, exist_ok=True)
-    _, op_rows, dump_rows = _optimize_rows(cfg, grid_dump)
-    _write_csv(outdir / "operating_points.csv", _OP_HEADER, op_rows)
-    if grid_dump:
-        _write_csv(outdir / "grid_dump.csv", _DUMP_HEADER, dump_rows)
-    return 0
+def cmd_optimize(cfg: RunConfig, seed: int, grid_dump: bool = False):
+    _, op_rows, dump = _optimize_rows(cfg, grid_dump)
+    return [("operating_points.csv", (_OP_HEADER, op_rows)), *dump]
 
 
 # ------------------------------------------------------------------- selftest
@@ -413,27 +416,20 @@ def _selftest_checks(seed: int):
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    """Construct every configured physical object, discarding the results.
-
-    Runs before any simulation so that an invalid value (say a negative
-    deadtime) fails the command without partial output.
-    """
+    """Construct every configured object; selftest runs none of them."""
     _prep_characterize(cfg)
-    _check_losses(cfg)
-    _link_config(cfg, cfg.qkd.losses_db[0])
-    _fixed_point(cfg)
+    _link_configs(cfg)
     _search_space(cfg)
+    _fixed_point(cfg)
 
 
 def cmd_selftest(cfg: RunConfig, seed: int) -> int:
-    failures = 0
-    total = 0
+    passed = []
     for name, ok, detail in _selftest_checks(seed):
-        total += 1
-        failures += 0 if ok else 1
+        passed.append(ok)
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    print(f"selftest: {total - failures}/{total} checks passed")
-    return 0 if failures == 0 else 3
+    print(f"selftest: {sum(passed)}/{len(passed)} checks passed")
+    return 0 if all(passed) else 3
 
 
 # ------------------------------------------------------------------ interface
@@ -467,24 +463,16 @@ def main(argv=None) -> int:
         seed = cfg.run.seed if args.seed is None else args.seed
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
-        outdir = Path(cfg.run.out if args.out is None else args.out)
         if args.command == "selftest":
             _validate_config(cfg)
-            runner = lambda: cmd_selftest(cfg, seed)
-        elif args.command == "characterize":
-            runner = lambda: cmd_characterize(cfg, seed, outdir)
-        elif args.command == "qkd":
-            runner = lambda: cmd_qkd(cfg, seed, outdir, args.grid_dump)
-        else:
-            runner = lambda: cmd_optimize(cfg, seed, outdir, args.grid_dump)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        return runner()
-    except _VALIDATION_ERRORS as exc:
-        # Grid construction may still surface a physical-domain violation.
+            return cmd_selftest(cfg, seed)
+        command = {"characterize": cmd_characterize, "qkd": cmd_qkd,
+                   "optimize": cmd_optimize}[args.command]
+        outputs = command(cfg, seed, getattr(args, "grid_dump", False))
+        _write_outputs(Path(cfg.run.out if args.out is None else args.out),
+                       outputs)
+        return 0
+    except (ConfigError, ParameterError, ExtrapolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, EstimatorDomainError, NoSignalError, OpenSupportError,

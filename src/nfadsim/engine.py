@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import heapq
 import itertools
+import math
 import operator
 from typing import Any, Iterable, Iterator
 
@@ -208,7 +209,10 @@ def pulsed_laser(period: float, mean_photon_number: float, count: int,
 
 def seconds_to_ps(t: float) -> int:
     """Convert seconds to the internal integer picosecond grid."""
-    return int(round(t * PS_PER_S))
+    ps = t * PS_PER_S
+    if not math.isfinite(ps):
+        raise ParameterError(f"time {t!r} s is off the picosecond grid")
+    return int(round(ps))
 
 
 def timeline_to_ps(timeline: OpticalTimeline, efficiency: float

@@ -260,6 +260,13 @@ class TestProtocolValidation:
         with pytest.raises(ParameterError, match="deadtime"):
             run_protocol(det, ProtocolConfig(), RandomStream(1))
 
+    def test_span_of_over_a_million_clock_bins_rejected(self):
+        # The kernel holds one list entry per bin of the span.
+        ProtocolConfig(histogram_span=20e-3)        # 10**6 bins at 50 MHz
+        for span in (20.001e-3, 1e300):
+            with pytest.raises(ParameterError, match="histogram_span"):
+                ProtocolConfig(histogram_span=span)
+
     def test_deadtime_below_clock_bin_rejected(self):
         det = make_detector(-90.0, 0.115, 10e-9)
         with pytest.raises(ParameterError):

@@ -1,13 +1,21 @@
 """End-to-end command tests: exit codes, file layout, byte determinism."""
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nfadsim import cli
+from nfadsim import cli, config
 from nfadsim.calibration import make_detector
 from nfadsim.optimize import SearchSpace, optimize
 from nfadsim.params import TrapModel
@@ -442,11 +450,55 @@ class TestExitCodes:
         # below half its peak on the left.
         cfg = _cfg(tmp_path, "[characterize]\npulses = 2000\n"
                              "jitter_draws = 1000\njitter_bin_ps = 1e9\n")
+        out = tmp_path / "out"
         assert cli.main(["characterize", "--config", cfg, "--out",
-                         str(tmp_path / "out")]) == 2
+                         str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime error: ") and "level" in err
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("jitter_bin_ps", "1e-300", "jitter_bin_ps"),   # about 1e303 bins
+        ("jitter_bin_ps", "1e-320", "jitter_bin_ps"),   # 0.0 in seconds
+        ("jitter_bin_ps", "-2", "jitter_bin_ps"),
+        ("histogram_span_us", "1e300", "histogram_span"),
+        ("histogram_span_us", "20000.1", "histogram_span"),  # 10**6 bins
+    ])
+    def test_a_histogram_of_too_many_bins_exits_1_without_output(
+            self, tmp_path, capsys, key, value, named):
+        cfg = _cfg(tmp_path, f"[characterize]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert cli.main(["characterize", "--config", cfg, "--out",
+                         str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("mu", "-1"),
+        ("visibility_intrinsic", "2"),
+        ("pulse_rate_hz", "-1"),
+        ("auth_rate_cost_bps", "-1"),
+        ("losses_db", "-5"),
+    ])
+    @pytest.mark.parametrize("command, mode", [
+        ("qkd", "use_optimizer = true"),
+        ("qkd", "use_optimizer = false"),
+        ("optimize", "use_optimizer = true"),
+    ])
+    def test_a_bad_link_key_exits_1_naming_it_without_output(
+            self, tmp_path, capsys, key, value, command, mode):
+        cfg = _cfg(tmp_path, f"[qkd]\n{mode}\n{key} = {value}\n"
+                             "[optimizer]\nefficiencies = 0.115\n"
+                             "deadtimes_us = 20\ntemperatures_c = -110\n")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [qkd] {key} ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_grid_dump_without_optimizer_exits_1_without_output(
             self, tmp_path, capsys):
@@ -505,3 +557,98 @@ class TestCsvWriter:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+# Raw INI numbers: zero, negative, boundary, tiny, huge, non-finite,
+# malformed and empty, then any finite float.
+_NUMBER = st.one_of(
+    st.sampled_from(["0", "-0.0", "-1", "1", "2", "0.5", "1e-300", "1e300",
+                     "-1e300", "nan", "inf", "x", ""]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+_RAW = {
+    config._parse_float: _NUMBER,
+    config._parse_int: st.one_of(st.sampled_from(["", "1.5"]),
+                                 st.integers(-2, 2**70).map(str)),
+    config._parse_bool: st.sampled_from(["true", "false", "maybe"]),
+    # At most one value, so that every grid has at most one point.
+    config._parse_float_list: st.lists(_NUMBER, max_size=1).map(", ".join),
+}
+# Run sizes are drawn no larger than these, so that a run stays tiny.
+_SIZES = {"pulses": 500, "jitter_draws": 20_000}
+_BASE = {"characterize": {k: str(v) for k, v in _SIZES.items()},
+         "optimizer": {"efficiencies": "0.115", "deadtimes_us": "20",
+                       "temperatures_c": "-110"}}
+
+
+def _raw(section, field):
+    """Raw values of one key: a drawn one, or its scalar default."""
+    parser = config._PARSERS[section][field.name]
+    if field.name in _SIZES:
+        return st.integers(-1, _SIZES[field.name]).map(str)
+    if field.default is None or parser is config._parse_float_list:
+        return _RAW[parser]
+    return st.just(str(field.default)) | _RAW[parser]
+
+
+# Every key of every section but [run] out, the output path --out sets.
+_SECTIONS = st.fixed_dictionaries({}, optional={
+    name: st.fixed_dictionaries({}, optional={
+        f.name: _raw(name, f) for f in dataclasses.fields(cls)
+        if config._PARSERS[name][f.name] is not str})
+    for name, cls in config._SECTION_TYPES.items()})
+
+
+class TestAnyConfig:
+    @settings(max_examples=150)
+    @given(command=st.sampled_from(["characterize", "qkd", "optimize"]),
+           sections=_SECTIONS, seed=st.none() | st.integers(-2, 2**70),
+           grid_dump=st.booleans())
+    @example(command="qkd", sections={"qkd": {"mu": "-1"}}, seed=None,
+             grid_dump=False)
+    @example(command="optimize", sections={"qkd": {"mu": "-1"}}, seed=None,
+             grid_dump=False)
+    @example(command="qkd", sections={"qkd": {"use_optimizer": "false",
+                                              "monitor_fraction": "2"}},
+             seed=None, grid_dump=False)
+    @example(command="characterize",
+             sections={"characterize": {"jitter_bin_ps": "1e9"}}, seed=None,
+             grid_dump=False)
+    @example(command="characterize",
+             sections={"characterize": {"jitter_bin_ps": "1e-300"}},
+             seed=None, grid_dump=False)
+    @example(command="characterize", sections={}, seed=-1, grid_dump=False)
+    @example(command="characterize",             # a hold-off of 1e297 s
+             sections={"characterize": {"deadtime_us": "1e303"}}, seed=None,
+             grid_dump=False)
+    def test_every_exit_is_typed_and_a_failure_writes_nothing(
+            self, command, sections, seed, grid_dump):
+        merged = {name: dict(keys) for name, keys in _BASE.items()}
+        for name, keys in sections.items():
+            merged.setdefault(name, {}).update(keys)
+        ini = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                              for k, v in keys.items())
+                      for name, keys in merged.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "cfg.ini", Path(tmp) / "out"
+            cfg.write_text(ini, encoding="utf-8")
+            argv = [command, "--config", str(cfg), "--out", str(out)]
+            if seed is not None:
+                argv += ["--seed", str(seed)]
+            if grid_dump and command != "characterize":
+                argv.append("--grid-dump")
+            err = io.StringIO()
+            # A shell user's warning filter: ProtocolConfig warns, and the
+            # test suite would turn that warning into an error.
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("default")
+                code = cli.main(argv)
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if code in (1, 2):
+                failures = [line for line in err.getvalue().splitlines()
+                            if line.startswith(("error: ", "runtime error: "))]
+                assert len(failures) == 1, err.getvalue()
+                assert not out.exists()
+            elif code == 0:
+                assert out.is_dir()
