@@ -23,9 +23,7 @@ _FLOOR_SHARE = 0.20
 EFFICIENCY_REF = 0.115
 
 
-def fit_dark_model(cold_low=_ANCHOR_COLD_LOW, cold_high=_ANCHOR_COLD_HIGH,
-                   warm=_ANCHOR_WARM,
-                   floor_share: float = _FLOOR_SHARE) -> DarkRateModel:
+def fit_dark_model() -> DarkRateModel:
     """Closed-form fit of the thermal-plus-floor dark model to three anchors.
 
     The two cold anchors share a temperature and differ only in efficiency,
@@ -33,11 +31,11 @@ def fit_dark_model(cold_low=_ANCHOR_COLD_LOW, cold_high=_ANCHOR_COLD_HIGH,
     activation temperature, and the amplitude follows.  All three anchors are
     reproduced exactly.
     """
-    t_cold_c, eta_ref, rate_cold = cold_low
-    _, eta_high, rate_high = cold_high
-    t_warm_c, eta_warm, rate_warm = warm
+    t_cold_c, eta_ref, rate_cold = _ANCHOR_COLD_LOW
+    _, eta_high, rate_high = _ANCHOR_COLD_HIGH
+    t_warm_c, eta_warm, rate_warm = _ANCHOR_WARM
     gamma = math.log(rate_high / rate_cold) / math.log(eta_high / eta_ref)
-    floor = floor_share * rate_cold
+    floor = _FLOOR_SHARE * rate_cold
     t_cold = celsius_to_kelvin(t_cold_c)
     t_warm = celsius_to_kelvin(t_warm_c)
     thermal_cold = rate_cold - floor

@@ -28,6 +28,11 @@ from .params import PS_PER_S, DetectorParams
 
 # Most bins a histogram may have: finer bins cost memory and time for nothing.
 _MAX_BINS = 10**6
+_MAX_DRAWS = 10**9          # the jitter draws' tail flags take a byte each
+
+_FPGA_CLOCK = 50e6          # the protocol's clock; one bin per cycle
+_CYCLE_TIMEOUT = 0.05       # sim time to reach a quiet window, else starved
+_MU_SYSTEMATIC = 0.029      # calibration-source systematic on laser_mu
 
 
 class Estimate(NamedTuple):
@@ -39,39 +44,28 @@ class Estimate(NamedTuple):
 @dataclass(frozen=True)
 class ProtocolConfig:
     quiet_window: float = 100e-6
-    fpga_clock: float = 50e6
     histogram_span: float = 150e-6
     pulses_requested: int = 1_000_000
     laser_mu: float = 0.91
-    # Sim-time budget for reaching one quiet window; beyond it the detector
-    # is declared too noisy for the protocol.
-    cycle_timeout: float = 0.05
-    # Calibration-source systematic, kept apart from statistical errors.
-    mu_systematic: float = 0.029
 
     def __post_init__(self):
-        if self.fpga_clock <= 0.0:
-            raise ParameterError("fpga_clock must be > 0")
-        if self.quiet_window <= 0.0:
-            raise ParameterError("quiet_window must be > 0")
+        if not 0.0 < self.quiet_window < _CYCLE_TIMEOUT:
+            raise ParameterError("quiet_window must be > 0 and below the "
+                                 f"{_CYCLE_TIMEOUT:g} s cycle timeout")
         if not 75e-6 <= self.quiet_window <= 150e-6:
             warnings.warn("quiet_window outside the usual 75-150 us policy "
                           "range", stacklevel=2)
-        if not 0.0 < self.histogram_span <= _MAX_BINS / self.fpga_clock:
+        if not 0.0 < self.histogram_span <= _MAX_BINS / _FPGA_CLOCK:
             raise ParameterError("histogram_span must be > 0 and at most "
                                  f"{_MAX_BINS} clock bins")
         if self.pulses_requested < 1:
             raise ParameterError("pulses_requested must be >= 1")
         if self.laser_mu <= 0.0:
             raise ParameterError("laser_mu must be > 0")
-        if self.cycle_timeout <= self.quiet_window:
-            raise ParameterError("cycle_timeout must exceed quiet_window")
-        if not 0.0 <= self.mu_systematic < 1.0:
-            raise ParameterError("mu_systematic must be in [0, 1)")
 
     @property
     def bin_width(self) -> float:
-        return 1.0 / self.fpga_clock
+        return 1.0 / _FPGA_CLOCK
 
 
 @dataclass(frozen=True)
@@ -175,12 +169,12 @@ def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
         c_d, c_lp, hist, live_ps, starved = _kernels.characterize(
             cfg.pulses_requested, seconds_to_ps(cfg.quiet_window), bin_ps,
             seconds_to_ps(cfg.histogram_span), p_click,
-            seconds_to_ps(cfg.cycle_timeout), det, gens)
+            seconds_to_ps(_CYCLE_TIMEOUT), det, gens)
     if starved:
         raise ProtocolStarvationError(
             "quiet window of %.3g s not reached within %.3g s of simulated "
             "time; detector too noisy for the protocol" %
-            (cfg.quiet_window, cfg.cycle_timeout))
+            (cfg.quiet_window, _CYCLE_TIMEOUT))
 
     live_time = live_ps / PS_PER_S
     with stream.child(1).uniforms(_KERNEL_SUBSTREAMS) as gens:
@@ -191,7 +185,7 @@ def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
     return CharacterizationCounts(
         c_d=int(c_d), c_lp=int(c_lp), r_dc=r_dc,
         histogram=np.asarray(hist, dtype=np.int64),
-        f=cfg.fpga_clock, mu=cfg.laser_mu, deadtime=detector.deadtime,
+        f=_FPGA_CLOCK, mu=cfg.laser_mu, deadtime=detector.deadtime,
         live_time=live_time, dark_counts=dark_counts)
 
 
@@ -263,7 +257,7 @@ def characterize_point(detector: DetectorParams, cfg: ProtocolConfig,
         efficiency=eta,
         dark_rate=dark_rate_estimate(counts),
         afterpulse_total=afterpulse_total(counts),
-        efficiency_systematic=eta.value * cfg.mu_systematic,
+        efficiency_systematic=eta.value * _MU_SYSTEMATIC,
         counts=counts)
 
 
@@ -305,8 +299,8 @@ def measure_jitter_histogram(detector: DetectorParams, draws: int, seed,
     so 0.0 and every delay with q = delay / bin_width below 1e9 and over 1e-6
     from an integer are in bin floor(q); np.histogram bins the others.
     """
-    if draws < 1:
-        raise ParameterError("draws must be >= 1")
+    if not 1 <= draws <= _MAX_DRAWS:
+        raise ParameterError(f"draws must be in [1, {_MAX_DRAWS}]")
     if bin_width <= 0.0:
         raise ParameterError("bin_width must be > 0")
     jm = detector.jitter_model

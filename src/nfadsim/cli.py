@@ -22,14 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration
-from .characterize import (_MAX_BINS, ProtocolConfig, _check_deadtime,
-                           characterize_point, figure_of_merit,
-                           measure_jitter_histogram, tcspc_widths)
+from .characterize import (_FPGA_CLOCK, _MAX_BINS, _MAX_DRAWS, ProtocolConfig,
+                           _check_deadtime, characterize_point,
+                           figure_of_merit, measure_jitter_histogram,
+                           tcspc_widths)
 from .config import RunConfig, parse_config
 from .engine import RandomStream
 from .errors import (ConfigError, EstimatorDomainError, ExtrapolationError,
                      NoSignalError, OpenSupportError, ParameterError)
-from .optimize import GridPoint, SearchSpace, optimize
+from .optimize import GridPoint, Optimum, SearchSpace, optimize
 from .params import DarkRateModel, DetectorParams, TrapModel
 from .qkd import (LinkConfig, QkdOperatingPoint, link_metrics,
                   simulate_session)
@@ -93,8 +94,8 @@ def _prep_characterize(cfg: RunConfig):
                           histogram_span=c.histogram_span_us / 1e6,
                           pulses_requested=c.pulses,
                           laser_mu=c.laser_mu)
-    if c.jitter_draws < 1:
-        raise ConfigError("jitter_draws must be >= 1")
+    if not 1 <= c.jitter_draws <= _MAX_DRAWS:
+        raise ConfigError(f"jitter_draws must be in [1, {_MAX_DRAWS}]")
     points = []
     for t in c.temperatures_c:
         for eta in c.efficiencies:
@@ -111,14 +112,14 @@ def _prep_characterize(cfg: RunConfig):
     return pcfg, points
 
 
-def _histogram_rows(bin_width: float, counts: np.ndarray, starts=None):
+def _histogram_rows(bin_width: float, counts: np.ndarray, starts: dict):
     """The (bin start in s, count) lines as one preformatted cell, the text
     ``_fmt_cell`` would give the float start and the integer count; none
     without bins.  A generator, so the writer does the formatting.  Calls
     sharing ``starts`` share the bin-start texts, keyed by bin width."""
     if len(counts):
         bw = float(bin_width)
-        col = (starts if starts is not None else {}).setdefault(bw, [])
+        col = starts.setdefault(bw, [])
         col.extend(repr(i * bw) for i in range(len(col), len(counts)))
         yield ("\n".join(map("{},{}".format, col, counts.tolist())),)
 
@@ -170,7 +171,7 @@ def cmd_characterize(cfg: RunConfig, seed: int, grid_dump: bool = False):
                     "quiet_window_us": c.quiet_window_us,
                     "histogram_span_us": c.histogram_span_us,
                     "deadtime_us": c.deadtime_us,
-                    "fpga_clock_hz": pcfg.fpga_clock,
+                    "fpga_clock_hz": _FPGA_CLOCK,
                 },
                 "points": [
                     {"temp_c": row[0], "eta_set": row[1],
@@ -239,37 +240,24 @@ _SKR_HEADER = ("loss_db", "sifted_bps", "qber", "vis_raw", "vis_dark_sub",
                "skr_bps", "eta_D", "eta_M", "tau_D_us", "tau_M_us", "temp_C")
 
 
-def _skr_row(loss_db, metrics, point):
-    if metrics is None or point is None:
-        return (loss_db, 0.0, None, None, None, 0.0,
+def _skr_row(o: Optimum):
+    m, p = o.metrics, o.point
+    if not o.found:
+        return (o.loss_db, 0.0, None, None, None, 0.0,
                 None, None, None, None, None)
-    return (loss_db, metrics.sifted_rate, metrics.qber,
-            metrics.visibility_raw, metrics.visibility_dark_subtracted,
-            metrics.skr, point.efficiency_data, point.efficiency_monitor,
-            point.deadtime_data * 1e6, point.deadtime_monitor * 1e6,
-            point.temperature_c)
+    return (o.loss_db, m.sifted_rate, m.qber, m.visibility_raw,
+            m.visibility_dark_subtracted, m.skr, p.efficiency_data,
+            p.efficiency_monitor, p.deadtime_data * 1e6,
+            p.deadtime_monitor * 1e6, p.temperature_c)
 
 
-def _op_row(loss_db, found, point, skr):
-    if point is None:
-        return (loss_db, found, None, None, None, None, None, skr)
-    return (loss_db, found, point.temperature_c, point.efficiency_data,
-            point.deadtime_data * 1e6, point.efficiency_monitor,
-            point.deadtime_monitor * 1e6, skr)
-
-
-def _fixed_rows(cfg: RunConfig):
-    links = _link_configs(cfg)
-    op = _fixed_point(cfg)
-    d, m = op.data_detector, op.monitor_detector
-    point = GridPoint(cfg.qkd.temperature_c, d.efficiency, d.deadtime,
-                      m.efficiency, m.deadtime)
-    skr_rows, op_rows = [], []
-    for loss, link in zip(cfg.qkd.losses_db, links):
-        metrics = link_metrics(link, op)
-        skr_rows.append(_skr_row(loss, metrics, point))
-        op_rows.append(_op_row(loss, True, point, metrics.skr))
-    return skr_rows, op_rows, []
+def _op_row(o: Optimum):
+    p = o.point
+    if not o.found:
+        return (o.loss_db, False, None, None, None, None, None, o.skr)
+    return (o.loss_db, True, p.temperature_c, p.efficiency_data,
+            p.deadtime_data * 1e6, p.efficiency_monitor,
+            p.deadtime_monitor * 1e6, o.skr)
 
 
 def _qkd_payload(cfg: RunConfig, seed: int, rows, optimizer_used: bool):
@@ -316,17 +304,27 @@ def _dump_rows(space: SearchSpace, per_detector: bool, optima):
                 yield (template.format(prefix + head, *chunk),)
 
 
-def _optimize_rows(cfg: RunConfig, grid_dump: bool):
-    base = _link_configs(cfg)[0]
+def _optima(cfg: RunConfig, use_optimizer: bool, grid_dump: bool):
+    """One Optimum per [qkd] loss, searched for or at the fixed point, and
+    the grid dump output when asked for."""
+    if grid_dump and not use_optimizer:
+        raise ConfigError("--grid-dump needs the optimizer (use_optimizer = "
+                          "true): a fixed point has no grid")
+    links = _link_configs(cfg)
+    if not use_optimizer:
+        op = _fixed_point(cfg)
+        d, m = op.data_detector, op.monitor_detector
+        point = GridPoint(cfg.qkd.temperature_c, d.efficiency, d.deadtime,
+                          m.efficiency, m.deadtime)
+        return [Optimum(link.channel_loss_db, True, point,
+                        link_metrics(link, op)) for link in links], []
     space = _search_space(cfg)
     per_detector = cfg.optimizer.per_detector
-    optima = optimize(space, base, per_detector=per_detector,
+    optima = optimize(space, links[0], per_detector=per_detector,
                       keep_table=grid_dump)
-    skr_rows = [_skr_row(o.loss_db, o.metrics, o.point) for o in optima]
-    op_rows = [_op_row(o.loss_db, o.found, o.point, o.skr) for o in optima]
     dump = [("grid_dump.csv",
              (_DUMP_HEADER, _dump_rows(space, per_detector, optima)))]
-    return skr_rows, op_rows, dump if grid_dump else []
+    return optima, dump if grid_dump else []
 
 
 _OP_HEADER = ("loss_db", "found", "temp_C", "eta_D", "tau_D_us", "eta_M",
@@ -336,25 +334,22 @@ _DUMP_HEADER = ("loss_db", "temp_C", "eta_D", "tau_D_us", "eta_M", "tau_M_us",
 
 
 def cmd_qkd(cfg: RunConfig, seed: int, grid_dump: bool = False):
-    if cfg.qkd.use_optimizer:
-        skr_rows, op_rows, dump = _optimize_rows(cfg, grid_dump)
-    elif grid_dump:
-        raise ConfigError("--grid-dump needs the optimizer (use_optimizer = "
-                          "true): a fixed point has no grid")
-    else:
-        skr_rows, op_rows, dump = _fixed_rows(cfg)
+    optima, dump = _optima(cfg, cfg.qkd.use_optimizer, grid_dump)
+    skr_rows = [_skr_row(o) for o in optima]
     return [("skr_vs_loss.csv", (_SKR_HEADER, skr_rows)),
             ("qber_vis_vs_loss.csv",
              (("loss_db", "qber", "vis_raw", "vis_dark_sub"),
               ((r[0], r[2], r[3], r[4]) for r in skr_rows))),
-            ("operating_points.csv", (_OP_HEADER, op_rows)), *dump,
+            ("operating_points.csv", (_OP_HEADER, map(_op_row, optima))),
+            *dump,
             ("qkd_summary.json",
              _qkd_payload(cfg, seed, skr_rows, cfg.qkd.use_optimizer))]
 
 
 def cmd_optimize(cfg: RunConfig, seed: int, grid_dump: bool = False):
-    _, op_rows, dump = _optimize_rows(cfg, grid_dump)
-    return [("operating_points.csv", (_OP_HEADER, op_rows)), *dump]
+    optima, dump = _optima(cfg, True, grid_dump)
+    return [("operating_points.csv", (_OP_HEADER, map(_op_row, optima))),
+            *dump]
 
 
 # ------------------------------------------------------------------- selftest

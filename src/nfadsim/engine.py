@@ -18,6 +18,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
+from ._kernels import NEVER
 from .errors import ParameterError
 from .params import PS_PER_S, OpticalTimeline
 
@@ -186,15 +187,14 @@ class EventQueue:
         return bool(self._heap)
 
 
-def pulsed_laser(period: float, mean_photon_number: float, count: int,
-                 start: float = 0.0) -> OpticalTimeline:
-    """Periodic pulse train: ``count`` pulses at ``start + k*period``.
+def pulsed_laser(period: float, mean_photon_number: float,
+                 count: int) -> OpticalTimeline:
+    """Periodic pulse train: ``count`` pulses at ``k*period``.
 
     Args:
         period: pulse spacing in seconds, > 0.
         mean_photon_number: mu per pulse, >= 0.
         count: number of pulses, >= 0.
-        start: time of the first pulse in seconds.
     """
     if period <= 0.0:
         raise ParameterError("laser period must be > 0")
@@ -202,7 +202,7 @@ def pulsed_laser(period: float, mean_photon_number: float, count: int,
         raise ParameterError("pulse count must be >= 0")
     if mean_photon_number < 0.0:
         raise ParameterError("mean photon number must be >= 0")
-    times = start + np.arange(count, dtype=np.float64) * period
+    times = np.arange(count, dtype=np.float64) * period
     mus = np.full(count, float(mean_photon_number))
     return OpticalTimeline(times=times, mean_photon_numbers=mus)
 
@@ -221,8 +221,12 @@ def timeline_to_ps(timeline: OpticalTimeline, efficiency: float
 
     The click probability of a pulse with mean photon number mu is
     1 - exp(-mu * efficiency) (Poisson photon statistics, at-least-one-photon
-    detection while armed).
+    detection while armed).  Times strictly increase, so the last one alone
+    is checked against the end of the picosecond grid.
     """
+    if len(timeline) and seconds_to_ps(float(timeline.times[-1])) >= NEVER:
+        raise ParameterError("pulse times must stay below %.4g s, the end of "
+                             "the picosecond grid" % (NEVER / PS_PER_S))
     times_ps = np.round(timeline.times * PS_PER_S).astype(np.int64)
     p_click = -np.expm1(-timeline.mean_photon_numbers * efficiency)
     return times_ps, p_click.astype(np.float64)

@@ -180,12 +180,8 @@ def optimize(space: SearchSpace, cfg: LinkConfig, per_detector: bool = False,
                         key=lambda i: _tie_key(point_at(i), best))
             point = point_at(index)
             t, d, m = split(index)
-            data, monitor = halves[t][d], halves[t][m]
-            metrics = LinkMetrics(
-                sifted_rate=data.sifted_rate, qber=data.qber,
-                visibility_raw=monitor.visibility_raw,
-                visibility_dark_subtracted=monitor.visibility_dark_subtracted,
-                skr=best)
+            metrics = link_metrics(cfg_loss, QkdOperatingPoint(
+                detectors[t][d], detectors[t][m]))
         results.append(Optimum(loss_db=loss, found=point is not None,
                                point=point, metrics=metrics,
                                table=table if keep_table else None))

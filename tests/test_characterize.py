@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nfadsim.calibration import make_detector
-from nfadsim.characterize import (CharacterizationCounts, JitterHistogram,
-                                  ProtocolConfig, _exact_histogram,
-                                  _split_bins, afterpulse_total,
+from nfadsim.characterize import (_MAX_DRAWS, CharacterizationCounts,
+                                  JitterHistogram, ProtocolConfig,
+                                  _exact_histogram, _split_bins,
+                                  afterpulse_total,
                                   characterize_point, dark_rate_estimate,
                                   efficiency_estimate, figure_of_merit,
                                   histogram_density, measure_jitter_histogram,
@@ -44,11 +45,9 @@ class TestProtocolConfig:
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            ProtocolConfig(fpga_clock=0.0)
-        with pytest.raises(ParameterError):
             ProtocolConfig(pulses_requested=0)
         with pytest.raises(ParameterError):
-            ProtocolConfig(cycle_timeout=50e-6)  # below the quiet window
+            ProtocolConfig(quiet_window=0.05)  # the cycle timeout
 
     def test_quiet_window_policy_warning(self):
         with pytest.warns(UserWarning):
@@ -306,6 +305,12 @@ class TestJitterWidths:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000
+
+    @pytest.mark.parametrize("draws", [0, _MAX_DRAWS + 1, 10**11])
+    def test_a_draw_count_off_its_range_is_rejected(self, draws):
+        det = make_detector(-110.0, 0.16, 20e-6)
+        with pytest.raises(ParameterError, match="draws"):
+            measure_jitter_histogram(det, draws, RandomStream(7))
 
     def test_too_few_draws_rejected(self):
         det = make_detector(-110.0, 0.16, 20e-6)

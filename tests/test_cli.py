@@ -190,6 +190,22 @@ class TestQkdFixedPoint:
         assert payload["security_parameter"] == 4e-9
         assert "compression" in payload["pa_ratio_meaning"]
 
+    def test_a_loss_without_key_keeps_its_point_and_rates(self, tmp_path):
+        # At 60 dB the fixed point is still written, found, at zero key rate.
+        cfg = _cfg(tmp_path, "[qkd]\nuse_optimizer = false\n"
+                             "losses_db = 5, 60\n")
+        out = tmp_path / "out"
+        assert cli.main(["qkd", "--config", cfg, "--out", str(out)]) == 0
+        ops = (out / "operating_points.csv").read_text().splitlines()
+        assert ops[2] == "60.0,1,-110.0,0.115,20.0,0.115,20.0,0.0"
+        det = make_detector(-110.0, 0.115, 20e-6)
+        m = link_metrics(LinkConfig(channel_loss_db=60.0),
+                         QkdOperatingPoint(det, det))
+        _, rows = _read_rows(out / "skr_vs_loss.csv")
+        assert rows[1][:3] == ["60.0", cli._fmt_cell(m.sifted_rate),
+                               cli._fmt_cell(m.qber)]
+        assert m.sifted_rate > 0.0 and rows[1][5] == "0.0"
+
     def test_qber_vis_file_mirrors_skr_file(self, tmp_path):
         cfg = _cfg(tmp_path, QKD_FIXED_INI)
         out = tmp_path / "out"
@@ -458,6 +474,31 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("draws", ["0", "1000000001", "100000000000"])
+    def test_a_jitter_draw_count_off_its_range_exits_1_without_output(
+            self, tmp_path, capsys, monkeypatch, draws):
+        # Checked before any point runs, so nothing is allocated.
+        monkeypatch.setattr(cli, "characterize_point", None)
+        cfg = _cfg(tmp_path, f"[characterize]\njitter_draws = {draws}\n")
+        out = tmp_path / "out"
+        assert cli.main(["characterize", "--config", cfg, "--out",
+                         str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: jitter_draws ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_a_quiet_window_past_the_cycle_timeout_exits_1_naming_it(
+            self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, "[characterize]\nquiet_window_us = 60000\n")
+        out = tmp_path / "out"
+        assert cli.main(["characterize", "--config", cfg, "--out",
+                         str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: quiet_window ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value, named", [
         ("jitter_bin_ps", "1e-300", "jitter_bin_ps"),   # about 1e303 bins
         ("jitter_bin_ps", "1e-320", "jitter_bin_ps"),   # 0.0 in seconds
@@ -532,7 +573,7 @@ class TestCsvWriter:
                                                                tmp_path):
         path = tmp_path / "h.csv"
         cli._write_csv(path, ("bin_start_s", "count"),
-                       cli._histogram_rows(1e-9, np.zeros(0, np.int64)))
+                       cli._histogram_rows(1e-9, np.zeros(0, np.int64), {}))
         assert path.read_bytes() == b"bin_start_s,count\n"
 
     def test_histograms_sharing_bin_starts_keep_their_text(self):
@@ -617,6 +658,12 @@ class TestAnyConfig:
              sections={"characterize": {"jitter_bin_ps": "1e-300"}},
              seed=None, grid_dump=False)
     @example(command="characterize", sections={}, seed=-1, grid_dump=False)
+    @example(command="characterize",
+             sections={"characterize": {"jitter_draws": str(10**9 + 1)}},
+             seed=None, grid_dump=False)
+    @example(command="characterize",
+             sections={"characterize": {"jitter_draws": str(10**11)}},
+             seed=None, grid_dump=False)
     @example(command="characterize",             # a hold-off of 1e297 s
              sections={"characterize": {"deadtime_us": "1e303"}}, seed=None,
              grid_dump=False)

@@ -348,6 +348,21 @@ class TestStreamInvariants:
             sim(det, OpticalTimeline.empty(), 4.7e6, 1)
 
     @pytest.mark.parametrize("sim", [simulate, simulate_reference])
+    @pytest.mark.parametrize("last", [4.7e6, 1e7, math.inf])
+    def test_pulse_times_must_end_before_the_ps_grid_does(self, sim, last):
+        # 1e7 s cast to int64 picoseconds wrapped to -2**63; 4.7e6 s landed
+        # past NEVER.
+        det = make_detector(-90.0, 0.2, 5e-6)
+        tl = OpticalTimeline(np.array([0.0, last]), np.array([0.1, 0.1]))
+        with pytest.raises(ParameterError, match="picosecond grid"):
+            sim(det, tl, 1.0, 1)
+
+    @pytest.mark.parametrize("sim", [simulate, simulate_reference])
+    def test_pulse_times_just_inside_the_ps_grid_run(self, sim, flat_dark):
+        tl = OpticalTimeline(np.array([4.6e6]), np.array([0.0]))
+        assert len(sim(flat_dark(0.0, 5e-6), tl, 1.0, 1)) == 0
+
+    @pytest.mark.parametrize("sim", [simulate, simulate_reference])
     def test_duration_just_inside_the_ps_grid_runs(self, sim, flat_dark):
         s = sim(flat_dark(0.0, 5e-6), OpticalTimeline.empty(), 4.6e6, 1)
         assert len(s) == 0

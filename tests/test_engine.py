@@ -199,9 +199,8 @@ class TestEventQueue:
 
 class TestSources:
     def test_pulsed_laser_layout(self):
-        tl = pulsed_laser(period=1e-6, mean_photon_number=0.5, count=4,
-                          start=2e-6)
-        assert np.allclose(tl.times, [2e-6, 3e-6, 4e-6, 5e-6])
+        tl = pulsed_laser(period=1e-6, mean_photon_number=0.5, count=4)
+        assert np.allclose(tl.times, [0.0, 1e-6, 2e-6, 3e-6])
         assert np.all(tl.mean_photon_numbers == 0.5)
 
     def test_pulsed_laser_validation(self):
