@@ -287,6 +287,16 @@ def _exact_histogram(chunks, bin_width: float) -> np.ndarray:
     return hist
 
 
+def _check_jitter_bins(detector: DetectorParams, bin_width: float) -> None:
+    """Reject a bin width that is not finite and > 0 or that needs more
+    than _MAX_BINS bins over latency + 10 FWHM, the spread of the delays."""
+    jm = detector.jitter_model
+    span = jm.latency + 10.0 * jm.fwhm_at(detector.efficiency)
+    if not (0.0 < bin_width < math.inf and span <= bin_width * _MAX_BINS):
+        raise ParameterError(f"bin_width must be finite, > 0 and give at "
+                             f"most {_MAX_BINS} bins over {span:g} s")
+
+
 def measure_jitter_histogram(detector: DetectorParams, draws: int, seed,
                              bin_width: float = 2e-12) -> JitterHistogram:
     """Histogram of response delays, emulating a TCSPC acquisition.
@@ -301,8 +311,7 @@ def measure_jitter_histogram(detector: DetectorParams, draws: int, seed,
     """
     if not 1 <= draws <= _MAX_DRAWS:
         raise ParameterError(f"draws must be in [1, {_MAX_DRAWS}]")
-    if bin_width <= 0.0:
-        raise ParameterError("bin_width must be > 0")
+    _check_jitter_bins(detector, bin_width)
     jm = detector.jitter_model
     sigma = jm.core_sigma_at(detector.efficiency)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)

@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration
-from .characterize import (_FPGA_CLOCK, _MAX_BINS, _MAX_DRAWS, ProtocolConfig,
-                           _check_deadtime, characterize_point,
-                           figure_of_merit, measure_jitter_histogram,
-                           tcspc_widths)
+from .characterize import (_FPGA_CLOCK, _MAX_DRAWS, ProtocolConfig,
+                           _check_deadtime, _check_jitter_bins,
+                           characterize_point, figure_of_merit,
+                           measure_jitter_histogram, tcspc_widths)
 from .config import RunConfig, parse_config
 from .engine import RandomStream
 from .errors import (ConfigError, EstimatorDomainError, ExtrapolationError,
@@ -101,13 +101,12 @@ def _prep_characterize(cfg: RunConfig):
         for eta in c.efficiencies:
             det = calibration.make_detector(t, eta, c.deadtime_us / 1e6)
             _check_deadtime(pcfg, det.deadtime)
-            # Probe the jitter table now (width extraction must not die
-            # halfway through a sweep) for the spread the bins must cover.
-            jm = det.jitter_model
-            span = jm.latency + 10.0 * jm.fwhm_at(eta)
-            if not span <= c.jitter_bin_ps * 1e-12 * _MAX_BINS:
-                raise ConfigError(f"jitter_bin_ps must be > 0 and give at "
-                                  f"most {_MAX_BINS} bins over {span:g} s")
+            # Width extraction must not die halfway through a sweep.
+            try:
+                _check_jitter_bins(det, c.jitter_bin_ps * 1e-12)
+            except ParameterError as exc:
+                raise ConfigError("jitter_bin_ps" + str(exc).removeprefix(
+                    "bin_width")) from exc
             points.append((t, eta, det))
     return pcfg, points
 
@@ -219,8 +218,7 @@ def _search_space(cfg: RunConfig) -> SearchSpace:
     o = cfg.optimizer
     return SearchSpace(efficiency_grid=o.efficiencies,
                        deadtime_grid=tuple(t / 1e6 for t in o.deadtimes_us),
-                       temperature_grid=o.temperatures_c,
-                       loss_grid=cfg.qkd.losses_db)
+                       temperature_grid=o.temperatures_c)
 
 
 def _fixed_point(cfg: RunConfig):
@@ -290,17 +288,16 @@ def _dump_rows(space: SearchSpace, per_detector: bool, optima):
     writes its key rates; the rest of its text is formatted once.
     """
     side = [f"{_fmt_cell(eta)},{_fmt_cell(tau * 1e6)}"
-            for eta in space.efficiency_grid for tau in space.deadtime_grid]
+            for eta, tau in space.sides()]
     temps = [_fmt_cell(t) for t in space.temperature_grid]
     monitors = [m + "," for m in side] if per_detector else [""]
     heads = [d + "," if per_detector else f"{d},{d}," for d in side]
     template = "\n".join("{0}%s{%d!r}" % (m, k)
                          for k, m in enumerate(monitors, 1))
     for o in optima:
-        chunks = zip(*[iter(o.table.tolist())] * len(monitors))
-        for t in temps:
+        for t, rates in zip(temps, o.table.reshape(len(temps), len(side), -1)):
             prefix = f"{_fmt_cell(o.loss_db)},{t},"
-            for head, chunk in zip(heads, chunks):
+            for head, chunk in zip(heads, rates.tolist()):
                 yield (template.format(prefix + head, *chunk),)
 
 
@@ -316,12 +313,11 @@ def _optima(cfg: RunConfig, use_optimizer: bool, grid_dump: bool):
         d, m = op.data_detector, op.monitor_detector
         point = GridPoint(cfg.qkd.temperature_c, d.efficiency, d.deadtime,
                           m.efficiency, m.deadtime)
-        return [Optimum(link.channel_loss_db, True, point,
-                        link_metrics(link, op)) for link in links], []
+        return [Optimum(link.channel_loss_db, point, link_metrics(link, op))
+                for link in links], []
     space = _search_space(cfg)
     per_detector = cfg.optimizer.per_detector
-    optima = optimize(space, links[0], per_detector=per_detector,
-                      keep_table=grid_dump)
+    optima = optimize(space, links, per_detector=per_detector)
     dump = [("grid_dump.csv",
              (_DUMP_HEADER, _dump_rows(space, per_detector, optima)))]
     return optima, dump if grid_dump else []

@@ -9,7 +9,8 @@ import numpy as np
 
 from . import _kernels
 from .engine import (EVENT_BACKGROUND, EVENT_DARK, EVENT_PULSE, EVENT_RELEASE,
-                     EventQueue, RandomStream, seconds_to_ps, timeline_to_ps)
+                     EventQueue, RandomStream, check_ps, seconds_to_ps,
+                     timeline_to_ps)
 from .errors import ParameterError
 from .params import (ClickStream, DetectorParams, OpticalTimeline,
                      ORIGIN_AFTERPULSE, ORIGIN_DARK, ORIGIN_PHOTON, PS_PER_S)
@@ -125,11 +126,7 @@ def _duration_ps(duration: float) -> int:
     """Duration on the ps grid, rejected where it would reach ``NEVER``."""
     if not (duration > 0.0) or not math.isfinite(duration):
         raise ParameterError("duration must be positive and finite")
-    duration_ps = seconds_to_ps(duration)
-    if duration_ps >= _kernels.NEVER:
-        raise ParameterError("duration must stay below %.4g s, the end of "
-                             "the picosecond grid" % (_kernels.NEVER / PS_PER_S))
-    return duration_ps
+    return check_ps(seconds_to_ps(duration), "duration")
 
 
 def simulate(params: DetectorParams, timeline: OpticalTimeline,

@@ -215,18 +215,26 @@ def seconds_to_ps(t: float) -> int:
     return int(round(ps))
 
 
+def check_ps(ps: int, what: str) -> int:
+    """``ps``, checked to lie strictly inside (-NEVER, NEVER)."""
+    if not -NEVER < ps < NEVER:
+        raise ParameterError("%s must lie within +-%.4g s, strictly inside "
+                             "the picosecond grid" % (what, NEVER / PS_PER_S))
+    return ps
+
+
 def timeline_to_ps(timeline: OpticalTimeline, efficiency: float
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Pulse times on the ps grid and per-pulse click probabilities.
 
     The click probability of a pulse with mean photon number mu is
     1 - exp(-mu * efficiency) (Poisson photon statistics, at-least-one-photon
-    detection while armed).  Times strictly increase, so the last one alone
-    is checked against the end of the picosecond grid.
+    detection while armed).  Times strictly increase, so the first and the
+    last one alone are checked against the picosecond grid.
     """
-    if len(timeline) and seconds_to_ps(float(timeline.times[-1])) >= NEVER:
-        raise ParameterError("pulse times must stay below %.4g s, the end of "
-                             "the picosecond grid" % (NEVER / PS_PER_S))
+    if len(timeline):
+        for t in (timeline.times[0], timeline.times[-1]):
+            check_ps(seconds_to_ps(float(t)), "pulse times")
     times_ps = np.round(timeline.times * PS_PER_S).astype(np.int64)
     p_click = -np.expm1(-timeline.mean_photon_numbers * efficiency)
     return times_ps, p_click.astype(np.float64)

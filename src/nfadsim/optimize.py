@@ -15,7 +15,6 @@ testable.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -62,13 +61,12 @@ def _check_grid(name: str, values: Sequence[float], lo: float, hi: float,
 class SearchSpace:
     """Grids swept by :func:`optimize`; defaults mirror the studied device.
 
-    Temperatures are Celsius, deadtimes seconds, losses dB.
+    Temperatures are Celsius, deadtimes seconds.
     """
 
     efficiency_grid: tuple = DEFAULT_EFFICIENCY_GRID
     deadtime_grid: tuple = DEFAULT_DEADTIME_GRID
     temperature_grid: tuple = DEFAULT_TEMPERATURE_GRID_C
-    loss_grid: tuple = DEFAULT_LOSS_GRID_DB
 
     def __post_init__(self):
         _check_grid("efficiency_grid", self.efficiency_grid,
@@ -78,42 +76,47 @@ class SearchSpace:
         _check_grid("temperature_grid", self.temperature_grid,
                     kelvin_to_celsius(TEMPERATURE_MIN_K),
                     kelvin_to_celsius(TEMPERATURE_MAX_K))
-        _check_grid("loss_grid", self.loss_grid, 0.0, math.inf)
+
+    def sides(self) -> list[tuple[float, float]]:
+        """The (efficiency, deadtime) settings of one detector, deadtime
+        varying fastest."""
+        return [(eta, tau) for eta in self.efficiency_grid
+                for tau in self.deadtime_grid]
 
     def points(self, per_detector: bool = False):
         """Candidate operating points in deterministic enumeration order."""
+        sides = self.sides()
         for t in self.temperature_grid:
-            for eta_d in self.efficiency_grid:
-                for tau_d in self.deadtime_grid:
-                    if per_detector:
-                        for eta_m in self.efficiency_grid:
-                            for tau_m in self.deadtime_grid:
-                                yield GridPoint(t, eta_d, tau_d, eta_m, tau_m)
-                    else:
-                        yield GridPoint(t, eta_d, tau_d, eta_d, tau_d)
+            for data in sides:
+                for monitor in sides if per_detector else (data,):
+                    yield GridPoint(t, *data, *monitor)
 
 
 @dataclass(frozen=True)
 class Optimum:
-    """Search result at one channel loss.
+    """Best operating point at one channel loss.
 
-    ``found`` is False when every grid point evaluated to zero key rate; the
-    point and metrics are then absent rather than an arbitrary zero-rate
-    entry.  ``table``, when kept, is a read-only float64 array holding the
-    key rate of every grid point in ``SearchSpace.points(per_detector)``
-    order.
+    ``point`` and ``metrics`` are None when every grid point evaluated to
+    zero key rate, rather than an arbitrary zero-rate entry.  ``table``,
+    from a search, is a read-only float64 array of every grid point's key
+    rate, shaped (temperature, Data side) in shared mode and (temperature,
+    Data side, Monitor side) per detector; its C order is
+    ``SearchSpace.points(per_detector)`` order.
     """
 
     loss_db: float
-    found: bool
     point: Optional[GridPoint]
     metrics: Optional[LinkMetrics]
     table: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.found != (self.point is not None) or \
-                self.found != (self.metrics is not None):
-            raise ParameterError("found flag inconsistent with payload")
+        if (self.point is None) != (self.metrics is None):
+            raise ParameterError("a point needs its metrics, and metrics "
+                                 "need a point")
+
+    @property
+    def found(self) -> bool:
+        return self.point is not None
 
     @property
     def skr(self) -> float:
@@ -128,9 +131,9 @@ def _tie_key(point: GridPoint, skr: float):
             -point.temperature_c)
 
 
-def optimize(space: SearchSpace, cfg: LinkConfig, per_detector: bool = False,
-             keep_table: bool = False) -> list[Optimum]:
-    """Best operating point per loss in ``space.loss_grid``.
+def optimize(space: SearchSpace, links: Sequence[LinkConfig],
+             per_detector: bool = False) -> list[Optimum]:
+    """Best operating point for each link, searched at its channel loss.
 
     Every detector on the grid is constructed (and therefore validated)
     before the first evaluation.  The optimum is the largest key rate, ties
@@ -138,35 +141,25 @@ def optimize(space: SearchSpace, cfg: LinkConfig, per_detector: bool = False,
     the result does not depend on enumeration order.
     """
     temps = space.temperature_grid
-    side = [(eta, tau) for eta in space.efficiency_grid
-            for tau in space.deadtime_grid]
+    side = space.sides()
     detectors = [[make_detector(t, eta, tau) for eta, tau in side]
                  for t in temps]
 
-    def split(index: int) -> tuple[int, int, int]:
-        # Flat table index -> (temperature, Data, Monitor) positions.
-        if per_detector:
-            t, pair = divmod(index, len(side) ** 2)
-            return (t, *divmod(pair, len(side)))
-        t, d = divmod(index, len(side))
-        return t, d, d
-
-    def point_at(index: int) -> GridPoint:
-        t, d, m = split(index)
-        return GridPoint(temps[t], *side[d], *side[m])
+    def point_at(i: tuple) -> GridPoint:
+        # A table index: (temperature, Data side[, Monitor side]).
+        return GridPoint(temps[i[0]], *side[i[1]], *side[i[-1]])
 
     results = []
-    for loss in space.loss_grid:
-        cfg_loss = dataclasses.replace(cfg, channel_loss_db=loss)
-        halves = [[link_metrics(cfg_loss, QkdOperatingPoint(det, det))
+    for link in links:
+        halves = [[link_metrics(link, QkdOperatingPoint(det, det))
                    for det in row] for row in detectors]
-        key = np.array([[_key_factor(cfg_loss, m.sifted_rate, m.qber)
+        key = np.array([[_key_factor(link, m.sifted_rate, m.qber)
                          for m in row] for row in halves], dtype=np.float64)
-        vis = np.array([[_vis_factor(cfg_loss, m.visibility_raw)
+        vis = np.array([[_vis_factor(link, m.visibility_raw)
                          for m in row] for row in halves], dtype=np.float64)
         secret = key[:, :, None] * vis[:, None, :] if per_detector \
             else key * vis
-        secret = secret.ravel() - cfg_loss.auth_rate_cost
+        secret -= link.auth_rate_cost
         # Same as max(0.0, x), which gives 0.0 for x = -0.0 (K < 0 times
         # V == 0) and for NaN; np.maximum can return -0.0 or NaN there.
         table = np.where(secret > 0.0, secret, 0.0)
@@ -175,14 +168,11 @@ def optimize(space: SearchSpace, cfg: LinkConfig, per_detector: bool = False,
         best = float(table.max())
         point = metrics = None
         if best > 0.0:
-            # First minimal key in enumeration order among the maxima.
-            index = min(np.flatnonzero(table == best).tolist(),
-                        key=lambda i: _tie_key(point_at(i), best))
-            point = point_at(index)
-            t, d, m = split(index)
-            metrics = link_metrics(cfg_loss, QkdOperatingPoint(
-                detectors[t][d], detectors[t][m]))
-        results.append(Optimum(loss_db=loss, found=point is not None,
-                               point=point, metrics=metrics,
-                               table=table if keep_table else None))
+            # First minimal key in C (enumeration) order among the maxima.
+            i = min(zip(*np.nonzero(table == best)),
+                    key=lambda j: _tie_key(point_at(j), best))
+            point = point_at(i)
+            metrics = link_metrics(link, QkdOperatingPoint(
+                detectors[i[0]][i[1]], detectors[i[0]][i[-1]]))
+        results.append(Optimum(link.channel_loss_db, point, metrics, table))
     return results

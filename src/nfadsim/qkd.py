@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .detector import _kernel_args, afterpulse_feedback, dark_rate
-from .engine import RandomStream, seconds_to_ps
+from .engine import RandomStream, check_ps, seconds_to_ps
 from .errors import NoSignalError, ParameterError
-from .params import PS_PER_S, DetectorParams
+from .params import DetectorParams
 
 
 @dataclass(frozen=True)
@@ -269,9 +269,7 @@ def simulate_session(cfg: LinkConfig, op: QkdOperatingPoint, frames: int,
         raise ParameterError("need at least 1e5 frames for meaningful "
                              "statistics")
     frame_ps = seconds_to_ps(2.0 / cfg.pulse_rate)
-    if frames * frame_ps >= _kernels.NEVER:
-        raise ParameterError("session must stay below %.4g s, the end of "
-                             "the picosecond grid" % (_kernels.NEVER / PS_PER_S))
+    check_ps(frames * frame_ps, "session duration")
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     slot_ps = frame_ps // 2
     duration = frames * (2.0 / cfg.pulse_rate)

@@ -20,7 +20,7 @@ from nfadsim.characterize import (ProtocolConfig, afterpulse_total,
                                   tcspc_widths)
 from nfadsim.detector import simulate, total_afterpulses
 from nfadsim.engine import RandomStream, pulsed_laser
-from nfadsim.optimize import SearchSpace, optimize
+from nfadsim.optimize import DEFAULT_LOSS_GRID_DB, SearchSpace, optimize
 from nfadsim.params import OpticalTimeline, celsius_to_kelvin
 from nfadsim.qkd import (LinkConfig, QkdOperatingPoint, link_metrics,
                          simulate_session)
@@ -120,7 +120,8 @@ def test_criterion_06_figure_of_merit(report):
 
 def test_criterion_07_optimizer_trends(report):
     t0 = time.perf_counter()
-    results = optimize(SearchSpace(), LinkConfig(channel_loss_db=5.0))
+    results = optimize(SearchSpace(), [LinkConfig(channel_loss_db=loss)
+                                       for loss in DEFAULT_LOSS_GRID_DB])
     skrs = [r.skr for r in results]
     taus = [r.point.deadtime_data for r in results]
     etas = [r.point.efficiency_data for r in results]

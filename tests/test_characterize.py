@@ -312,6 +312,16 @@ class TestJitterWidths:
         with pytest.raises(ParameterError, match="draws"):
             measure_jitter_histogram(det, draws, RandomStream(7))
 
+    @pytest.mark.parametrize("bin_width",
+                             [1e-300, 0.0, -2e-12, math.nan, math.inf])
+    def test_a_bin_width_off_its_range_is_rejected(self, bin_width):
+        # 1e-300 s asks for about 1e291 bins, past what numpy can allocate;
+        # an infinite width gives np.histogram an infinite range.
+        det = make_detector(-110.0, 0.115, 20e-6)
+        with pytest.raises(ParameterError, match="bin_width"):
+            measure_jitter_histogram(det, 1000, RandomStream(1),
+                                     bin_width=bin_width)
+
     def test_too_few_draws_rejected(self):
         det = make_detector(-110.0, 0.16, 20e-6)
         hist = measure_jitter_histogram(det, 1_000, RandomStream(8))

@@ -248,9 +248,9 @@ class TestQkdOptimized:
 
         space = SearchSpace(efficiency_grid=(0.1, 0.2),
                             deadtime_grid=(2e-6, 20e-6),
-                            temperature_grid=(-50.0, -110.0),
-                            loss_grid=(10.0, 25.0))
-        optima = optimize(space, LinkConfig(channel_loss_db=10.0))
+                            temperature_grid=(-50.0, -110.0))
+        optima = optimize(space, [LinkConfig(channel_loss_db=loss)
+                                  for loss in (10.0, 25.0)])
         _, op_rows = _read_rows(out / "operating_points.csv")
         assert len(op_rows) == 2
         for row, opt in zip(op_rows, optima):

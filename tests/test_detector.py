@@ -358,6 +358,14 @@ class TestStreamInvariants:
             sim(det, tl, 1.0, 1)
 
     @pytest.mark.parametrize("sim", [simulate, simulate_reference])
+    def test_pulse_times_must_start_after_the_ps_grid_does(self, sim):
+        # -1e7 s is below -2**63 ps, where the int64 cast is undefined.
+        det = make_detector(-90.0, 0.2, 5e-6)
+        tl = OpticalTimeline(np.array([-1e7, 1e-3]), np.array([0.1, 0.1]))
+        with pytest.raises(ParameterError, match="picosecond grid"):
+            sim(det, tl, 1.0, 1)
+
+    @pytest.mark.parametrize("sim", [simulate, simulate_reference])
     def test_pulse_times_just_inside_the_ps_grid_run(self, sim, flat_dark):
         tl = OpticalTimeline(np.array([4.6e6]), np.array([0.0]))
         assert len(sim(flat_dark(0.0, 5e-6), tl, 1.0, 1)) == 0

@@ -1,6 +1,5 @@
 """Grid search over operating points: exactness, ordering, tie-breaks."""
 
-import dataclasses
 import sys
 
 import numpy as np
@@ -16,8 +15,7 @@ from nfadsim.qkd import LinkConfig, QkdOperatingPoint, link_metrics
 
 SMALL = SearchSpace(efficiency_grid=(0.1, 0.2),
                     deadtime_grid=(5e-6, 20e-6),
-                    temperature_grid=(-50.0, -110.0),
-                    loss_grid=(10.0,))
+                    temperature_grid=(-50.0, -110.0))
 
 
 def test_default_grids():
@@ -48,7 +46,6 @@ class TestSearchSpace:
         dict(deadtime_grid=(-1e-6,)),
         dict(temperature_grid=(-130.0,)),
         dict(temperature_grid=(-20.0,)),
-        dict(loss_grid=(-5.0,)),
     ])
     def test_rejects_bad_grids(self, kwargs):
         with pytest.raises(ParameterError):
@@ -56,15 +53,20 @@ class TestSearchSpace:
 
 
 class TestOptimum:
-    def test_payload_must_match_found_flag(self):
-        with pytest.raises(ParameterError):
-            Optimum(loss_db=10.0, found=True, point=None, metrics=None)
+    def test_point_and_metrics_come_together(self):
         point = GridPoint(-90.0, 0.1, 5e-6, 0.1, 5e-6)
+        det = make_detector(-90.0, 0.1, 5e-6)
+        metrics = link_metrics(LinkConfig(channel_loss_db=10.0),
+                               QkdOperatingPoint(det, det))
         with pytest.raises(ParameterError):
-            Optimum(loss_db=10.0, found=False, point=point, metrics=None)
+            Optimum(loss_db=10.0, point=point, metrics=None)
+        with pytest.raises(ParameterError):
+            Optimum(loss_db=10.0, point=None, metrics=metrics)
+        assert Optimum(10.0, point, metrics).found
+        assert not Optimum(10.0, None, None).found
 
     def test_skr_defaults_to_zero(self):
-        assert Optimum(10.0, False, None, None).skr == 0.0
+        assert Optimum(10.0, None, None).skr == 0.0
 
 
 class TestTieBreaks:
@@ -91,9 +93,8 @@ class TestTieBreaks:
                             "link_metrics", lambda cfg, op: same)
         space = SearchSpace(efficiency_grid=(0.1, 0.2),
                             deadtime_grid=(20e-6, 5e-6),
-                            temperature_grid=(-110.0, -50.0),
-                            loss_grid=(10.0,))
-        (opt,) = optimize(space, cfg, per_detector=per_detector)
+                            temperature_grid=(-110.0, -50.0))
+        (opt,) = optimize(space, [cfg], per_detector=per_detector)
         assert opt.point == GridPoint(-50.0, 0.1, 5e-6, 0.1, 5e-6)
         assert opt.metrics == same
 
@@ -101,8 +102,8 @@ class TestTieBreaks:
 class TestOptimize:
     def test_singleton_space_equals_direct_evaluation(self):
         space = SearchSpace(efficiency_grid=(0.2,), deadtime_grid=(10e-6,),
-                            temperature_grid=(-90.0,), loss_grid=(10.0,))
-        (opt,) = optimize(space, LinkConfig(channel_loss_db=10.0))
+                            temperature_grid=(-90.0,))
+        (opt,) = optimize(space, [LinkConfig(channel_loss_db=10.0)])
         det = make_detector(-90.0, 0.2, 10e-6)
         direct = link_metrics(LinkConfig(channel_loss_db=10.0),
                               QkdOperatingPoint(det, det))
@@ -111,8 +112,8 @@ class TestOptimize:
         assert opt.metrics == direct
 
     def test_optimum_dominates_random_subsample(self):
-        space = SearchSpace(loss_grid=(10.0,))
-        (opt,) = optimize(space, LinkConfig(channel_loss_db=10.0))
+        space = SearchSpace()
+        (opt,) = optimize(space, [LinkConfig(channel_loss_db=10.0)])
         points = list(space.points(False))
         rng = np.random.Generator(np.random.PCG64(3))
         cfg = LinkConfig(channel_loss_db=10.0)
@@ -126,32 +127,45 @@ class TestOptimize:
     def test_hopeless_loss_reports_not_found(self):
         space = SearchSpace(efficiency_grid=(0.1, 0.2),
                             deadtime_grid=(5e-6, 20e-6),
-                            temperature_grid=(-110.0,), loss_grid=(60.0,))
-        (opt,) = optimize(space, LinkConfig(channel_loss_db=60.0),
-                          keep_table=True)
+                            temperature_grid=(-110.0,))
+        (opt,) = optimize(space, [LinkConfig(channel_loss_db=60.0)])
         assert not opt.found
         assert opt.point is None and opt.metrics is None
         assert opt.skr == 0.0
-        assert len(opt.table) == len(list(space.points(False)))
-        assert all(skr == 0.0 for skr in opt.table.tolist())
+        assert opt.table.size == len(list(space.points(False)))
+        assert all(skr == 0.0 for skr in opt.table.ravel().tolist())
 
     def test_per_detector_can_only_help(self):
         cfg = LinkConfig(channel_loss_db=10.0)
-        (shared,) = optimize(SMALL, cfg)
-        (split,) = optimize(SMALL, cfg, per_detector=True)
+        (shared,) = optimize(SMALL, [cfg])
+        (split,) = optimize(SMALL, [cfg], per_detector=True)
         assert split.skr >= shared.skr
 
-    def test_keep_table_lists_every_point(self):
+    @pytest.mark.parametrize("per_detector", [False, True])
+    def test_table_is_shaped_like_the_grid(self, per_detector):
         cfg = LinkConfig(channel_loss_db=10.0)
-        (opt,) = optimize(SMALL, cfg, keep_table=True)
-        assert len(opt.table) == len(list(SMALL.points(False)))
+        (opt,) = optimize(SMALL, [cfg], per_detector=per_detector)
+        sides = len(SMALL.sides())
+        grid = (2, sides, sides) if per_detector else (2, sides)
+        assert opt.table.shape == grid
+        assert opt.table.size == len(list(SMALL.points(per_detector)))
         assert opt.table.max() == opt.skr
-        (bare,) = optimize(SMALL, cfg)
-        assert bare.table is None
+
+    def test_each_link_is_searched_as_given(self):
+        # Two links at one loss that differ in another field: each keeps
+        # its own settings, and a search of both is the two searches.
+        links = [LinkConfig(channel_loss_db=10.0, auth_rate_cost=0.0),
+                 LinkConfig(channel_loss_db=10.0, auth_rate_cost=500.0)]
+        both = optimize(SMALL, links)
+        alone = [optimize(SMALL, [link])[0] for link in links]
+        assert both == alone
+        assert both[0] != both[1]
+        for a, b in zip(both, alone):
+            assert np.array_equal(a.table, b.table)
 
     def test_default_space_trends_across_loss(self):
-        cfg = LinkConfig(channel_loss_db=5.0)
-        results = optimize(SearchSpace(), cfg)
+        results = optimize(SearchSpace(), [LinkConfig(channel_loss_db=loss)
+                                           for loss in DEFAULT_LOSS_GRID_DB])
         skrs = [r.skr for r in results]
         assert all(r.found for r in results)
         assert all(b < a for a, b in zip(skrs, skrs[1:]))
@@ -187,33 +201,30 @@ def _brute_force(space, cfg, per_detector, order_seed):
 
 DUPLICATES = SearchSpace(efficiency_grid=(0.1, 0.1, 0.2),
                          deadtime_grid=(5e-6, 5e-6),
-                         temperature_grid=(-90.0, -110.0),
-                         loss_grid=(10.0,))
+                         temperature_grid=(-90.0, -110.0))
 
 
 class TestAgainstScalarFold:
     @pytest.mark.parametrize("per_detector", [False, True])
-    @pytest.mark.parametrize("space", [
-        SMALL,
-        dataclasses.replace(SMALL, loss_grid=(60.0,)),
-        DUPLICATES,
+    @pytest.mark.parametrize("space, loss", [
+        (SMALL, 10.0),
+        (SMALL, 60.0),
+        (DUPLICATES, 10.0),
     ], ids=["small", "60dB", "duplicates"])
-    def test_matches_brute_force_fold(self, space, per_detector):
-        cfg = LinkConfig(channel_loss_db=space.loss_grid[0])
-        (opt,) = optimize(space, cfg, per_detector=per_detector,
-                          keep_table=True)
+    def test_matches_brute_force_fold(self, space, loss, per_detector):
+        cfg = LinkConfig(channel_loss_db=loss)
+        (opt,) = optimize(space, [cfg], per_detector=per_detector)
         point, metrics, skrs = _brute_force(space, cfg, per_detector, 2)
         assert opt.point == point
         assert opt.metrics == metrics
         assert opt.found == (point is not None)
-        assert [repr(v) for v in opt.table.tolist()] == \
+        assert [repr(v) for v in opt.table.ravel().tolist()] == \
             [repr(float(v)) for v in skrs]
 
     def test_zero_key_rate_is_positive_zero(self):
         # K < 0 (QBER 0.5) times V == 0 minus a zero authentication cost is
         # -0.0; the table must still hold 0.0, as max(0.0, -0.0) does.
-        space = dataclasses.replace(SMALL, loss_grid=(200.0,))
         cfg = LinkConfig(channel_loss_db=200.0, auth_rate_cost=0.0)
-        (opt,) = optimize(space, cfg, per_detector=True, keep_table=True)
+        (opt,) = optimize(SMALL, [cfg], per_detector=True)
         assert not opt.found
-        assert {repr(v) for v in opt.table.tolist()} == {"0.0"}
+        assert {repr(v) for v in opt.table.ravel().tolist()} == {"0.0"}
