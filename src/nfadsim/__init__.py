@@ -17,8 +17,7 @@ from .characterize import (CharacterizationCounts, CharacterizationResult,
                            figure_of_merit, histogram_density,
                            measure_jitter_histogram, run_protocol,
                            tcspc_widths)
-from .detector import (dark_rate, first_generation_afterpulses, simulate,
-                       simulate_reference, total_afterpulses)
+from .detector import dark_rate, simulate, simulate_reference
 from .engine import EventQueue, RandomStream, pulsed_laser, seconds_to_ps
 from .errors import (ConfigError, EstimatorDomainError, ExtrapolationError,
                      NoSignalError, OpenSupportError, ParameterError,
@@ -40,8 +39,7 @@ __all__ = [
     "characterize_point", "dark_rate_estimate", "efficiency_estimate",
     "figure_of_merit", "histogram_density", "measure_jitter_histogram",
     "run_protocol", "tcspc_widths",
-    "dark_rate", "first_generation_afterpulses", "simulate",
-    "simulate_reference", "total_afterpulses",
+    "dark_rate", "simulate", "simulate_reference",
     "EventQueue", "RandomStream", "pulsed_laser", "seconds_to_ps",
     "ConfigError", "EstimatorDomainError", "ExtrapolationError",
     "NoSignalError", "OpenSupportError", "ParameterError",

@@ -83,31 +83,42 @@ def _write_outputs(outdir: Path, outputs) -> None:
             path.write_text(content, encoding="utf-8", newline="")
 
 
+def _config_error(exc: ParameterError, section: str, **keys) -> ConfigError:
+    """``exc`` as a ConfigError that starts ``[section] key``: ``keys`` maps
+    the message's first word, a parameter, to its INI key."""
+    name, _, rest = str(exc).partition(" ")
+    return ConfigError(f"[{section}] {keys.get(name, name)} {rest}")
+
+
 # ---------------------------------------------------------------- characterize
 
 def _prep_characterize(cfg: RunConfig):
     c = cfg.characterize
     if not c.temperatures_c or not c.efficiencies:
-        raise ConfigError("characterization grid is empty (temperatures_c "
-                          "and efficiencies must be non-empty)")
-    pcfg = ProtocolConfig(quiet_window=c.quiet_window_us / 1e6,
-                          histogram_span=c.histogram_span_us / 1e6,
-                          pulses_requested=c.pulses,
-                          laser_mu=c.laser_mu)
-    if not 1 <= c.jitter_draws <= _MAX_DRAWS:
-        raise ConfigError(f"jitter_draws must be in [1, {_MAX_DRAWS}]")
+        raise ConfigError("[characterize] temperatures_c and efficiencies "
+                          "must not be empty")
     points = []
-    for t in c.temperatures_c:
-        for eta in c.efficiencies:
-            det = calibration.make_detector(t, eta, c.deadtime_us / 1e6)
-            _check_deadtime(pcfg, det.deadtime)
-            # Width extraction must not die halfway through a sweep.
-            try:
+    try:
+        pcfg = ProtocolConfig(quiet_window=c.quiet_window_us / 1e6,
+                              histogram_span=c.histogram_span_us / 1e6,
+                              pulses_requested=c.pulses,
+                              laser_mu=c.laser_mu)
+        if not 1 <= c.jitter_draws <= _MAX_DRAWS:
+            raise ConfigError("[characterize] jitter_draws must be in "
+                              f"[1, {_MAX_DRAWS}]")
+        for t in c.temperatures_c:
+            for eta in c.efficiencies:
+                det = calibration.make_detector(t, eta, c.deadtime_us / 1e6)
+                _check_deadtime(pcfg, det.deadtime)
+                # Width extraction must not die halfway through a sweep.
                 _check_jitter_bins(det, c.jitter_bin_ps * 1e-12)
-            except ParameterError as exc:
-                raise ConfigError("jitter_bin_ps" + str(exc).removeprefix(
-                    "bin_width")) from exc
-            points.append((t, eta, det))
+                points.append((t, eta, det))
+    except ParameterError as exc:
+        raise _config_error(
+            exc, "characterize", temperature="temperatures_c",
+            efficiency="efficiencies", deadtime="deadtime_us",
+            quiet_window="quiet_window_us", histogram_span="histogram_span_us",
+            pulses_requested="pulses", bin_width="jitter_bin_ps") from exc
     return pcfg, points
 
 
@@ -207,18 +218,21 @@ def _link_configs(cfg: RunConfig) -> list:
     try:
         return [LinkConfig(channel_loss_db=loss, **fields)
                 for loss in q.losses_db]
-    except ParameterError as exc:       # the message starts with the field
-        name, _, rest = str(exc).partition(" ")
-        key = {"channel_loss_db": "losses_db",
-               **{f: k for k, f in _LINK_FIELDS.items()}}.get(name, name)
-        raise ConfigError(f"[qkd] {key} {rest}") from exc
+    except ParameterError as exc:
+        raise _config_error(exc, "qkd", channel_loss_db="losses_db", **{
+            f: k for k, f in _LINK_FIELDS.items()}) from exc
 
 
 def _search_space(cfg: RunConfig) -> SearchSpace:
     o = cfg.optimizer
-    return SearchSpace(efficiency_grid=o.efficiencies,
-                       deadtime_grid=tuple(t / 1e6 for t in o.deadtimes_us),
-                       temperature_grid=o.temperatures_c)
+    taus = tuple(t / 1e6 for t in o.deadtimes_us)
+    try:
+        return SearchSpace(efficiency_grid=o.efficiencies, deadtime_grid=taus,
+                           temperature_grid=o.temperatures_c)
+    except ParameterError as exc:
+        raise _config_error(exc, "optimizer", efficiency_grid="efficiencies",
+                            deadtime_grid="deadtimes_us",
+                            temperature_grid="temperatures_c") from exc
 
 
 def _fixed_point(cfg: RunConfig):
@@ -227,10 +241,16 @@ def _fixed_point(cfg: RunConfig):
         else q.efficiency_monitor
     tau_m_us = q.deadtime_us if q.deadtime_monitor_us is None \
         else q.deadtime_monitor_us
-    data = calibration.make_detector(q.temperature_c, q.efficiency,
-                                     q.deadtime_us / 1e6)
-    monitor = calibration.make_detector(q.temperature_c, eta_m,
-                                        tau_m_us / 1e6)
+    keys = {"temperature": "temperature_c", "deadtime": "deadtime_us"}
+    try:
+        data = calibration.make_detector(q.temperature_c, q.efficiency,
+                                         q.deadtime_us / 1e6)
+        keys = {"efficiency": "efficiency_monitor",  # unset: the Data
+                "deadtime": "deadtime_monitor_us"}   # values, just checked
+        monitor = calibration.make_detector(q.temperature_c, eta_m,
+                                            tau_m_us / 1e6)
+    except ParameterError as exc:
+        raise _config_error(exc, "qkd", **keys) from exc
     return QkdOperatingPoint(data_detector=data, monitor_detector=monitor)
 
 

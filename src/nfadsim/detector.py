@@ -23,64 +23,51 @@ def dark_rate(params: DetectorParams) -> float:
     return params.dark_model.rate(params.temperature, params.efficiency)
 
 
-def first_generation_afterpulses(params: DetectorParams) -> float:
-    """Mean first-generation afterpulse clicks seeded by one avalanche.
+def _saturated_rates(params: DetectorParams,
+                     candidate_rate: float) -> tuple[float, float]:
+    """Detected click rate C and armed fraction with afterpulse feedback.
 
-    Traps released while the detector is still held off are lost, so each
-    exponential component is discounted by its survival past the deadtime.
+    Primary candidates arrive memorylessly at candidate_rate r0 and click
+    with the armed-time fraction 1 - C*deadtime.  Each click adds b - g*C
+    detected afterpulse descendants, so the balance C = r0*(1 - C*deadtime)
+    + (b - g*C)*C is a quadratic in C (g > 0 whenever b > 0; b = 0 is the
+    plain saturation law).  A trap release counts if it outlives the hold-off
+    (survival e^(-deadtime/tau)) and then finds the detector armed: within
+    the first armed window after re-arm, if no fresh candidate came since
+    re-arm; later, if the stationary process put no click in the deadtime
+    before it, probability exactly 1 - C*deadtime.  Blocking by siblings
+    of the same cascade is second order in the trap occupancy and ignored.
+    In afterpulse runaway, where each click breeds a detected descendant
+    almost surely, the root can push the armed fraction to zero; it is
+    floored at 0.1% there, which pins QBER near a coin flip and the key
+    rate at zero without a special case.
     """
+    r0, td = candidate_rate, params.deadtime
+    b = g = 0.0
     lam = params.trap_model.mean_traps(params.efficiency)
-    if lam == 0.0:
-        return 0.0
-    taus = params.trap_model.lifetimes_at(params.temperature)
-    weights = params.trap_model.weights()
-    survive = sum(w * math.exp(-params.deadtime / t)
-                  for w, t in zip(weights, taus))
-    return lam * survive
-
-
-def afterpulse_feedback(params: DetectorParams,
-                        candidate_rate: float) -> tuple[float, float]:
-    """Rate-model coupling constants (b, g) of the afterpulse cascade.
-
-    Per detected click the expected number of detected afterpulse
-    descendants is b - g*C, where C is the steady click rate the constants
-    are later solved against.  A trap release only counts if it outlives
-    the hold-off (survival e^(-deadtime/tau)) and then finds the detector
-    armed.  Within the first armed window after re-arm that requires no
-    fresh candidate since re-arm, at candidate_rate; a release later than
-    one deadtime sees the stationary process instead, where a window of
-    deadtime length holds a click with probability exactly C*deadtime
-    (shorter intervals cannot hold two clicks).  Blocking by siblings of
-    the same cascade is ignored; it is second order in the trap occupancy.
-    """
-    lam = params.trap_model.mean_traps(params.efficiency)
-    if lam == 0.0:
-        return 0.0, 0.0
-    taus = params.trap_model.lifetimes_at(params.temperature)
-    weights = params.trap_model.weights()
-    td = params.deadtime
-    b_first = 0.0
-    b_late = 0.0
-    for w, tau in zip(weights, taus):
-        survive = math.exp(-td / tau)
-        first = -math.expm1(-(candidate_rate + 1.0 / tau) * td) \
-            / (1.0 + candidate_rate * tau)
-        b_first += w * survive * first
-        b_late += w * survive * survive
-    return lam * (b_first + b_late), lam * b_late * td
-
-
-def total_afterpulses(params: DetectorParams) -> float:
-    """Mean afterpulse clicks per primary click including cascades.
-
-    Geometric closure of the first-generation mean b: b + b^2 + ... Valid for
-    b < 1; raises otherwise since the cascade would not terminate on average.
-    """
-    b = first_generation_afterpulses(params)
-    if b >= 1.0:
-        raise ParameterError("afterpulse cascade mean per click is >= 1")
-    return b / (1.0 - b)
+    if lam != 0.0:
+        taus = params.trap_model.lifetimes_at(params.temperature)
+        b_first = b_late = 0.0
+        for w, tau in zip(params.trap_model.weights(), taus):
+            survive = math.exp(-td / tau)
+            first = -math.expm1(-(r0 + 1.0 / tau) * td) \
+                / (1.0 + r0 * tau)
+            b_first += w * survive * first
+            b_late += w * survive * survive
+        b, g = lam * (b_first + b_late), lam * b_late * td
+    if r0 <= 0.0:
+        return 0.0, 1.0
+    k = 1.0 + td * r0 - b
+    if g <= 0.0:
+        c = r0 / k
+    else:
+        # Root written without the -k + sqrt cancellation; k may go negative
+        # in runaway, where the g term keeps the root finite.
+        c = 2.0 * r0 / (k + math.sqrt(k * k + 4.0 * g * r0))
+    armed = 1.0 - c * td
+    if armed < 1.0e-3:
+        return 0.999 / td, 1.0e-3
+    return c, armed
 
 
 _MAX_UNIT_GAP = math.log(2.0 ** 53)  # -ln(1 - u) at the largest u below 1

@@ -3,9 +3,9 @@
 Two evaluation modes share one parameterization: a closed-form rate model
 (link_metrics) and a full Monte Carlo session (simulate_session) that runs
 the detector simulation frame by frame.  The analytic model carries the
-saturation/afterpulse coupling self-consistently so the two modes agree
-within statistics; the Monte Carlo remains the authority on anything the
-closed form approximates.
+saturation/afterpulse coupling self-consistently (detector._saturated_rates)
+so the two modes agree within statistics; the Monte Carlo remains the
+authority on anything the closed form approximates.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .detector import _kernel_args, afterpulse_feedback, dark_rate
+from .detector import _kernel_args, _saturated_rates, dark_rate
 from .engine import RandomStream, check_ps, seconds_to_ps
 from .errors import NoSignalError, ParameterError
 from .params import DetectorParams
@@ -103,41 +103,6 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def _saturated_rates(candidate_rate: float, deadtime: float,
-                     feedback: tuple[float, float]) -> tuple[float, float]:
-    """Detected click rate C and armed fraction with afterpulse feedback.
-
-    Primary candidates arrive memorylessly and click with the armed-time
-    fraction 1 - C*deadtime.  Each click seeds afterpulse candidates that
-    add b - g*C detected descendants per click (b, g from
-    afterpulse_feedback).  The balance
-
-        C = r0*(1 - C*deadtime) + (b - g*C)*C
-
-    is a quadratic in C (g > 0 whenever b > 0).  In afterpulse runaway,
-    where each click breeds a detected descendant almost surely, the root
-    can push the armed fraction to zero; it is floored at 0.1% there, which
-    pins QBER near a coin flip and the key rate at zero without a special
-    case.  b=0 reduces to the plain saturation law.
-    """
-    r0, tau = candidate_rate, deadtime
-    b, g = feedback
-    if r0 <= 0.0:
-        return 0.0, 1.0
-    k = 1.0 + tau * r0 - b
-    if g <= 0.0:
-        c = r0 / k
-    else:
-        # Root written without the -k + sqrt cancellation; k may go negative
-        # in runaway, where the g term keeps the root finite.
-        c = 2.0 * r0 / (k + math.sqrt(k * k + 4.0 * g * r0))
-    armed = 1.0 - c * tau
-    if tau > 0.0 and armed < 1.0e-3:
-        c = 0.999 / tau
-        armed = 1.0e-3
-    return c, armed
-
-
 def _slot_slip_tail(op_data: DetectorParams, slot: float) -> tuple[float, float]:
     """P(jitter pushes a click one slot late) split at one/two slots.
 
@@ -179,14 +144,8 @@ def _monitor_budget(cfg: LinkConfig, op: QkdOperatingPoint):
     r_dark = dark_rate(det)
     p_arms = (scale * -math.expm1(-a * (1.0 + v0)),
               scale * -math.expm1(-a * (1.0 - v0)))
-    return [(p, *_arm_rates(det, cfg.frame_rate * p + r_dark))
+    return [(p, *_saturated_rates(det, cfg.frame_rate * p + r_dark))
             for p in p_arms], r_dark
-
-
-def _arm_rates(det: DetectorParams, candidate_rate: float):
-    """Detected clicks and armed fraction for one detector at one rate."""
-    fb = afterpulse_feedback(det, candidate_rate)
-    return _saturated_rates(candidate_rate, det.deadtime, fb)
 
 
 def _key_factor(cfg: LinkConfig, sifted: float, qber: float) -> float:
@@ -237,7 +196,7 @@ def link_metrics(cfg: LinkConfig, op: QkdOperatingPoint) -> LinkMetrics:
     det = op.data_detector
     p_sig, p_dk = _data_budget(cfg, op)
     r0 = f_b * (p_sig + p_dk)
-    clicks, armed = _arm_rates(det, r0)
+    clicks, armed = _saturated_rates(det, r0)
 
     if clicks > 0.0:
         slot = 1.0 / cfg.pulse_rate

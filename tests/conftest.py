@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import settings
 
@@ -27,3 +29,22 @@ def flat_dark():
     It is the detector of the CLI's deadtime-law self-test.
     """
     return cli._flat_dark_detector
+
+
+@pytest.fixture
+def cascade_bound():
+    """Mean afterpulse clicks per primary click, cascades included, from the
+    trap model alone: b / (1 - b), b the mean first-generation clicks, where
+    a trap released within the hold-off is lost.  Blocking of a release by
+    a fresh click is ignored, so it reads above what the protocol measures;
+    the guards only need it small at their operating points.
+    """
+    def bound(det) -> float:
+        trap = det.trap_model
+        b = trap.mean_traps(det.efficiency) * sum(
+            w * math.exp(-det.deadtime / tau) for w, tau in
+            zip(trap.weights(), trap.lifetimes_at(det.temperature)))
+        assert b < 1.0, "the afterpulse cascade does not end on average"
+        return b / (1.0 - b)
+
+    return bound

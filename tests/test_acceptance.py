@@ -15,10 +15,10 @@ from nfadsim import cli
 from nfadsim.calibration import (DEFAULT_DARK_MODEL, DEFAULT_JITTER_MODEL,
                                  make_detector)
 from nfadsim.characterize import (ProtocolConfig, afterpulse_total,
-                                  efficiency_estimate, figure_of_merit,
-                                  measure_jitter_histogram, run_protocol,
-                                  tcspc_widths)
-from nfadsim.detector import simulate, total_afterpulses
+                                  characterize_point, efficiency_estimate,
+                                  figure_of_merit, measure_jitter_histogram,
+                                  run_protocol, tcspc_widths)
+from nfadsim.detector import simulate
 from nfadsim.engine import RandomStream, pulsed_laser
 from nfadsim.optimize import DEFAULT_LOSS_GRID_DB, SearchSpace, optimize
 from nfadsim.params import OpticalTimeline, celsius_to_kelvin
@@ -136,7 +136,7 @@ def test_criterion_07_optimizer_trends(report):
            f"at 30 dB, monotone trends ({elapsed:.1f} s)")
 
 
-def test_criterion_08_session_matches_analytics(report):
+def test_criterion_08_session_matches_analytics(report, cascade_bound):
     t0 = time.perf_counter()
     worst_q = 0.0
     worst_r = 0.0
@@ -146,7 +146,7 @@ def test_criterion_08_session_matches_analytics(report):
         frames = 400_000_000 if loss < 15.0 else 1_200_000_000
         for j, tau_us in enumerate((10.0, 20.0, 40.0)):
             det = make_detector(-90.0, 0.115, tau_us * 1e-6)
-            ap_ok = ap_ok and total_afterpulses(det) < 0.05
+            ap_ok = ap_ok and cascade_bound(det) < 0.05
             op = QkdOperatingPoint(det, det)
             mc = simulate_session(cfg, op, frames, seed=5000 + 10 * i + j)
             an = link_metrics(cfg, op)
@@ -222,18 +222,21 @@ def test_paper_ledger():
 
     - dark rate: -110 C at 10% (0.7937 cps; the paper's 1 cps) and at the
       11.5% calibration anchor (1.19 cps);
-    - total afterpulsing, cascades included: -110 C, 20 us hold-off, at
-      10% (2.008%) and 11.5% (2.316%; the paper's 2.2%);
+    - total afterpulsing, cascades included, as the quiet-window protocol
+      measures it (criterion 03's 1,030,000 pulses and seed 30): -110 C,
+      20 us hold-off, at 10% (1.865%) and 11.5% (2.170%; the paper's 2.2%);
     - key rate: ``link_metrics`` with the default ``LinkConfig`` at 30 dB,
       Data and Monitor both at -110 C and 20 us, at 10% (162.1 bps) and
       30% (432.7 bps), against the paper's 350 bps.
     """
     rows = []
-    for eta, dcr, p_ap in ((0.10, 0.7937, 0.02008),
-                            (0.115, 1.19, 0.02316)):
+    for eta, dcr, p_ap in ((0.10, 0.7937, 0.01865),
+                            (0.115, 1.19, 0.02170)):
         det = make_detector(-110.0, eta, 20e-6)
         rows.append((det.dark_model.rate(det.temperature, eta), dcr))
-        rows.append((total_afterpulses(det), p_ap))
+        point = characterize_point(
+            det, ProtocolConfig(pulses_requested=1_030_000), RandomStream(30))
+        rows.append((point.afterpulse_total.value, p_ap))
     for eta, skr in ((0.10, 162.1), (0.30, 432.7)):
         det = make_detector(-110.0, eta, 20e-6)
         metrics = link_metrics(LinkConfig(channel_loss_db=30.0),

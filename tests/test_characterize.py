@@ -19,7 +19,6 @@ from nfadsim.characterize import (_MAX_DRAWS, CharacterizationCounts,
                                   efficiency_estimate, figure_of_merit,
                                   histogram_density, measure_jitter_histogram,
                                   run_protocol, tcspc_widths)
-from nfadsim.detector import total_afterpulses
 from nfadsim.engine import RandomStream
 from nfadsim.errors import (EstimatorDomainError, NoSignalError,
                             OpenSupportError, ParameterError,
@@ -161,11 +160,11 @@ class TestHistogramDensity:
 
 
 class TestProtocolClosedLoop:
-    def test_efficiency_recovered_within_three_errors(self):
+    def test_efficiency_recovered_within_three_errors(self, cascade_bound):
         # Operating point safely inside the estimator's stated envelope:
         # analytic afterpulse total about 1.9%, dark rate about 41 cps.
         det = make_detector(-90.0, 0.16, 20e-6)
-        assert total_afterpulses(det) < 0.10
+        assert cascade_bound(det) < 0.10
         assert det.dark_model.rate(det.temperature, det.efficiency) < 1e4
         counts = run_protocol(det, ProtocolConfig(), RandomStream(77))
         est = efficiency_estimate(counts)

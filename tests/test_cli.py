@@ -484,7 +484,7 @@ class TestExitCodes:
         assert cli.main(["characterize", "--config", cfg, "--out",
                          str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: jitter_draws ")
+        assert err.startswith("error: [characterize] jitter_draws ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
@@ -495,25 +495,25 @@ class TestExitCodes:
         assert cli.main(["characterize", "--config", cfg, "--out",
                          str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: quiet_window ")
+        assert err.startswith("error: [characterize] quiet_window_us ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value, named", [
-        ("jitter_bin_ps", "1e-300", "jitter_bin_ps"),   # about 1e303 bins
-        ("jitter_bin_ps", "1e-320", "jitter_bin_ps"),   # 0.0 in seconds
-        ("jitter_bin_ps", "-2", "jitter_bin_ps"),
-        ("histogram_span_us", "1e300", "histogram_span"),
-        ("histogram_span_us", "20000.1", "histogram_span"),  # 10**6 bins
+    @pytest.mark.parametrize("key, value", [
+        ("jitter_bin_ps", "1e-300"),        # about 1e303 bins
+        ("jitter_bin_ps", "1e-320"),        # 0.0 in seconds
+        ("jitter_bin_ps", "-2"),
+        ("histogram_span_us", "1e300"),
+        ("histogram_span_us", "20000.1"),   # 10**6 bins
     ])
     def test_a_histogram_of_too_many_bins_exits_1_without_output(
-            self, tmp_path, capsys, key, value, named):
+            self, tmp_path, capsys, key, value):
         cfg = _cfg(tmp_path, f"[characterize]\n{key} = {value}\n")
         out = tmp_path / "out"
         assert cli.main(["characterize", "--config", cfg, "--out",
                          str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {named} ")
+        assert err.startswith(f"error: [characterize] {key} ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
@@ -538,6 +538,34 @@ class TestExitCodes:
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: [qkd] {key} ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("qkd", "qkd", "deadtime_us", "-1"),
+        ("qkd", "qkd", "temperature_c", "100"),
+        ("qkd", "qkd", "efficiency", "0.5"),
+        ("qkd", "qkd", "efficiency_monitor", "0.5"),
+        ("qkd", "qkd", "deadtime_monitor_us", "-1"),
+        ("optimize", "optimizer", "deadtimes_us", "-1"),
+        ("optimize", "optimizer", "efficiencies", "0.5"),
+        ("qkd", "optimizer", "temperatures_c", "100"),
+        ("characterize", "characterize", "deadtime_us", "-1"),
+        ("characterize", "characterize", "temperatures_c", "100"),
+        ("characterize", "characterize", "efficiencies", "0.5"),
+        ("characterize", "characterize", "pulses", "0"),
+        ("characterize", "characterize", "laser_mu", "0"),
+    ])
+    def test_a_bad_detector_key_exits_1_naming_it_without_output(
+            self, tmp_path, capsys, command, section, key, value):
+        # The [qkd] detector keys set the fixed point, which a search
+        # does not build.
+        fixed = "use_optimizer = false\n" if section == "qkd" else ""
+        cfg = _cfg(tmp_path, f"[{section}]\n{fixed}{key} = {value}\n")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [{section}] {key} ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
 

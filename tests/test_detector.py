@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from nfadsim import _kernels
 from nfadsim.calibration import make_detector
-from nfadsim.detector import (afterpulse_feedback, dark_rate,
-                              first_generation_afterpulses, simulate,
-                              simulate_reference, total_afterpulses)
+from nfadsim.detector import (_saturated_rates, dark_rate, simulate,
+                              simulate_reference)
 from nfadsim.engine import RandomStream, pulsed_laser, seconds_to_ps
 from nfadsim.errors import ParameterError
 from nfadsim.params import (ORIGIN_AFTERPULSE, ORIGIN_DARK, DarkRateModel,
                             DetectorParams, JitterModel, OpticalTimeline,
                             TrapModel, celsius_to_kelvin)
+from nfadsim.qkd import LinkConfig, QkdOperatingPoint, link_metrics
 
 
 def _count_origin(stream, code) -> int:
@@ -495,43 +495,69 @@ class TestMonotonicity:
                 _count_origin(warm, ORIGIN_AFTERPULSE)
 
 
+# Each click fills 50 traps that outlive a 1 us hold-off: every click breeds
+# a detected descendant almost surely.
+RUNAWAY = TrapModel(mean_traps_per_avalanche=50.0, efficiency_exponent=1.0,
+                    efficiency_ref=0.115,
+                    release_components=((1.0, 100e-6, 100.0),),
+                    reference_temperature=183.15)
+
+# (C, armed) reprs of the closed form at candidate rates 0, 1e5 and 1e9 cps,
+# recorded before the afterpulse feedback and the saturation root became
+# one function.  At 1e9 cps the armed fraction takes its 0.1% floor.
+CLOSED_FORM_REPRS = {
+    "disabled": ("(0.0, 1.0)",
+                 "(33333.333333333336, 0.33333333333333326)",
+                 "(49949.99999999999, 0.001)"),
+    "reference": ("(0.0, 1.0)",
+                  "(np.float64(33425.68548835774), "
+                  "np.float64(0.33148629023284515))",
+                  "(49949.99999999999, 0.001)"),
+    "warm": ("(0.0, 1.0)",
+             "(np.float64(173843.26776680222), "
+             "np.float64(0.6523134644663956))",
+             "(499500.0, 0.001)"),
+    "runaway": ("(0.0, 1.0)",
+                "(np.float64(989183.0807879195), "
+                "np.float64(0.010816919212080611))",
+                "(999000.0, 0.001)"),
+}
+
+
+CLOSED_FORM_DETECTORS = {
+    "disabled": make_detector(-110.0, 0.115, 20e-6,
+                              trap_model=TrapModel.disabled()),
+    "reference": make_detector(-110.0, 0.115, 20e-6),
+    "warm": make_detector(-50.0, 0.30, 2e-6),
+    "runaway": make_detector(-90.0, 0.115, 1e-6, trap_model=RUNAWAY),
+}
+
+
 class TestAfterpulseAnalytics:
-    def test_first_generation_hand_formula(self):
-        det = make_detector(-90.0, 0.115, 20e-6)
-        trap = det.trap_model
-        lam = trap.mean_traps(det.efficiency)
-        expected = lam * sum(
-            w * math.exp(-det.deadtime / tau) for (w, _, _), tau in
-            zip(trap.release_components,
-                trap.lifetimes_at(det.temperature)))
-        assert first_generation_afterpulses(det) == pytest.approx(
-            expected, rel=1e-12)
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_REPRS))
+    def test_closed_form_keeps_its_bits(self, name):
+        # repr pins the value and its type: numpy scalars where the trap
+        # sum ran, native floats elsewhere (session digests hash reprs).
+        det = CLOSED_FORM_DETECTORS[name]
+        got = tuple(repr(_saturated_rates(det, r)) for r in (0.0, 1e5, 1e9))
+        assert got == CLOSED_FORM_REPRS[name]
 
-    def test_cascade_closure_is_geometric(self):
-        det = make_detector(-110.0, 0.115, 20e-6)
-        b = first_generation_afterpulses(det)
-        assert 0.0 < b < 1.0
-        assert total_afterpulses(det) == pytest.approx(b / (1.0 - b),
-                                                       rel=1e-12)
+    def test_closed_form_limits(self):
+        plain = CLOSED_FORM_DETECTORS["disabled"]
+        r0, tau = 1e5, plain.deadtime
+        assert _saturated_rates(plain, r0)[0] == r0 / (1.0 + r0 * tau)
+        assert _saturated_rates(plain, 0.0) == (0.0, 1.0)
+        clicks, _ = _saturated_rates(CLOSED_FORM_DETECTORS["reference"], r0)
+        assert clicks > r0 / (1.0 + r0 * tau)
+        _, armed = _saturated_rates(CLOSED_FORM_DETECTORS["runaway"], r0)
+        assert 0.0 < armed < 1.0
 
-    def test_divergent_cascade_rejected(self):
-        hot = TrapModel(mean_traps_per_avalanche=50.0,
-                        efficiency_exponent=1.0, efficiency_ref=0.115,
-                        release_components=((1.0, 100e-6, 100.0),),
-                        reference_temperature=183.15)
-        det = make_detector(-90.0, 0.115, 1e-6, trap_model=hot)
-        with pytest.raises(ParameterError):
-            total_afterpulses(det)
-
-    def test_feedback_limits(self):
-        det = make_detector(-90.0, 0.115, 20e-6)
-        b, g = afterpulse_feedback(det, 1e5)
-        lam = det.trap_model.mean_traps(det.efficiency)
-        assert 0.0 < b < lam
-        assert g > 0.0
-        disabled = make_detector(-90.0, 0.115, 20e-6,
-                                 trap_model=TrapModel.disabled())
-        assert afterpulse_feedback(disabled, 1e5) == (0.0, 0.0)
+    def test_runaway_link_has_no_key(self):
+        det = CLOSED_FORM_DETECTORS["runaway"]
+        metrics = link_metrics(LinkConfig(channel_loss_db=5.0),
+                               QkdOperatingPoint(det, det))
+        assert metrics.skr == 0.0
+        assert metrics.qber <= 0.5
 
     def test_dark_rate_shortcut(self):
         det = make_detector(-110.0, 0.115, 20e-6)
