@@ -14,21 +14,20 @@ that find it held off are consumed.  ``_avalanche_step(det, gens,
 rel_heap)``, built once per kernel call, gives ``avalanche(t)``: it turns
 a click at raw time ``t`` into its recorded time and pushes the releases
 of the traps it fills that come at or after re-arm.  Scheduled events
-belong to the caller (pulses and background photons in ``free_run``, the
-signal in ``_session``), which passes the next one as the exclusive
-``t_limit``.  So at equal times the order is: re-arm (armed means
-``t >= armed_from``), scheduled event (a pulse before a background
-photon), dark candidate, trap release: the kinds ``engine.EVENT_*``
-numbers for the reference simulator.
+belong to the caller (pulses in ``free_run``, the signal in ``_session``),
+which passes the next one as the exclusive ``t_limit``.  So at equal times
+the order is: re-arm (armed means ``t >= armed_from``), scheduled event,
+dark candidate, trap release: the kinds ``engine.EVENT_*`` number for the
+reference simulator.
 
 Each kernel takes its own scalars, then ``det``, the ``(deadtime_ps,
 dark_rate, traps, jitter)`` of ``detector._kernel_args``, and ``gens``, a
 substream name -> uniform source map such as ``RandomStream.uniforms``
 yields; it unpacks both at entry.  Draw contract, shared with
 ``detector.simulate_reference``: per click, the jitter delay, then the trap
-count, then one (component, release delay) pair per trap.  A dark or
-background candidate draws the next gap when it is processed, armed or
-not; a pulse draws its click decision only while armed.
+count, then one (component, release delay) pair per trap.  A dark
+candidate draws the next gap when it is processed, armed or not; a pulse
+draws its click decision only while armed.
 
 Skip rules.  Work that cannot produce a click is skipped exactly, so the
 draw contract above and every output bit stay those of the plain event
@@ -38,9 +37,9 @@ loop:
   below ``_skip_below`` is drawn but not turned into a delay: the delay is
   under the hold-off, so the release comes before re-arm >= t + hold-off.
 - After each click, ``free_run`` draws the next gaps of the held-off dark
-  and background candidates in tight loops, stopping at the duration so
-  each substream ends where the event loop leaves it.  It steps past one
-  held-off pulse with a single test and past more by bisection.
+  candidates in a tight loop, stopping at the duration so the substream
+  ends where the event loop leaves it.  It steps past one held-off pulse
+  with a single test and past more by bisection.
 - In ``characterize``, an armed cycle whose pulse misses, with no dark or
   release due inside its bin, is followed at once by the next cycle at the
   bin's end.  Such an idle run reads its laser decisions from a block of
@@ -159,37 +158,31 @@ def _next_click(t_limit, next_dark, armed_from, rel_heap, dark_rate,
                 return t, ORIGIN_AFTERPULSE, next_dark
 
 
-def free_run(duration_ps, bg_rate, pulse_times_ps, pulse_p_click, det, gens):
+def free_run(duration_ps, pulse_times_ps, pulse_p_click, det, gens):
     """Free-running detector over [0, duration): returns the click stream.
 
-    Dark and background candidates are homogeneous Poisson processes whose
-    candidates are generated regardless of armed state and thinned by it.
-    Pulses click with their per-pulse probability while armed.  Every click
-    is recorded at raw time + jitter delay; the detector re-arms at
-    recorded time + deadtime.  Trap releases while disarmed are lost.
-    The pulse arguments are any indexable sequences (lists, or memoryviews
-    of int64 and float64 arrays), times sorted ascending.
+    Dark candidates are a homogeneous Poisson process whose candidates are
+    generated regardless of armed state and thinned by it.  Pulses click
+    with their per-pulse probability while armed.  Every click is recorded
+    at raw time + jitter delay; the detector re-arms at recorded time +
+    deadtime.  Trap releases while disarmed are lost.  The pulse arguments
+    are any indexable sequences (lists, or memoryviews of int64 and float64
+    arrays), times sorted ascending.
     """
     deadtime_ps, dark_rate, _, _ = det
-    gen_darks, gen_photons, gen_background = (
-        gens["darks"], gens["photons"], gens["background"])
-    log, dark_random, bg_random = (math.log, gen_darks.random,
-                                   gen_background.random)
+    gen_darks, gen_photons = gens["darks"], gens["photons"]
+    log, dark_random = math.log, gen_darks.random
     times, origins = [], []
 
     rel_heap = [NEVER]
     avalanche = _avalanche_step(det, gens, rel_heap)
     next_dark = _exp_gap_ps(gen_darks, dark_rate) if dark_rate > 0.0 else NEVER
-    next_bg = _exp_gap_ps(gen_background, bg_rate) if bg_rate > 0.0 else NEVER
     i_pulse = 0
     n_pulses = len(pulse_times_ps)
     armed_from = 0  # armed when t >= armed_from
 
     while True:
-        t_sched = next_bg
-        is_pulse = i_pulse < n_pulses and pulse_times_ps[i_pulse] <= t_sched
-        if is_pulse:
-            t_sched = pulse_times_ps[i_pulse]
+        t_sched = pulse_times_ps[i_pulse] if i_pulse < n_pulses else NEVER
         t, origin, next_dark = _next_click(
             t_sched if t_sched < duration_ps else duration_ps,
             next_dark, armed_from, rel_heap, dark_rate, gen_darks)
@@ -198,15 +191,10 @@ def free_run(duration_ps, bg_rate, pulse_times_ps, pulse_p_click, det, gens):
                 break
             t = t_sched
             origin = ORIGIN_PHOTON
-            if is_pulse:
-                p = pulse_p_click[i_pulse]
-                i_pulse += 1
-                if t < armed_from or gen_photons.random() >= p:
-                    continue
-            else:
-                next_bg = t + _exp_gap_ps(gen_background, bg_rate)
-                if t < armed_from:
-                    continue
+            p = pulse_p_click[i_pulse]
+            i_pulse += 1
+            if t < armed_from or gen_photons.random() >= p:
+                continue
 
         recorded = avalanche(t)
         if recorded < duration_ps:
@@ -214,14 +202,12 @@ def free_run(duration_ps, bg_rate, pulse_times_ps, pulse_p_click, det, gens):
             origins.append(origin)
         armed_from = recorded + deadtime_ps
 
-        # Held-off candidates draw only their next gap and held-off pulses
-        # draw nothing: skip them here.  Stopping at duration_ps leaves each
-        # substream where the event loop would.
+        # Held-off dark candidates draw only their next gap and held-off
+        # pulses draw nothing: skip them here.  Stopping at duration_ps
+        # leaves the dark substream where the event loop would.
         stop = armed_from if armed_from < duration_ps else duration_ps
         while next_dark < stop:
             next_dark += int(-log(1.0 - dark_random()) / dark_rate * PS_PER_S)
-        while next_bg < stop:
-            next_bg += int(-log(1.0 - bg_random()) / bg_rate * PS_PER_S)
         if i_pulse < n_pulses and pulse_times_ps[i_pulse] < armed_from:
             i_pulse += 1
             if i_pulse < n_pulses and pulse_times_ps[i_pulse] < armed_from:

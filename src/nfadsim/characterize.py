@@ -164,8 +164,7 @@ def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
     det = _kernel_args(detector)
     p_click = -math.expm1(-cfg.laser_mu * detector.efficiency)
 
-    with stream.child(0).uniforms(
-            ("darks", "photons", "traps", "jitter")) as gens:
+    with stream.child(0).uniforms(_KERNEL_SUBSTREAMS) as gens:
         c_d, c_lp, hist, live_ps, starved = _kernels.characterize(
             cfg.pulses_requested, seconds_to_ps(cfg.quiet_window), bin_ps,
             seconds_to_ps(cfg.histogram_span), p_click,
@@ -178,7 +177,7 @@ def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
 
     live_time = live_ps / PS_PER_S
     with stream.child(1).uniforms(_KERNEL_SUBSTREAMS) as gens:
-        dark_times, _ = _kernels.free_run(live_ps, 0.0, [], [], det, gens)
+        dark_times, _ = _kernels.free_run(live_ps, [], [], det, gens)
     dark_counts = int(len(dark_times))
     r_dc = dark_counts / live_time if live_time > 0.0 else 0.0
 

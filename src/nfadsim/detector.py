@@ -8,14 +8,13 @@ from itertools import accumulate
 import numpy as np
 
 from . import _kernels
-from .engine import (EVENT_BACKGROUND, EVENT_DARK, EVENT_PULSE, EVENT_RELEASE,
-                     EventQueue, RandomStream, check_ps, seconds_to_ps,
-                     timeline_to_ps)
+from .engine import (EVENT_DARK, EVENT_PULSE, EVENT_RELEASE, EventQueue,
+                     RandomStream, check_ps, seconds_to_ps, timeline_to_ps)
 from .errors import ParameterError
 from .params import (ClickStream, DetectorParams, OpticalTimeline,
                      ORIGIN_AFTERPULSE, ORIGIN_DARK, ORIGIN_PHOTON, PS_PER_S)
 
-_KERNEL_SUBSTREAMS = ("darks", "photons", "traps", "jitter", "background")
+_KERNEL_SUBSTREAMS = ("darks", "photons", "traps", "jitter")
 
 
 def dark_rate(params: DetectorParams) -> float:
@@ -73,15 +72,6 @@ def _saturated_rates(params: DetectorParams,
 _MAX_UNIT_GAP = math.log(2.0 ** 53)  # -ln(1 - u) at the largest u below 1
 
 
-def _candidate_rate(rate: float, what: str) -> float:
-    """A Poisson candidate rate (cps), rejected where a gap can be ``inf``:
-    below about 2e-295 cps, -ln(1 - u) / rate in ps has no int."""
-    if rate > 0.0 and not math.isfinite(_MAX_UNIT_GAP / rate * PS_PER_S):
-        raise ParameterError("%s rate %.3g cps is too small: its exponential "
-                             "gaps overflow the picosecond grid" % (what, rate))
-    return rate
-
-
 def _kernel_args(params: DetectorParams):
     """The detector bundle every kernel call site passes as ``det``.
 
@@ -90,7 +80,8 @@ def _kernel_args(params: DetectorParams):
     and ``jitter`` is (core sigma in ps, tail fraction, tail scale, latency
     in ps).  Native floats and tuples, not numpy scalars and arrays: the
     kernels' arithmetic on them gives the same values and runs faster in
-    the interpreter.
+    the interpreter.  A dark rate is rejected where a gap can be ``inf``:
+    below about 2e-295 cps, -ln(1 - u) / rate in ps has no int.
     """
     trap = params.trap_model
     lam = trap.mean_traps(params.efficiency)
@@ -100,10 +91,14 @@ def _kernel_args(params: DetectorParams):
                    for t in trap.lifetimes_at(params.temperature).tolist())
     if not all(map(math.isfinite, tau_ps)):
         raise ParameterError("trap lifetime overflows the picosecond grid")
+    rate = float(dark_rate(params))
+    if rate > 0.0 and not math.isfinite(_MAX_UNIT_GAP / rate * PS_PER_S):
+        raise ParameterError("dark count rate %.3g cps is too small: its "
+                             "exponential gaps overflow the picosecond grid"
+                             % rate)
     jit = params.jitter_model
     sigma_ps = jit.core_sigma_at(params.efficiency) * PS_PER_S
-    return (seconds_to_ps(params.deadtime),
-            _candidate_rate(float(dark_rate(params)), "dark count"),
+    return (seconds_to_ps(params.deadtime), rate,
             (float(lam), cum_weights, tau_ps),
             (float(sigma_ps), float(jit.tail_fraction),
              float(jit.tail_scale_factor), seconds_to_ps(jit.latency)))
@@ -121,19 +116,16 @@ def simulate(params: DetectorParams, timeline: OpticalTimeline,
     """Simulate the detector against an optical timeline for duration seconds.
 
     seed is an integer or a RandomStream.  Returns the recorded click stream
-    with per-click origin tags (photon, dark, afterpulse); background counts
-    are tagged as photons since they enter through the same optical port.
+    with per-click origin tags (photon, dark, afterpulse).
     """
     duration_ps = _duration_ps(duration)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     det = _kernel_args(params)
-    rate_bg = _candidate_rate(timeline.background_rate * params.efficiency,
-                              "background candidate")
     pulse_times_ps, pulse_p = timeline_to_ps(timeline, params.efficiency)
     with stream.uniforms(_KERNEL_SUBSTREAMS) as gens:
         times_ps, origins = _kernels.free_run(
-            duration_ps, rate_bg, memoryview(pulse_times_ps),
-            memoryview(pulse_p), det, gens)
+            duration_ps, memoryview(pulse_times_ps), memoryview(pulse_p),
+            det, gens)
     return ClickStream(np.asarray(times_ps, dtype=np.float64) / PS_PER_S,
                        np.asarray(origins, dtype=np.uint8))
 
@@ -152,8 +144,6 @@ def simulate_reference(params: DetectorParams, timeline: OpticalTimeline,
     gens = stream.generators(_KERNEL_SUBSTREAMS)
     (deadtime_ps, rate_dark, (lam, cum, trap_tau_ps),
      (sigma_ps, _, _, latency_ps)) = _kernel_args(params)
-    rate_bg = _candidate_rate(timeline.background_rate * params.efficiency,
-                              "background candidate")
     pulse_times_ps, pulse_p = timeline_to_ps(timeline, params.efficiency)
 
     def gap_ps(generator, rate: float) -> int:
@@ -165,9 +155,6 @@ def simulate_reference(params: DetectorParams, timeline: OpticalTimeline,
         queue.push(int(t), EVENT_PULSE, float(p))
     if rate_dark > 0.0:
         queue.push(gap_ps(gens["darks"], rate_dark), EVENT_DARK, None)
-    if rate_bg > 0.0:
-        queue.push(gap_ps(gens["background"], rate_bg), EVENT_BACKGROUND,
-                   None)
 
     def jitter_delay_ps() -> int:
         g = gens["jitter"]
@@ -216,11 +203,6 @@ def simulate_reference(params: DetectorParams, timeline: OpticalTimeline,
         origin = ORIGIN_PHOTON
         if kind == EVENT_PULSE:
             if t >= armed_from and gens["photons"].random() < payload:
-                clicked = True
-        elif kind == EVENT_BACKGROUND:
-            queue.push(t + gap_ps(gens["background"], rate_bg),
-                       EVENT_BACKGROUND, None)
-            if t >= armed_from:
                 clicked = True
         elif kind == EVENT_DARK:
             queue.push(t + gap_ps(gens["darks"], rate_dark), EVENT_DARK, None)

@@ -26,9 +26,8 @@ from .params import PS_PER_S, OpticalTimeline
 # Re-arming is implicit: armed checks use >=, so a click candidate exactly at
 # the re-arm instant is already live.
 EVENT_PULSE = 1
-EVENT_BACKGROUND = 2
-EVENT_DARK = 3
-EVENT_RELEASE = 4
+EVENT_DARK = 2
+EVENT_RELEASE = 3
 
 # Substream indices are reserved below _CHILD_OFFSET; child streams start at it.
 _CHILD_OFFSET = 16
@@ -44,6 +43,8 @@ class RandomStream:
     (seed, name) to a bit stream is stable and documented.
     """
 
+    # A name's position is its spawn index.  No kernel draws from
+    # "background" any more; it keeps its place so "bits" stays at index 5.
     SUBSTREAMS = ("darks", "photons", "traps", "jitter", "background", "bits")
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
@@ -164,7 +165,7 @@ class EventQueue:
     """Time-ordered pending events with deterministic tie-breaking.
 
     Pop order is non-decreasing in time; ties are broken by event kind
-    (re-arm < optical < dark < release) and then by insertion order.  Times
+    (re-arm < pulse < dark < release) and then by insertion order.  Times
     are integer picoseconds.
     """
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -337,7 +336,7 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class OpticalTimeline:
-    """Incident light: discrete pulses plus optional continuous background.
+    """Incident light: discrete pulses, each with its mean photon number.
 
     Attributes
     ----------
@@ -345,13 +344,10 @@ class OpticalTimeline:
         Pulse arrival times in seconds, strictly increasing.
     mean_photon_numbers : ndarray
         Mean photon number (mu) per pulse, same length as ``times``.
-    background_rate : float
-        Continuous incident photon rate in photons/second (0 for none).
     """
 
     times: np.ndarray
     mean_photon_numbers: np.ndarray
-    background_rate: float = 0.0
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=np.float64)
@@ -365,7 +361,6 @@ class OpticalTimeline:
                      "pulse times must be strictly increasing")
         if len(mus):
             _require(bool(np.all(mus >= 0.0)), "mean photon numbers must be >= 0")
-        _require(self.background_rate >= 0.0, "background_rate must be >= 0")
 
     @classmethod
     def empty(cls) -> "OpticalTimeline":
@@ -394,8 +389,3 @@ class ClickStream:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def with_origins(self, origins: Sequence[int] | np.ndarray) -> "ClickStream":
-        """Same click times with replaced tags (used by blindness tests)."""
-        return ClickStream(times=self.times,
-                           origins=np.asarray(origins, dtype=np.uint8))

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .detector import _kernel_args, _saturated_rates, dark_rate
+from .detector import (_KERNEL_SUBSTREAMS, _kernel_args, _saturated_rates,
+                       dark_rate)
 from .engine import RandomStream, check_ps, seconds_to_ps
 from .errors import NoSignalError, ParameterError
 from .params import DetectorParams
@@ -235,8 +236,7 @@ def simulate_session(cfg: LinkConfig, op: QkdOperatingPoint, frames: int,
 
     det_d = _kernel_args(op.data_detector)
     p_sig, p_dk = _data_budget(cfg, op)
-    with stream.child(0).uniforms(
-            ("darks", "photons", "traps", "jitter", "bits")) as gens:
+    with stream.child(0).uniforms((*_KERNEL_SUBSTREAMS, "bits")) as gens:
         n_sifted, n_errors = _kernels.qkd_data(
             frames, frame_ps, slot_ps, p_sig, cfg.optical_error, det_d, gens)
     if n_sifted == 0:
@@ -248,8 +248,7 @@ def simulate_session(cfg: LinkConfig, op: QkdOperatingPoint, frames: int,
     arms, r_dark_m = _monitor_budget(cfg, op)
     totals = []
     for child, (p_frame, _, armed) in enumerate(arms, 1):
-        with stream.child(child).uniforms(
-                ("darks", "photons", "traps", "jitter")) as gens:
+        with stream.child(child).uniforms(_KERNEL_SUBSTREAMS) as gens:
             n_arm = _kernels.qkd_monitor(frames, frame_ps, slot_ps, p_frame,
                                          det_m, gens)
         # The model-expected detected dark counts in this arm.

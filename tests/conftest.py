@@ -20,7 +20,7 @@ def ref_detector() -> DetectorParams:
     return make_detector(-110.0, 0.115, 20e-6)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def flat_dark():
     """Factory for a dark-only detector with a rate independent of T and eta.
 

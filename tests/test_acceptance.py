@@ -5,6 +5,7 @@ in a plain ``pytest -v`` run, then asserts.  Tolerances and time budgets
 are part of the criteria; the statistical ones run with fixed seeds.
 """
 
+import dataclasses
 import math
 import time
 
@@ -205,8 +206,8 @@ def test_criterion_10_origin_tags_do_not_leak(report):
 
     before = estimates(clicks)
     rng = np.random.Generator(np.random.PCG64(1))
-    shuffled = clicks.with_origins(
-        clicks.origins[rng.permutation(len(clicks.origins))])
+    shuffled = dataclasses.replace(
+        clicks, origins=clicks.origins[rng.permutation(len(clicks.origins))])
     after = estimates(shuffled)
     ok = before == after and np.array_equal(shuffled.times, clicks.times)
     report(10, ok, "permuting origin tags changes no estimate "

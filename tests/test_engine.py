@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nfadsim.engine import (EVENT_BACKGROUND, EVENT_DARK, EVENT_PULSE,
-                            EVENT_RELEASE, EventQueue, RandomStream,
-                            pulsed_laser, seconds_to_ps, timeline_to_ps)
+from nfadsim.engine import (EVENT_DARK, EVENT_PULSE, EVENT_RELEASE,
+                            EventQueue, RandomStream, pulsed_laser,
+                            seconds_to_ps, timeline_to_ps)
 from nfadsim.errors import ParameterError
 
 
@@ -48,6 +48,24 @@ class TestRandomStream:
         parent = RandomStream(5).generator("bits").random(32)
         child = RandomStream(5).child(0).generator("bits").random(32)
         assert not np.array_equal(parent, child)
+
+    # Spawn index of each substream.  The qkd_data goldens and every
+    # recorded digest depend on it, so a retired name keeps its index.
+    SPAWN_INDEX = {"darks": 0, "photons": 1, "traps": 2, "jitter": 3,
+                   "background": 4, "bits": 5}
+
+    def test_every_substream_is_pinned(self):
+        assert set(RandomStream.SUBSTREAMS) == set(self.SPAWN_INDEX)
+
+    @pytest.mark.parametrize("name", sorted(SPAWN_INDEX))
+    def test_substreams_keep_their_spawn_index(self, name):
+        # Child streams prefix their index plus 16 to the spawn key.
+        for stream, key in ((RandomStream(9), ()),
+                            (RandomStream(9).child(2), (18,))):
+            seq = np.random.SeedSequence(
+                9, spawn_key=key + (self.SPAWN_INDEX[name],))
+            expected = np.random.Generator(np.random.PCG64(seq)).random(8)
+            assert np.array_equal(stream.generator(name).random(8), expected)
 
     def test_negative_child_index_rejected(self):
         with pytest.raises(ParameterError):
@@ -178,9 +196,8 @@ class TestEventQueue:
         q.push(100, EVENT_RELEASE, "release")
         q.push(100, EVENT_PULSE, "pulse")
         q.push(100, EVENT_DARK, "dark")
-        q.push(100, EVENT_BACKGROUND, "bg")
-        order = [q.pop()[2] for _ in range(4)]
-        assert order == ["pulse", "bg", "dark", "release"]
+        order = [q.pop()[2] for _ in range(3)]
+        assert order == ["pulse", "dark", "release"]
 
     def test_insertion_order_breaks_kind_ties(self):
         q = EventQueue()

@@ -24,9 +24,9 @@ def _small_free_run():
     det = make_detector(-90.0, 0.25, 3e-6)
     tl = pulsed_laser(period=1e-6, mean_photon_number=0.3, count=2000)
     pulse_ps, pulse_p = timeline_to_ps(tl, det.efficiency)
-    fixed = (seconds_to_ps(0.003), tl.background_rate * det.efficiency,
-             pulse_ps.tolist(), pulse_p.tolist(), _kernel_args(det))
-    return fixed, ("darks", "photons", "traps", "jitter", "background")
+    fixed = (seconds_to_ps(0.003), pulse_ps.tolist(), pulse_p.tolist(),
+             _kernel_args(det))
+    return fixed, ("darks", "photons", "traps", "jitter")
 
 
 def _flat_dark(rate_cps):

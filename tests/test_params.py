@@ -166,7 +166,6 @@ class TestOpticalTimeline:
     def test_empty(self):
         tl = OpticalTimeline.empty()
         assert len(tl) == 0
-        assert tl.background_rate == 0.0
 
 
 class TestClickStream:
@@ -174,10 +173,3 @@ class TestClickStream:
         with pytest.raises(ParameterError):
             ClickStream(times=np.array([1.0, 2.0]),
                         origins=np.array([0], dtype=np.uint8))
-
-    def test_with_origins_keeps_times(self):
-        s = ClickStream(times=np.array([1e-6, 2e-6]),
-                        origins=np.array([0, 1], dtype=np.uint8))
-        swapped = s.with_origins([1, 0])
-        assert np.array_equal(swapped.times, s.times)
-        assert list(swapped.origins) == [1, 0]
