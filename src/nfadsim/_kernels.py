@@ -23,7 +23,12 @@ reference simulator.
 Each kernel takes its own scalars, then ``det``, the ``(deadtime_ps,
 dark_rate, traps, jitter)`` of ``detector._kernel_args``, and ``gens``, a
 substream name -> uniform source map such as ``RandomStream.uniforms``
-yields; it unpacks both at entry.  Draw contract, shared with
+yields; it unpacks both at entry.  Outputs are plain Python containers:
+``free_run`` returns the recorded times as an ``array("q")`` of ps and
+the origin codes as a ``bytearray``, 9 bytes per click, which
+``detector.simulate`` reads with ``np.frombuffer``; ``characterize``
+returns ints, its histogram as a list of ints and a bool; ``qkd_data``
+returns two ints and ``qkd_monitor`` one.  Draw contract, shared with
 ``detector.simulate_reference``: per click, the jitter delay, then the trap
 count, then one (component, release delay) pair per trap.  A dark
 candidate draws the next gap when it is processed, armed or not; a pulse
@@ -169,10 +174,14 @@ def free_run(duration_ps, pulse_times_ps, pulse_p_click, det, gens):
     are any indexable sequences (lists, or memoryviews of int64 and float64
     arrays), times sorted ascending.
     """
+    # Imported here: the module maps about 0.2 MB, which the commands that
+    # record no clicks (qkd, optimize) need not load.
+    from array import array
+
     deadtime_ps, dark_rate, _, _ = det
     gen_darks, gen_photons = gens["darks"], gens["photons"]
     log, dark_random = math.log, gen_darks.random
-    times, origins = [], []
+    times, origins = array("q"), bytearray()
 
     rel_heap = [NEVER]
     avalanche = _avalanche_step(det, gens, rel_heap)

@@ -10,7 +10,6 @@ estimators with first-order error propagation.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from .params import PS_PER_S, DetectorParams
 
 # Most bins a histogram may have: finer bins cost memory and time for nothing.
 _MAX_BINS = 10**6
-_MAX_DRAWS = 10**9          # the jitter draws' tail flags take a byte each
+_MAX_DRAWS = 10**9          # the jitter draws' tail flags take a bit each
 
 _FPGA_CLOCK = 50e6          # the protocol's clock; one bin per cycle
 _CYCLE_TIMEOUT = 0.05       # sim time to reach a quiet window, else starved
@@ -260,7 +259,8 @@ def characterize_point(detector: DetectorParams, cfg: ProtocolConfig,
         counts=counts)
 
 
-_JITTER_CHUNK = 65_536
+# Delays drawn and binned per step; 8 K to 64 K took the same time.
+_JITTER_CHUNK = 16_384
 
 
 def _split_bins(v: np.ndarray, bin_width: float, minlength: int):
@@ -272,7 +272,8 @@ def _split_bins(v: np.ndarray, bin_width: float, minlength: int):
 
 def _exact_histogram(chunks, bin_width: float) -> np.ndarray:
     """np.histogram(v, bins=n, range=(0, n * bin_width)) of the nonnegative
-    chunks' concatenation v, with n = ceil(max(v) / bin_width) + 1."""
+    chunks' concatenation v, with n = ceil(max(v) / bin_width) + 1.  No
+    view of a chunk is kept, so the next chunk may reuse its buffer."""
     counts, aside, top = np.zeros(0, dtype=np.intp), [], 0.0
     for v in chunks:
         top = v.max(initial=top)
@@ -287,13 +288,19 @@ def _exact_histogram(chunks, bin_width: float) -> np.ndarray:
 
 
 def _check_jitter_bins(detector: DetectorParams, bin_width: float) -> None:
-    """Reject a bin width that is not finite and > 0 or that needs more
-    than _MAX_BINS bins over latency + 10 FWHM, the spread of the delays."""
+    """Reject a bin width that is not finite and > 0, that needs more than
+    _MAX_BINS bins over latency + 10 FWHM, the spread of the delays, or
+    that is wider than the FWHM, which the histogram is there to resolve:
+    a bin past the latency holds every delay, and no width can be read."""
     jm = detector.jitter_model
-    span = jm.latency + 10.0 * jm.fwhm_at(detector.efficiency)
+    fwhm = jm.fwhm_at(detector.efficiency)
+    span = jm.latency + 10.0 * fwhm
     if not (0.0 < bin_width < math.inf and span <= bin_width * _MAX_BINS):
         raise ParameterError(f"bin_width must be finite, > 0 and give at "
                              f"most {_MAX_BINS} bins over {span:g} s")
+    if bin_width > fwhm:
+        raise ParameterError(f"bin_width must be at most the {fwhm:g} s "
+                             f"FWHM it resolves")
 
 
 def measure_jitter_histogram(detector: DetectorParams, draws: int, seed,
@@ -302,11 +309,12 @@ def measure_jitter_histogram(detector: DetectorParams, draws: int, seed,
 
     The counts and generator end state of np.histogram of all delays at once
     (n = ceil(max / bin_width) + 1 bins on [0, n * bin_width)), drawn (all
-    tail decisions, kept whole, then normals, then tail exponentials) and
-    binned in _JITTER_CHUNK steps.  numpy's edges fl(i * s), s = fl(fl(n *
-    bin_width) / n), lie within about 4 * 2**-53 * i bins of i * bin_width,
-    so 0.0 and every delay with q = delay / bin_width below 1e9 and over 1e-6
-    from an integer are in bin floor(q); np.histogram bins the others.
+    tail decisions, kept as one bit each, then normals, then tail
+    exponentials) and binned in _JITTER_CHUNK steps through one reused
+    buffer.  numpy's edges fl(i * s), s = fl(fl(n * bin_width) / n), lie
+    within about 4 * 2**-53 * i bins of i * bin_width, so 0.0 and every
+    delay with q = delay / bin_width below 1e9 and over 1e-6 from an
+    integer are in bin floor(q); np.histogram bins the others.
     """
     if not 1 <= draws <= _MAX_DRAWS:
         raise ParameterError(f"draws must be in [1, {_MAX_DRAWS}]")
@@ -315,15 +323,29 @@ def measure_jitter_histogram(detector: DetectorParams, draws: int, seed,
     sigma = jm.core_sigma_at(detector.efficiency)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     gen = stream.generator("jitter")
-    tail = np.empty(draws, dtype=bool)
-    spans = [tail[i:i + _JITTER_CHUNK] for i in range(0, draws, _JITTER_CHUNK)]
-    for span in spans:
-        np.less(gen.random(len(span)), jm.tail_fraction, out=span)
-    units = itertools.chain(
-        (gen.standard_normal(len(span))[~span] for span in spans),
-        (gen.exponential(jm.tail_scale_factor, span.sum()) for span in spans))
+    buf = np.empty(min(draws, _JITTER_CHUNK))
+    flags = np.empty(len(buf), dtype=bool)
+    sizes = [min(_JITTER_CHUNK, draws - i)
+             for i in range(0, draws, _JITTER_CHUNK)]
+    packed, n_tail = [], 0
+    for n in sizes:
+        tail = np.less(gen.random(out=buf[:n]), jm.tail_fraction,
+                       out=flags[:n])
+        packed.append(np.packbits(tail))
+        n_tail += np.count_nonzero(tail)
+
+    def units():
+        for n, bits in zip(sizes, packed):
+            core = np.unpackbits(bits, count=n) == 0
+            yield gen.standard_normal(out=buf[:n])[core]
+        for i in range(0, n_tail, _JITTER_CHUNK):
+            x = gen.standard_exponential(out=buf[:min(_JITTER_CHUNK,
+                                                      n_tail - i)])
+            yield np.multiply(x, jm.tail_scale_factor, out=x)
+
     delays = (np.maximum(0.0, np.add(np.multiply(x, sigma, out=x),
-                                     jm.latency, out=x), out=x) for x in units)
+                                     jm.latency, out=x), out=x)
+              for x in units())
     return JitterHistogram(bin_width=bin_width,
                            counts=_exact_histogram(delays, bin_width))
 

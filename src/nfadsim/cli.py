@@ -83,11 +83,27 @@ def _write_outputs(outdir: Path, outputs) -> None:
             path.write_text(content, encoding="utf-8", newline="")
 
 
-def _config_error(exc: ParameterError, section: str, **keys) -> ConfigError:
+def _ini_text(value) -> str:
+    """A config value as an INI line writes it: lists joined by commas,
+    whole numbers without ".0"."""
+    if isinstance(value, tuple):
+        return ", ".join(map(_ini_text, value))
+    text = repr(value)
+    return text[:-2] if text.endswith(".0") else text
+
+
+def _config_error(exc: ValueError, section: str, values,
+                  **keys) -> ConfigError:
     """``exc`` as a ConfigError that starts ``[section] key``: ``keys`` maps
-    the message's first word, a parameter, to its INI key."""
+    the message's first word, a parameter, to its INI key.  The key's value
+    in ``values``, the parsed section, follows as the INI writes it, since
+    the message may give it in SI units."""
     name, _, rest = str(exc).partition(" ")
-    return ConfigError(f"[{section}] {keys.get(name, name)} {rest}")
+    key = keys.get(name, name)
+    value = getattr(values, key, None)
+    if value is not None:
+        key += f" = {_ini_text(value)}:"
+    return ConfigError(f"[{section}] {key} {rest}")
 
 
 # ---------------------------------------------------------------- characterize
@@ -104,8 +120,8 @@ def _prep_characterize(cfg: RunConfig):
                               pulses_requested=c.pulses,
                               laser_mu=c.laser_mu)
         if not 1 <= c.jitter_draws <= _MAX_DRAWS:
-            raise ConfigError("[characterize] jitter_draws must be in "
-                              f"[1, {_MAX_DRAWS}]")
+            raise ConfigError(f"[characterize] jitter_draws = "
+                              f"{c.jitter_draws}: must be in [1, {_MAX_DRAWS}]")
         for t in c.temperatures_c:
             for eta in c.efficiencies:
                 det = calibration.make_detector(t, eta, c.deadtime_us / 1e6)
@@ -113,9 +129,9 @@ def _prep_characterize(cfg: RunConfig):
                 # Width extraction must not die halfway through a sweep.
                 _check_jitter_bins(det, c.jitter_bin_ps * 1e-12)
                 points.append((t, eta, det))
-    except ParameterError as exc:
+    except (ParameterError, ExtrapolationError) as exc:
         raise _config_error(
-            exc, "characterize", temperature="temperatures_c",
+            exc, "characterize", c, temperature="temperatures_c",
             efficiency="efficiencies", deadtime="deadtime_us",
             quiet_window="quiet_window_us", histogram_span="histogram_span_us",
             pulses_requested="pulses", bin_width="jitter_bin_ps") from exc
@@ -219,7 +235,7 @@ def _link_configs(cfg: RunConfig) -> list:
         return [LinkConfig(channel_loss_db=loss, **fields)
                 for loss in q.losses_db]
     except ParameterError as exc:
-        raise _config_error(exc, "qkd", channel_loss_db="losses_db", **{
+        raise _config_error(exc, "qkd", q, channel_loss_db="losses_db", **{
             f: k for k, f in _LINK_FIELDS.items()}) from exc
 
 
@@ -227,12 +243,19 @@ def _search_space(cfg: RunConfig) -> SearchSpace:
     o = cfg.optimizer
     taus = tuple(t / 1e6 for t in o.deadtimes_us)
     try:
-        return SearchSpace(efficiency_grid=o.efficiencies, deadtime_grid=taus,
-                           temperature_grid=o.temperatures_c)
-    except ParameterError as exc:
-        raise _config_error(exc, "optimizer", efficiency_grid="efficiencies",
+        space = SearchSpace(efficiency_grid=o.efficiencies,
+                            deadtime_grid=taus,
+                            temperature_grid=o.temperatures_c)
+        # link_metrics reads each grid detector's jitter table.
+        for eta in o.efficiencies:
+            calibration.DEFAULT_JITTER_MODEL.check_efficiency(eta)
+    except (ParameterError, ExtrapolationError) as exc:
+        raise _config_error(exc, "optimizer", o,
+                            efficiency_grid="efficiencies",
+                            efficiency="efficiencies",
                             deadtime_grid="deadtimes_us",
                             temperature_grid="temperatures_c") from exc
+    return space
 
 
 def _fixed_point(cfg: RunConfig):
@@ -245,12 +268,14 @@ def _fixed_point(cfg: RunConfig):
     try:
         data = calibration.make_detector(q.temperature_c, q.efficiency,
                                          q.deadtime_us / 1e6)
+        # link_metrics reads the Data detector's jitter table.
+        data.jitter_model.check_efficiency(data.efficiency)
         keys = {"efficiency": "efficiency_monitor",  # unset: the Data
                 "deadtime": "deadtime_monitor_us"}   # values, just checked
         monitor = calibration.make_detector(q.temperature_c, eta_m,
                                             tau_m_us / 1e6)
-    except ParameterError as exc:
-        raise _config_error(exc, "qkd", **keys) from exc
+    except (ParameterError, ExtrapolationError) as exc:
+        raise _config_error(exc, "qkd", q, **keys) from exc
     return QkdOperatingPoint(data_detector=data, monitor_detector=monitor)
 
 

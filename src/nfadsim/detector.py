@@ -126,8 +126,8 @@ def simulate(params: DetectorParams, timeline: OpticalTimeline,
         times_ps, origins = _kernels.free_run(
             duration_ps, memoryview(pulse_times_ps), memoryview(pulse_p),
             det, gens)
-    return ClickStream(np.asarray(times_ps, dtype=np.float64) / PS_PER_S,
-                       np.asarray(origins, dtype=np.uint8))
+    return ClickStream(np.frombuffer(times_ps, dtype=np.int64) / PS_PER_S,
+                       np.frombuffer(origins, dtype=np.uint8))
 
 
 def simulate_reference(params: DetectorParams, timeline: OpticalTimeline,

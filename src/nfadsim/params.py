@@ -8,7 +8,7 @@ construction and raises :class:`~nfadsim.errors.ParameterError` on violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -275,15 +275,19 @@ class JitterModel:
         # Fails fast if the tail would swamp the Gaussian peak.
         _mixture_unit_width(self.tail_fraction, self.tail_scale_factor, 0.5)
 
-    def fwhm_at(self, efficiency: float) -> float:
-        """Interpolated FWHM in seconds; no extrapolation beyond the table."""
+    def check_efficiency(self, efficiency: float) -> None:
+        """Raise ExtrapolationError for an efficiency outside the table."""
         table = self.fwhm_table
         if efficiency < table[0][0] or efficiency > table[-1][0]:
             raise ExtrapolationError(
                 f"efficiency {efficiency} outside jitter table range "
                 f"[{table[0][0]}, {table[-1][0]}]")
-        effs = [p[0] for p in table]
-        fwhms = [p[1] for p in table]
+
+    def fwhm_at(self, efficiency: float) -> float:
+        """Interpolated FWHM in seconds; no extrapolation beyond the table."""
+        self.check_efficiency(efficiency)
+        effs = [p[0] for p in self.fwhm_table]
+        fwhms = [p[1] for p in self.fwhm_table]
         return float(np.interp(efficiency, effs, fwhms))
 
     def core_sigma_at(self, efficiency: float) -> float:

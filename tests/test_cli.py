@@ -460,19 +460,31 @@ class TestExitCodes:
                          str(out)]) == 0
         assert (out / "estimates.csv").exists()
 
-    def test_a_jitter_bin_wider_than_the_spread_exits_2(self, tmp_path,
-                                                        capsys):
-        # Every delay lands in the first bin, so the histogram never falls
-        # below half its peak on the left.
-        cfg = _cfg(tmp_path, "[characterize]\npulses = 2000\n"
-                             "jitter_draws = 1000\njitter_bin_ps = 1e9\n")
+    @pytest.mark.parametrize("bin_ps", ["1e9", "160"])
+    def test_a_jitter_bin_wider_than_the_fwhm_exits_1_naming_it(
+            self, tmp_path, capsys, monkeypatch, bin_ps):
+        # At 1e9 ps every delay lands in the first bin, so the histogram
+        # never falls below half its peak on the left; 160 ps is just over
+        # the 159.1 ps FWHM at the default 11.5% efficiency.  Both are
+        # rejected before any point runs.
+        monkeypatch.setattr(cli, "characterize_point", None)
+        cfg = _cfg(tmp_path, f"[characterize]\njitter_bin_ps = {bin_ps}\n")
         out = tmp_path / "out"
         assert cli.main(["characterize", "--config", cfg, "--out",
-                         str(out)]) == 2
+                         str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("runtime error: ") and "level" in err
+        assert err.startswith("error: [characterize] jitter_bin_ps ")
+        assert "FWHM" in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_a_jitter_bin_of_the_fwhm_runs(self, tmp_path):
+        cfg = _cfg(tmp_path, "[characterize]\npulses = 2000\n"
+                             "jitter_draws = 100000\njitter_bin_ps = 158\n")
+        out = tmp_path / "out"
+        assert cli.main(["characterize", "--config", cfg, "--out",
+                         str(out)]) == 0
+        assert (out / "estimates.csv").exists()
 
     @pytest.mark.parametrize("draws", ["0", "1000000001", "100000000000"])
     def test_a_jitter_draw_count_off_its_range_exits_1_without_output(
@@ -552,20 +564,30 @@ class TestExitCodes:
         ("qkd", "optimizer", "temperatures_c", "100"),
         ("characterize", "characterize", "deadtime_us", "-1"),
         ("characterize", "characterize", "temperatures_c", "100"),
+        ("characterize", "characterize", "temperatures_c", "-110, 100"),
         ("characterize", "characterize", "efficiencies", "0.5"),
         ("characterize", "characterize", "pulses", "0"),
         ("characterize", "characterize", "laser_mu", "0"),
+        # Inside [0, 0.35] but below the jitter table's 0.05.
+        ("characterize", "characterize", "efficiencies", "0.01"),
+        ("optimize", "optimizer", "efficiencies", "0.01"),
+        ("qkd", "qkd", "efficiency", "0.01"),
     ])
     def test_a_bad_detector_key_exits_1_naming_it_without_output(
-            self, tmp_path, capsys, command, section, key, value):
+            self, tmp_path, capsys, monkeypatch, command, section, key,
+            value):
         # The [qkd] detector keys set the fixed point, which a search
-        # does not build.
+        # does not build.  Each value is caught before any point runs or
+        # the search starts, and shown as the INI writes it: the library
+        # sees -1 us as -1e-06 s and 100 C as 373.15 K.
+        for name in ("characterize_point", "optimize", "link_metrics"):
+            monkeypatch.setattr(cli, name, None)
         fixed = "use_optimizer = false\n" if section == "qkd" else ""
         cfg = _cfg(tmp_path, f"[{section}]\n{fixed}{key} = {value}\n")
         out = tmp_path / "out"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: [{section}] {key} ")
+        assert err.startswith(f"error: [{section}] {key} = {value}: ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from nfadsim.errors import ExtrapolationError, ParameterError
-from nfadsim.params import (ClickStream, DarkRateModel, DetectorParams,
-                            JitterModel, OpticalTimeline, TrapModel,
-                            celsius_to_kelvin, kelvin_to_celsius)
+from nfadsim.params import (ClickStream, DarkRateModel, JitterModel,
+                            OpticalTimeline, TrapModel, celsius_to_kelvin,
+                            kelvin_to_celsius)
 from nfadsim.calibration import (DEFAULT_DARK_MODEL, DEFAULT_JITTER_MODEL,
                                  DEFAULT_TRAP_MODEL, make_detector)
 
