@@ -1,24 +1,31 @@
 """Simulation kernels: the detector's event loop in plain Python.
 
 The kernels draw nothing but uniforms, one at a time from ``gen.random()``
-or, for the laser decisions of ``characterize``, as ndarrays from
-``gen.block(n)``, and use only ``math.*`` scalar routines; exponential,
-normal, Poisson and categorical variates are derived here by
-inversion/rejection.
+or, for the dark candidates and the laser decisions of ``characterize``,
+as ndarrays from ``gen.block(n)``; exponential, normal, Poisson and
+categorical variates are derived here by inversion/rejection with
+``math.*`` scalar routines.  The one numpy arithmetic is over a block of
+dark-candidate uniforms (``_DarkCandidates``): ``np.log``, then int64
+running sums.  A gap that ``np.log``'s ulp-level difference from
+``math.log`` could truncate to another int is redone with ``math.log``, so
+every gap is ``_exp_gap_ps``'s.  On an Intel Xeon (Python 3.11, numpy
+2.4) a block of 1024 gaps costs about 30 ns a gap this way, 105 ns with
+Python-int sums after ``np.log`` and 220 to 250 ns with ``math.log`` per
+gap, which is no faster than drawing each gap as its candidate comes up.
 
 Event-step core.  Every click goes through one cycle: avalanche, timing
-jitter, trap filling, hold-off, re-arm.  ``_next_click(t_limit, ...)``
-walks dark candidates and trap releases strictly before ``t_limit`` and
-returns the first that finds the detector armed, or ``NEVER``; the ones
-that find it held off are consumed.  ``_avalanche_step(det, gens,
-rel_heap)``, built once per kernel call, gives ``avalanche(t)``: it turns
-a click at raw time ``t`` into its recorded time and pushes the releases
-of the traps it fills that come at or after re-arm.  Scheduled events
-belong to the caller (pulses in ``free_run``, the signal in ``_session``),
-which passes the next one as the exclusive ``t_limit``.  So at equal times
-the order is: re-arm (armed means ``t >= armed_from``), scheduled event,
-dark candidate, trap release: the kinds ``engine.EVENT_*`` number for the
-reference simulator.
+jitter, trap filling, hold-off, re-arm.  ``_next_click(t_limit,
+armed_from, rel_heap, darks)`` walks dark candidates and trap releases
+strictly before ``t_limit`` and returns the first that finds the detector
+armed, or ``NEVER``; the ones that find it held off are consumed.
+``_avalanche_step(det, gens, rel_heap)``, built once per kernel call,
+gives ``avalanche(t)``: it turns a click at raw time ``t`` into its
+recorded time and pushes the releases of the traps it fills that come at
+or after re-arm.  Scheduled events belong to the caller (pulses in
+``free_run``, the signal in ``_session``), which passes the next one as
+the exclusive ``t_limit``.  So at equal times the order is: re-arm (armed
+means ``t >= armed_from``), scheduled event, dark candidate, trap release:
+the kinds ``engine.EVENT_*`` number for the reference simulator.
 
 Each kernel takes its own scalars, then ``det``, the ``(deadtime_ps,
 dark_rate, traps, jitter)`` of ``detector._kernel_args``, and ``gens``, a
@@ -32,7 +39,10 @@ returns two ints and ``qkd_monitor`` one.  Draw contract, shared with
 ``detector.simulate_reference``: per click, the jitter delay, then the trap
 count, then one (component, release delay) pair per trap.  A dark
 candidate draws the next gap when it is processed, armed or not; a pulse
-draws its click decision only while armed.
+draws its click decision only while armed.  The dark gaps come from their
+own substream alone, so they are read ahead in blocks: on every exit a
+kernel gives back with ``unread`` the uniforms past the next candidate,
+and the substream ends where one-at-a-time draws leave it.
 
 Skip rules.  Work that cannot produce a click is skipped exactly, so the
 draw contract above and every output bit stay those of the plain event
@@ -41,10 +51,10 @@ loop:
   it would draw nothing and find the detector held off.  A release uniform
   below ``_skip_below`` is drawn but not turned into a delay: the delay is
   under the hold-off, so the release comes before re-arm >= t + hold-off.
-- After each click, ``free_run`` draws the next gaps of the held-off dark
-  candidates in a tight loop, stopping at the duration so the substream
-  ends where the event loop leaves it.  It steps past one held-off pulse
-  with a single test and past more by bisection.
+- Held-off dark candidates are skipped by bisection: ``_next_click``
+  consumes the read-ahead candidates before min(armed_from, t_limit) in
+  one step.  ``free_run`` steps past one held-off pulse with a single test
+  and past more by bisection.
 - In ``characterize``, an armed cycle whose pulse misses, with no dark or
   release due inside its bin, is followed at once by the next cycle at the
   bin's end.  Such an idle run reads its laser decisions from a block of
@@ -61,6 +71,9 @@ infinite gap has no int; ``detector`` rejects the rates that would draw one.
 import math
 from bisect import bisect_left
 from heapq import heappop, heappush
+from itertools import accumulate
+
+import numpy as np
 
 from .params import ORIGIN_AFTERPULSE, ORIGIN_DARK, ORIGIN_PHOTON, PS_PER_S
 
@@ -72,10 +85,17 @@ NEVER = 1 << 62
 # Laser decisions ``characterize`` reads per photon block.
 _LASER_BLOCK = 1024
 
+# Dark candidates drawn per block: the first block, doubled up to the last.
+_DARK_FIRST_BLOCK = 64
+_DARK_LAST_BLOCK = 1024
+# Relative slack around a gap inside which np.log's error could move its
+# truncation: 64 ulps of a double.
+_LOG_SLACK = 2.0 ** -46
 
-def _exp_gap_ps(gen, rate_per_s):
-    # rate > 0 required by callers.
-    return int(-math.log(1.0 - gen.random()) / rate_per_s * PS_PER_S)
+
+def _exp_gap_ps(u, rate_per_s):
+    """The exponential gap in ps that uniform u draws at rate_per_s > 0."""
+    return int(-math.log(1.0 - u) / rate_per_s * PS_PER_S)
 
 
 def _skip_below(deadtime_ps, tau_ps):
@@ -139,28 +159,107 @@ def _avalanche_step(det, gens, rel_heap):
     return avalanche
 
 
-def _next_click(t_limit, next_dark, armed_from, rel_heap, dark_rate,
-                gen_darks):
+class _DarkCandidates:
+    """The dark-candidate process of one kernel call, read ahead.
+
+    ``times[i]``, also kept as ``next``, is the next candidate's time; the
+    candidates before it are consumed.  Times are exact running sums of
+    gaps ``int(-ln(1 - u) / rate * PS_PER_S)``, drawn ``_exp_gap_ps``'s way
+    from blocks of ``source.block(n)``.  ``close`` gives back with
+    ``unread`` the uniforms of the candidates after ``next``, so the source
+    ends where one-at-a-time draws would have left it.  At rate 0 there is
+    one candidate, at ``NEVER``, and nothing is drawn.
+    """
+
+    __slots__ = ("times", "i", "next", "_source", "_rate", "_size", "_u")
+
+    def __init__(self, source, rate):
+        self._source, self._rate = source, rate
+        self._size = _DARK_FIRST_BLOCK
+        self.times, self.i = [0], 0
+        if rate > 0.0:
+            self._refill()
+        else:
+            self.times, self.next, self._u = [NEVER], NEVER, source.block(0)
+
+    def _refill(self):
+        """Replace the consumed block by the next one; return its times."""
+        n, rate = self._size, self._rate
+        self._size = min(2 * n, _DARK_LAST_BLOCK)
+        self._u = u = self._source.block(n)
+        # np.log may differ from math.log by an ulp or so (0.35% of draws):
+        # a gap that such an error could truncate to another int is
+        # computed again with math.log.  Below about 0.015 cps most gaps
+        # pass 2**46 ps and are redone; a kernel call draws few there.
+        x = np.log(1.0 - u)
+        np.negative(x, out=x)
+        x /= rate
+        x *= PS_PER_S
+        for j in (np.trunc(x * (1.0 - _LOG_SLACK))
+                  != np.trunc(x * (1.0 + _LOG_SLACK))).nonzero()[0].tolist():
+            x[j] = _exp_gap_ps(float(u[j]), rate)
+        start = self.times[-1]
+        if start + float(x.max()) * n < 2.0 ** 62:
+            times = np.cumsum(x.astype(np.int64))
+            times += start
+            times = times.tolist()
+        else:  # a time near int64's end; below 4e-6 cps a gap can pass it
+            gaps = list(map(int, x.tolist()))
+            gaps[0] += start
+            times = list(accumulate(gaps))
+        self.times = times
+        self.i = 0
+        self.next = times[0]
+        return times
+
+    def skip_to(self, stop):
+        """Consume every candidate before stop; return the next one's time."""
+        times = self.times
+        i = bisect_left(times, stop, self.i)
+        while i == len(times):
+            times = self._refill()
+            i = bisect_left(times, stop)
+        self.i = i
+        self.next = t = times[i]
+        return t
+
+    def pop(self):
+        """Consume the next candidate."""
+        i = self.i + 1
+        if i == len(self.times):
+            self._refill()
+        else:
+            self.i = i
+            self.next = self.times[i]
+
+    def close(self):
+        self._source.unread(self._u[self.i + 1:])
+
+
+def _next_click(t_limit, armed_from, rel_heap, darks):
     """First armed dark candidate or trap release strictly before t_limit.
 
-    Returns (t, origin, next_dark) with t = NEVER when none arrives in
-    time.  A dark candidate goes before a release at the same time.
+    Returns (t, origin) with t = NEVER when none arrives in time.  The dark
+    candidates before min(armed_from, t_limit) find the detector held off:
+    they are skipped by bisection.  A dark candidate goes before a release
+    at the same time.
     """
+    stop = armed_from if armed_from < t_limit else t_limit
+    dark = darks.next
+    if dark < stop:
+        dark = darks.skip_to(stop)
     while True:
         t = rel_heap[0]
-        if next_dark <= t:
-            t = next_dark
-            if t >= t_limit:
-                return NEVER, ORIGIN_DARK, next_dark
-            next_dark = t + _exp_gap_ps(gen_darks, dark_rate)
-            if t >= armed_from:
-                return t, ORIGIN_DARK, next_dark
-        else:
-            if t >= t_limit:
-                return NEVER, ORIGIN_AFTERPULSE, next_dark
-            heappop(rel_heap)
-            if t >= armed_from:
-                return t, ORIGIN_AFTERPULSE, next_dark
+        if dark <= t:
+            if dark >= t_limit:
+                return NEVER, ORIGIN_DARK
+            darks.pop()
+            return dark, ORIGIN_DARK
+        if t >= t_limit:
+            return NEVER, ORIGIN_AFTERPULSE
+        heappop(rel_heap)
+        if t >= armed_from:
+            return t, ORIGIN_AFTERPULSE
 
 
 def free_run(duration_ps, pulse_times_ps, pulse_p_click, det, gens):
@@ -179,48 +278,48 @@ def free_run(duration_ps, pulse_times_ps, pulse_p_click, det, gens):
     from array import array
 
     deadtime_ps, dark_rate, _, _ = det
-    gen_darks, gen_photons = gens["darks"], gens["photons"]
-    log, dark_random = math.log, gen_darks.random
+    photon_random = gens["photons"].random
     times, origins = array("q"), bytearray()
 
     rel_heap = [NEVER]
     avalanche = _avalanche_step(det, gens, rel_heap)
-    next_dark = _exp_gap_ps(gen_darks, dark_rate) if dark_rate > 0.0 else NEVER
+    darks = _DarkCandidates(gens["darks"], dark_rate)
     i_pulse = 0
     n_pulses = len(pulse_times_ps)
     armed_from = 0  # armed when t >= armed_from
 
-    while True:
-        t_sched = pulse_times_ps[i_pulse] if i_pulse < n_pulses else NEVER
-        t, origin, next_dark = _next_click(
-            t_sched if t_sched < duration_ps else duration_ps,
-            next_dark, armed_from, rel_heap, dark_rate, gen_darks)
-        if t == NEVER:
-            if t_sched >= duration_ps:
-                break
-            t = t_sched
-            origin = ORIGIN_PHOTON
-            p = pulse_p_click[i_pulse]
-            i_pulse += 1
-            if t < armed_from or gen_photons.random() >= p:
-                continue
+    try:
+        while True:
+            t_sched = (pulse_times_ps[i_pulse] if i_pulse < n_pulses
+                       else NEVER)
+            t, origin = _next_click(
+                t_sched if t_sched < duration_ps else duration_ps,
+                armed_from, rel_heap, darks)
+            if t == NEVER:
+                if t_sched >= duration_ps:
+                    break
+                t = t_sched
+                origin = ORIGIN_PHOTON
+                p = pulse_p_click[i_pulse]
+                i_pulse += 1
+                if t < armed_from or photon_random() >= p:
+                    continue
 
-        recorded = avalanche(t)
-        if recorded < duration_ps:
-            times.append(recorded)
-            origins.append(origin)
-        armed_from = recorded + deadtime_ps
+            recorded = avalanche(t)
+            if recorded < duration_ps:
+                times.append(recorded)
+                origins.append(origin)
+            armed_from = recorded + deadtime_ps
 
-        # Held-off dark candidates draw only their next gap and held-off
-        # pulses draw nothing: skip them here.  Stopping at duration_ps
-        # leaves the dark substream where the event loop would.
-        stop = armed_from if armed_from < duration_ps else duration_ps
-        while next_dark < stop:
-            next_dark += int(-log(1.0 - dark_random()) / dark_rate * PS_PER_S)
-        if i_pulse < n_pulses and pulse_times_ps[i_pulse] < armed_from:
-            i_pulse += 1
+            # Held-off pulses draw nothing: skip them here.
             if i_pulse < n_pulses and pulse_times_ps[i_pulse] < armed_from:
-                i_pulse = bisect_left(pulse_times_ps, armed_from, i_pulse)
+                i_pulse += 1
+                if (i_pulse < n_pulses
+                        and pulse_times_ps[i_pulse] < armed_from):
+                    i_pulse = bisect_left(pulse_times_ps, armed_from,
+                                          i_pulse)
+    finally:
+        darks.close()
 
     return times, origins
 
@@ -236,14 +335,14 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
     (c_d, c_lp, histogram, live_ps, starved).
     """
     deadtime_ps, dark_rate, _, _ = det
-    gen_darks, photons = gens["darks"], gens["photons"]
+    photons = gens["photons"]
     n_bins = span_ps // bin_ps
     hist = [0] * n_bins
     c_d = c_lp = 0
 
     rel_heap = [NEVER]
     avalanche = _avalanche_step(det, gens, rel_heap)
-    next_dark = _exp_gap_ps(gen_darks, dark_rate) if dark_rate > 0.0 else NEVER
+    darks = _DarkCandidates(gens["darks"], dark_rate)
     armed_from = 0
     last_click = -quiet_ps  # lets the first pulse fire at t = 0
     t_now = 0
@@ -252,99 +351,99 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
     block = photons.block(0)
     hits, i_hit, pos = [NEVER], 0, 0
 
-    while c_lp < n_pulses:
-        cycle_start = t_now
-        target = last_click + quiet_ps
-        if target < t_now:
-            target = t_now
-        pending = NEVER  # recorded click that lands at/after the laser fires
-
-        # Quiet wait: process events until a full quiet window elapses.
-        # The loop tests stand in for a _next_click call that would find
-        # nothing, which most cycles of a cold detector do.
-        while next_dark < target or rel_heap[0] < target:
-            t, _, next_dark = _next_click(target, next_dark, armed_from,
-                                          rel_heap, dark_rate, gen_darks)
-            if t == NEVER:
-                break
-            last_click = avalanche(t)
-            armed_from = last_click + deadtime_ps
-            if last_click >= target:
-                # Quiet window already satisfied before this click was
-                # recorded; the pulse still fires at target.
-                pending = last_click
-                break
+    try:
+        while c_lp < n_pulses:
+            cycle_start = t_now
             target = last_click + quiet_ps
-            if target - cycle_start > timeout_ps:
-                photons.unread(block[pos:])
-                return c_d, c_lp, hist, t_now, True
+            if target < t_now:
+                target = t_now
+            # The recorded click that lands at/after the laser fires.
+            pending = NEVER
 
-        c_lp += 1
-        bin_end = target + bin_ps
-        detection = NEVER
-        if pending != NEVER:
-            if pending < bin_end:
-                detection = pending
-        else:
-            # The laser pulse goes first at target (a scheduled event);
-            # otherwise the first armed dark or release inside the bin.
-            # Deadtime >> bin: at most one click either way.
-            t = NEVER
-            due = next_dark if next_dark < rel_heap[0] else rel_heap[0]
-            if target >= armed_from:
-                # Idle run: while the pulse misses and nothing else is due
-                # inside its bin, the next cycle fires at this bin's end
-                # with no quiet wait.  Up to the next due event or the
-                # budget, k more cycles can follow this one, one draw each:
-                # the run jumps to its first hit.
-                k = n_pulses - c_lp
-                if due < bin_end + k * bin_ps:  # due >= target: k >= 0
-                    k = (due - bin_end) // bin_ps + 1
-                while hits[i_hit] - pos > k and pos + k >= len(block):
-                    # The draws left in the block all miss and the run goes
-                    # on: read them again with the next ones.
-                    photons.unread(block[pos:])
-                    block = photons.block(min(len(block) - pos + _LASER_BLOCK,
-                                              n_pulses - c_lp + 1))
-                    hits = (block < p_click_laser).nonzero()[0].tolist()
-                    hits.append(NEVER)
-                    i_hit = pos = 0
-                skip = hits[i_hit] - pos
-                if skip <= k:                   # a hit after skip misses
-                    t = target + skip * bin_ps
-                    i_hit += 1
-                else:                           # k + 1 misses
-                    skip = k
-                pos += skip + 1
-                c_lp += skip
-                target += skip * bin_ps
-                bin_end = target + bin_ps
-            if t == NEVER and due < bin_end:
-                t, _, next_dark = _next_click(bin_end, next_dark, armed_from,
-                                              rel_heap, dark_rate, gen_darks)
-            if t != NEVER:
+            # Quiet wait: process events until a full quiet window elapses.
+            # The loop tests stand in for a _next_click call that would
+            # find nothing, which most cycles of a cold detector do.
+            while darks.next < target or rel_heap[0] < target:
+                t, _ = _next_click(target, armed_from, rel_heap, darks)
+                if t == NEVER:
+                    break
                 last_click = avalanche(t)
                 armed_from = last_click + deadtime_ps
-                if last_click < bin_end:
-                    detection = last_click
+                if last_click >= target:
+                    # Quiet window already satisfied before this click was
+                    # recorded; the pulse still fires at target.
+                    pending = last_click
+                    break
+                target = last_click + quiet_ps
+                if target - cycle_start > timeout_ps:
+                    return c_d, c_lp, hist, t_now, True
 
-        if detection == NEVER:
-            t_now = bin_end
-            continue
-        c_d += 1
-        t_now = detection + span_ps
-        while next_dark < t_now or rel_heap[0] < t_now:
-            t, _, next_dark = _next_click(t_now, next_dark, armed_from,
-                                          rel_heap, dark_rate, gen_darks)
-            if t == NEVER:
-                break
-            last_click = avalanche(t)
-            armed_from = last_click + deadtime_ps
-            idx = (last_click - detection) // bin_ps
-            if 0 <= idx < n_bins:
-                hist[idx] += 1
+            c_lp += 1
+            bin_end = target + bin_ps
+            detection = NEVER
+            if pending != NEVER:
+                if pending < bin_end:
+                    detection = pending
+            else:
+                # The laser pulse goes first at target (a scheduled event);
+                # otherwise the first armed dark or release inside the bin.
+                # Deadtime >> bin: at most one click either way.
+                t = NEVER
+                due = darks.next if darks.next < rel_heap[0] else rel_heap[0]
+                if target >= armed_from:
+                    # Idle run: while the pulse misses and nothing else is
+                    # due inside its bin, the next cycle fires at this bin's
+                    # end with no quiet wait.  Up to the next due event or
+                    # the budget, k more cycles can follow this one, one
+                    # draw each: the run jumps to its first hit.
+                    k = n_pulses - c_lp
+                    if due < bin_end + k * bin_ps:  # due >= target: k >= 0
+                        k = (due - bin_end) // bin_ps + 1
+                    while hits[i_hit] - pos > k and pos + k >= len(block):
+                        # The draws left in the block all miss and the run
+                        # goes on: read them again with the next ones.
+                        photons.unread(block[pos:])
+                        block = photons.block(
+                            min(len(block) - pos + _LASER_BLOCK,
+                                n_pulses - c_lp + 1))
+                        hits = (block < p_click_laser).nonzero()[0].tolist()
+                        hits.append(NEVER)
+                        i_hit = pos = 0
+                    skip = hits[i_hit] - pos
+                    if skip <= k:                   # a hit after skip misses
+                        t = target + skip * bin_ps
+                        i_hit += 1
+                    else:                           # k + 1 misses
+                        skip = k
+                    pos += skip + 1
+                    c_lp += skip
+                    target += skip * bin_ps
+                    bin_end = target + bin_ps
+                if t == NEVER and due < bin_end:
+                    t, _ = _next_click(bin_end, armed_from, rel_heap, darks)
+                if t != NEVER:
+                    last_click = avalanche(t)
+                    armed_from = last_click + deadtime_ps
+                    if last_click < bin_end:
+                        detection = last_click
 
-    photons.unread(block[pos:])
+            if detection == NEVER:
+                t_now = bin_end
+                continue
+            c_d += 1
+            t_now = detection + span_ps
+            while darks.next < t_now or rel_heap[0] < t_now:
+                t, _ = _next_click(t_now, armed_from, rel_heap, darks)
+                if t == NEVER:
+                    break
+                last_click = avalanche(t)
+                armed_from = last_click + deadtime_ps
+                idx = (last_click - detection) // bin_ps
+                if 0 <= idx < n_bins:
+                    hist[idx] += 1
+    finally:
+        darks.close()
+        photons.unread(block[pos:])
     return c_d, c_lp, hist, t_now, False
 
 
@@ -358,7 +457,6 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
     error when the slot disagrees with that frame's bit.
     """
     deadtime_ps, dark_rate, _, jitter = det
-    gen_darks = gens["darks"]
     photon_random = gens["photons"].random
     bits_random = gens["bits"].random if decode else None
     log = math.log
@@ -368,7 +466,7 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
 
     rel_heap = [NEVER]
     avalanche = _avalanche_step(det, gens, rel_heap)
-    next_dark = _exp_gap_ps(gen_darks, dark_rate) if dark_rate > 0.0 else NEVER
+    darks = _DarkCandidates(gens["darks"], dark_rate)
     armed_from = 0
 
     # A p that leaves 1 - p == 1 (p <= 2**-54) expects fewer than 0.1 signal
@@ -380,53 +478,60 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
     sig_time = -1 if use_signal else NEVER
     sig_frame = sig_bit = 0
 
-    while True:
-        # A signal click inside the dead window is absorbed without an
-        # avalanche; redraw from the first fully armed frame.  One beyond it
-        # keeps its already-decided frame, bit and flip.  Draw order: the
-        # geometric frame skip, then (decoding only) the bit and the flip.
-        if use_signal and sig_time < armed_from:
-            sig_frame = armed_from // frame_ps + 1 if n_clicks else 0
-            if log_q < 0.0:
-                sig_frame += int(log(1.0 - photon_random()) / log_q)
-            slot = 0
+    try:
+        while True:
+            # A signal click inside the dead window is absorbed without an
+            # avalanche; redraw from the first fully armed frame.  One beyond
+            # it keeps its already-decided frame, bit and flip.  Draw order:
+            # the geometric frame skip, then (decoding only) the bit and the
+            # flip.
+            if use_signal and sig_time < armed_from:
+                sig_frame = armed_from // frame_ps + 1 if n_clicks else 0
+                if log_q < 0.0:
+                    sig_frame += int(log(1.0 - photon_random()) / log_q)
+                slot = 0
+                if decode:
+                    sig_bit = 0 if bits_random() < 0.5 else 1
+                    slot = sig_bit
+                    if photon_random() < p_optical_error:
+                        slot = 1 - slot
+                sig_time = (sig_frame * frame_ps + slot * slot_ps
+                            + slot_ps // 2)
+
+            # As in characterize, the tests skip a _next_click call that
+            # would find nothing: most clicks of a lossy link are signal
+            # clicks.
+            t_limit = sig_time if sig_time < duration_ps else duration_ps
+            t = NEVER
+            if darks.next < t_limit or rel_heap[0] < t_limit:
+                t, _ = _next_click(t_limit, armed_from, rel_heap, darks)
+            is_signal = t == NEVER
+            if is_signal:
+                if sig_time >= duration_ps:
+                    break
+                # Scheduled while armed and never stale: always a click.
+                t = sig_time
+            recorded = avalanche(t)
+            armed_from = recorded + deadtime_ps
+            n_clicks += 1
+
             if decode:
-                sig_bit = 0 if bits_random() < 0.5 else 1
-                slot = sig_bit
-                if photon_random() < p_optical_error:
-                    slot = 1 - slot
-            sig_time = sig_frame * frame_ps + slot * slot_ps + slot_ps // 2
-
-        # As in characterize, the tests skip a _next_click call that would
-        # find nothing: most clicks of a lossy link are signal clicks.
-        t_limit = sig_time if sig_time < duration_ps else duration_ps
-        t = NEVER
-        if next_dark < t_limit or rel_heap[0] < t_limit:
-            t, _, next_dark = _next_click(t_limit, next_dark, armed_from,
-                                          rel_heap, dark_rate, gen_darks)
-        is_signal = t == NEVER
-        if is_signal:
-            if sig_time >= duration_ps:
-                break
-            # Scheduled while armed and never stale: always a click.
-            t = sig_time
-        recorded = avalanche(t)
-        armed_from = recorded + deadtime_ps
-        n_clicks += 1
-
-        if decode:
-            # Receiver-side decode against the frame's true bit.
-            decoded = recorded - latency_ps if recorded > latency_ps else 0
-            frame_hat = decoded // frame_ps
-            slot_hat = 1 if decoded - frame_hat * frame_ps >= slot_ps else 0
-            if is_signal and frame_hat == sig_frame:
-                true_bit = sig_bit
-            else:
-                # Bits of frames without a scheduled signal pulse are drawn
-                # lazily; a fair coin either way.
-                true_bit = 0 if bits_random() < 0.5 else 1
-            if slot_hat != true_bit:
-                n_errors += 1
+                # Receiver-side decode against the frame's true bit.
+                decoded = (recorded - latency_ps if recorded > latency_ps
+                           else 0)
+                frame_hat = decoded // frame_ps
+                slot_hat = (1 if decoded - frame_hat * frame_ps >= slot_ps
+                            else 0)
+                if is_signal and frame_hat == sig_frame:
+                    true_bit = sig_bit
+                else:
+                    # Bits of frames without a scheduled signal pulse are
+                    # drawn lazily; a fair coin either way.
+                    true_bit = 0 if bits_random() < 0.5 else 1
+                if slot_hat != true_bit:
+                    n_errors += 1
+    finally:
+        darks.close()
 
     return n_clicks, n_errors
 

@@ -268,12 +268,14 @@ def _fixed_point(cfg: RunConfig):
     try:
         data = calibration.make_detector(q.temperature_c, q.efficiency,
                                          q.deadtime_us / 1e6)
-        # link_metrics reads the Data detector's jitter table.
+        # link_metrics reads the Data detector's jitter table, and a
+        # session simulates both detectors through theirs.
         data.jitter_model.check_efficiency(data.efficiency)
         keys = {"efficiency": "efficiency_monitor",  # unset: the Data
                 "deadtime": "deadtime_monitor_us"}   # values, just checked
         monitor = calibration.make_detector(q.temperature_c, eta_m,
                                             tau_m_us / 1e6)
+        monitor.jitter_model.check_efficiency(monitor.efficiency)
     except (ParameterError, ExtrapolationError) as exc:
         raise _config_error(exc, "qkd", q, **keys) from exc
     return QkdOperatingPoint(data_detector=data, monitor_detector=monitor)

@@ -572,6 +572,7 @@ class TestExitCodes:
         ("characterize", "characterize", "efficiencies", "0.01"),
         ("optimize", "optimizer", "efficiencies", "0.01"),
         ("qkd", "qkd", "efficiency", "0.01"),
+        ("qkd", "qkd", "efficiency_monitor", "0.01"),
     ])
     def test_a_bad_detector_key_exits_1_naming_it_without_output(
             self, tmp_path, capsys, monkeypatch, command, section, key,

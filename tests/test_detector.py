@@ -76,12 +76,18 @@ class TestReferenceEquality:
     def test_dark_goes_before_a_release_at_the_same_picosecond(self):
         # The reference pops EVENT_DARK before EVENT_RELEASE at equal times.
         # Release times cannot be set from outside, so the kernel step is
-        # checked directly: the dark candidate is served and draws its
-        # successor's gap, and the release stays on the heap.
+        # checked directly: the dark candidate is served and its successor,
+        # drawn from the next uniform, is next; the release stays on the
+        # heap.  The rate puts the first candidate at 50 ps.
+        u0, u1 = RandomStream(1).generator("darks").random(2).tolist()
+        rate = -math.log(1.0 - u0) * 1e12 / 50.5
         heap = [50, _kernels.NEVER]
-        t, origin, next_dark = _kernels._next_click(
-            100, 50, 0, heap, 1e6, RandomStream(1).generator("darks"))
-        assert (t, origin) == (50, ORIGIN_DARK) and next_dark > 50
+        with RandomStream(1).uniforms(("darks",)) as sources:
+            darks = _kernels._DarkCandidates(sources["darks"], rate)
+            assert darks.next == 50
+            t, origin = _kernels._next_click(100, 0, heap, darks)
+        assert (t, origin) == (50, ORIGIN_DARK)
+        assert darks.next == 50 + int(-math.log(1.0 - u1) / rate * 1e12) > 50
         assert heap == [50, _kernels.NEVER]
 
     @pytest.mark.parametrize("deadtime_ps, kept", [(4000, True),

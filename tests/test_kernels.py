@@ -9,6 +9,9 @@ state.  Recorded outputs pin each kernel and the branches it takes.
 
 import dataclasses
 import hashlib
+import math
+from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -268,6 +271,127 @@ def test_characterize_leaves_the_photon_stream_where_it_read_to(name):
     with stream.uniforms(names) as sources:
         _kernel(name)(*fixed, sources)
     assert stream.generator("photons").random() == _NEXT_PHOTON[name]
+
+
+# The next dark draw after each case at seed 3, recorded when the kernels
+# drew one dark gap at a time: a kernel gives back, on every exit, the
+# uniforms of the candidates it read ahead and did not reach.
+_NEXT_DARK = {
+    "characterize": 0.7096016758850539,
+    "characterize/held_off": 0.22953430095990757,
+    "characterize/idle_end": 0.37867835260281935,
+    "characterize/no_darks": 0.5413696492633944,
+    "characterize/pending": 0.6669696755549619,
+    "characterize/short_hold": 0.7458514225145578,
+    "characterize/sparse": 0.37867835260281935,
+    "characterize/starved": 0.9136724157823595,
+    "free_run": 0.37867835260281935,
+    "qkd_data": 0.899579830295347,
+    "qkd_data/always": 0.899579830295347,
+    "qkd_data/never": 0.899579830295347,
+    "qkd_data/rare": 0.899579830295347,
+    "qkd_data/short_hold": 0.5142990804242584,
+    "qkd_monitor": 0.899579830295347,
+    "qkd_monitor/always": 0.899579830295347,
+    "qkd_monitor/never": 0.899579830295347,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEXT_DARK))
+def test_kernels_leave_the_dark_stream_where_they_read_to(name):
+    fixed, names = _SMALL_CASES[name]()
+    stream = RandomStream(3)
+    with stream.uniforms(names) as sources:
+        _kernel(name)(*fixed, sources)
+    assert stream.generator("darks").random() == _NEXT_DARK[name]
+
+
+def _scalar_dark_times(seed, rate, n):
+    """Running sums of n ``_exp_gap_ps`` gaps, one scalar per uniform of
+    the "darks" substream (a block read gives the scalar calls' values)."""
+    us = RandomStream(seed).generator("darks").random(n).tolist()
+    return list(accumulate(_kernels._exp_gap_ps(u, rate) for u in us))
+
+
+def _block_dark_times(source, rate, n):
+    """The first n candidate times of a dark source, block by block."""
+    darks = _kernels._DarkCandidates(source, rate)
+    times = list(darks.times)
+    while len(times) < n:
+        times.extend(darks._refill())
+    return times[:n]
+
+
+class _BlockUniforms:
+    """A uniform source that serves given values as blocks."""
+
+    def __init__(self, values):
+        self._values, self._read = list(values), 0
+
+    def block(self, n):
+        self._read += n
+        return np.array(self._values[self._read - n:self._read])
+
+
+class TestDarkCandidates:
+    """The read-ahead dark process keeps the one-at-a-time draws' times."""
+
+    @pytest.mark.parametrize("rate", [1.0, 15.6, 1e4, 1e7, 1e9])
+    def test_times_are_running_sums_of_scalar_gaps(self, rate):
+        n = 1_000_000
+        with RandomStream(5).uniforms(("darks",)) as sources:
+            assert (_block_dark_times(sources["darks"], rate, n)
+                    == _scalar_dark_times(5, rate, n))
+
+    def test_gaps_past_int64_stay_exact(self):
+        # Below about 4e-6 cps a gap can pass 2**63 ps, and every gap is
+        # within the log slack of an int: the slow path for all of them.
+        rate, n = 1e-6, 100_000
+        expected = _scalar_dark_times(6, rate, n)
+        assert max(b - a for a, b in zip(expected, expected[1:])) > 2 ** 63
+        with RandomStream(6).uniforms(("darks",)) as sources:
+            assert _block_dark_times(sources["darks"], rate, n) == expected
+
+    def test_a_gap_near_an_int_is_drawn_again_with_math_log(
+            self, monkeypatch):
+        # Uniforms whose gaps at 1e7 cps are within rounding of k * 1 ps,
+        # k = 1e5 + j: each lands inside the slack and is redone.
+        rate = 1e7
+        us = [-math.expm1(-(100_000 + j) * rate / 1e12)
+              for j in range(_kernels._DARK_FIRST_BLOCK)]
+        redone = []
+
+        def exp_gap_ps(u, rate_per_s):
+            redone.append(u)
+            return int(-math.log(1.0 - u) / rate_per_s * 1e12)
+
+        monkeypatch.setattr(_kernels, "_exp_gap_ps", exp_gap_ps)
+        darks = _kernels._DarkCandidates(_BlockUniforms(us), rate)
+        assert darks.times == list(accumulate(
+            int(-math.log(1.0 - u) / rate * 1e12) for u in us))
+        assert len(redone) == len(us)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("candidate", [63, 64, 191, 192])
+    def test_a_kernel_that_stops_at_a_refill_gives_back_the_rest(
+            self, candidate, offset):
+        # Darks only at r * tau = 5, no jitter and no traps.  Blocks hold
+        # candidates 0-63, 64-191 and 192-447; consuming the last one of a
+        # block draws the next block.  The run ends 1 ps before, at or
+        # after the candidate's time: the darks substream must end where
+        # the event loop leaves it, one draw past the last candidate before
+        # the end.
+        rate, seed = 1e9, 9
+        det = (5000, rate, (0.0, (1.0,), (1.0,)), (0.0, 1.0, 0.0, 0))
+        ticks = _scalar_dark_times(seed, rate, 400)
+        duration = ticks[candidate] + offset
+        stream = RandomStream(seed)
+        with stream.uniforms(_MONITOR) as gens:
+            _kernels.free_run(duration, [], [], det, gens)
+        scalar = RandomStream(seed).generator("darks")
+        scalar.random(bisect_left(ticks, duration) + 1)
+        assert (stream.generator("darks").bit_generator.state
+                == scalar.bit_generator.state)
 
 
 def test_consecutive_simulate_calls_continue_one_stream():
