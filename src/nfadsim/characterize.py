@@ -277,6 +277,8 @@ def _exact_histogram(chunks, bin_width: float) -> np.ndarray:
     counts, aside, top = np.zeros(0, dtype=np.intp), [], 0.0
     for v in chunks:
         top = v.max(initial=top)
+        if top / bin_width > _MAX_BINS - 1:   # n below would pass _MAX_BINS
+            raise ParameterError(f"bin_width gives over {_MAX_BINS} bins")
         binned, near = _split_bins(v, bin_width, len(counts))
         binned[:len(counts)] += counts
         counts = binned
@@ -287,14 +289,18 @@ def _exact_histogram(chunks, bin_width: float) -> np.ndarray:
     return hist
 
 
-def _check_jitter_bins(detector: DetectorParams, bin_width: float) -> None:
-    """Reject a bin width that is not finite and > 0, that needs more than
-    _MAX_BINS bins over latency + 10 FWHM, the spread of the delays, or
-    that is wider than the FWHM, which the histogram is there to resolve:
-    a bin past the latency holds every delay, and no width can be read."""
+def _check_jitter_bins(detector: DetectorParams, draws: int,
+                       bin_width: float) -> None:
+    """Reject draws off [1, _MAX_DRAWS]; a bin width not finite and > 0, or
+    wider than the FWHM it resolves; or one giving over _MAX_BINS bins up to
+    latency + sigma * max(1, tail scale) * (ln(draws) + 30), which a delay
+    passes with chance below e^-30 / draws (Exp(1) tail; N(0, 1)'s is less)."""
+    if not 1 <= draws <= _MAX_DRAWS:
+        raise ParameterError(f"draws must be in [1, {_MAX_DRAWS}]")
     jm = detector.jitter_model
     fwhm = jm.fwhm_at(detector.efficiency)
-    span = jm.latency + 10.0 * fwhm
+    span = jm.latency + jm.core_sigma_at(detector.efficiency) \
+        * max(1.0, jm.tail_scale_factor) * (math.log(draws) + 30.0)
     if not (0.0 < bin_width < math.inf and span <= bin_width * _MAX_BINS):
         raise ParameterError(f"bin_width must be finite, > 0 and give at "
                              f"most {_MAX_BINS} bins over {span:g} s")
@@ -316,9 +322,7 @@ def measure_jitter_histogram(detector: DetectorParams, draws: int, seed,
     delay with q = delay / bin_width below 1e9 and over 1e-6 from an
     integer are in bin floor(q); np.histogram bins the others.
     """
-    if not 1 <= draws <= _MAX_DRAWS:
-        raise ParameterError(f"draws must be in [1, {_MAX_DRAWS}]")
-    _check_jitter_bins(detector, bin_width)
+    _check_jitter_bins(detector, draws, bin_width)
     jm = detector.jitter_model
     sigma = jm.core_sigma_at(detector.efficiency)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)

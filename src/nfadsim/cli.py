@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration
-from .characterize import (_FPGA_CLOCK, _MAX_DRAWS, ProtocolConfig,
-                           _check_deadtime, _check_jitter_bins,
-                           characterize_point, figure_of_merit,
-                           measure_jitter_histogram, tcspc_widths)
+from .characterize import (_FPGA_CLOCK, ProtocolConfig, _check_deadtime,
+                           _check_jitter_bins, characterize_point,
+                           figure_of_merit, measure_jitter_histogram,
+                           tcspc_widths)
 from .config import RunConfig, parse_config
 from .engine import RandomStream
 from .errors import (ConfigError, EstimatorDomainError, ExtrapolationError,
@@ -119,22 +119,21 @@ def _prep_characterize(cfg: RunConfig):
                               histogram_span=c.histogram_span_us / 1e6,
                               pulses_requested=c.pulses,
                               laser_mu=c.laser_mu)
-        if not 1 <= c.jitter_draws <= _MAX_DRAWS:
-            raise ConfigError(f"[characterize] jitter_draws = "
-                              f"{c.jitter_draws}: must be in [1, {_MAX_DRAWS}]")
         for t in c.temperatures_c:
             for eta in c.efficiencies:
                 det = calibration.make_detector(t, eta, c.deadtime_us / 1e6)
                 _check_deadtime(pcfg, det.deadtime)
                 # Width extraction must not die halfway through a sweep.
-                _check_jitter_bins(det, c.jitter_bin_ps * 1e-12)
+                _check_jitter_bins(det, c.jitter_draws,
+                                   c.jitter_bin_ps * 1e-12)
                 points.append((t, eta, det))
     except (ParameterError, ExtrapolationError) as exc:
         raise _config_error(
             exc, "characterize", c, temperature="temperatures_c",
             efficiency="efficiencies", deadtime="deadtime_us",
             quiet_window="quiet_window_us", histogram_span="histogram_span_us",
-            pulses_requested="pulses", bin_width="jitter_bin_ps") from exc
+            pulses_requested="pulses", draws="jitter_draws",
+            bin_width="jitter_bin_ps") from exc
     return pcfg, points
 
 

@@ -28,18 +28,17 @@ def _saturated_rates(params: DetectorParams,
 
     Primary candidates arrive memorylessly at candidate_rate r0 and click
     with the armed-time fraction 1 - C*deadtime.  Each click adds b - g*C
-    detected afterpulse descendants, so the balance C = r0*(1 - C*deadtime)
-    + (b - g*C)*C is a quadratic in C (g > 0 whenever b > 0; b = 0 is the
-    plain saturation law).  A trap release counts if it outlives the hold-off
-    (survival e^(-deadtime/tau)) and then finds the detector armed: within
-    the first armed window after re-arm, if no fresh candidate came since
-    re-arm; later, if the stationary process put no click in the deadtime
-    before it, probability exactly 1 - C*deadtime.  Blocking by siblings
-    of the same cascade is second order in the trap occupancy and ignored.
-    In afterpulse runaway, where each click breeds a detected descendant
-    almost surely, the root can push the armed fraction to zero; it is
-    floored at 0.1% there, which pins QBER near a coin flip and the key
-    rate at zero without a special case.
+    detected afterpulse descendants: a trap release counts if it outlives
+    the hold-off (survival e^(-deadtime/tau)) and then finds the detector
+    armed, within the first armed window after re-arm (b_first) if no fresh
+    candidate came since re-arm, later if the stationary process put no
+    click in the deadtime before it (probability exactly 1 - C*deadtime).
+    Blocking by siblings of the same cascade is second order and ignored.
+    C is the root of g*C^2 + (1 + r0*deadtime - b)*C - r0, the plain law to
+    the bit at g = b = 0.  Time stays armed unless lam*b_first >= 1 (lam
+    traps per click), which no calibrated detector reaches: b_first <= 1/4
+    and lam <= 2.97.  Past it the rates are the runaway limit, (1/deadtime,
+    0.0): a coin-flip QBER and no key.
     """
     r0, td = candidate_rate, params.deadtime
     b = g = 0.0
@@ -49,23 +48,19 @@ def _saturated_rates(params: DetectorParams,
         b_first = b_late = 0.0
         for w, tau in zip(params.trap_model.weights(), taus):
             survive = math.exp(-td / tau)
-            first = -math.expm1(-(r0 + 1.0 / tau) * td) \
-                / (1.0 + r0 * tau)
+            first = -math.expm1(-(r0 + 1.0 / tau) * td) / (1.0 + r0 * tau)
             b_first += w * survive * first
             b_late += w * survive * survive
         b, g = lam * (b_first + b_late), lam * b_late * td
     if r0 <= 0.0:
         return 0.0, 1.0
     k = 1.0 + td * r0 - b
-    if g <= 0.0:
-        c = r0 / k
-    else:
-        # Root written without the -k + sqrt cancellation; k may go negative
-        # in runaway, where the g term keeps the root finite.
-        c = 2.0 * r0 / (k + math.sqrt(k * k + 4.0 * g * r0))
+    # No -k + sqrt cancellation; k < 0 or den = 0 only happen in runaway.
+    den = k + math.sqrt(k * k + 4.0 * g * r0)
+    c = 2.0 * r0 / den if den > 0.0 else math.inf
     armed = 1.0 - c * td
-    if armed < 1.0e-3:
-        return 0.999 / td, 1.0e-3
+    if armed <= 0.0:
+        return 1.0 / td, 0.0
     return c, armed
 
 
@@ -80,8 +75,8 @@ def _kernel_args(params: DetectorParams):
     and ``jitter`` is (core sigma in ps, tail fraction, tail scale, latency
     in ps).  Native floats and tuples, not numpy scalars and arrays: the
     kernels' arithmetic on them gives the same values and runs faster in
-    the interpreter.  A dark rate is rejected where a gap can be ``inf``:
-    below about 2e-295 cps, -ln(1 - u) / rate in ps has no int.
+    the interpreter.  Dark rates below about 2e-295 cps (a gap can be ``inf``
+    ps) or above 1e9 cps (whole-ps gaps run them >= 0.05% high) are rejected.
     """
     trap = params.trap_model
     lam = trap.mean_traps(params.efficiency)
@@ -92,9 +87,10 @@ def _kernel_args(params: DetectorParams):
     if not all(map(math.isfinite, tau_ps)):
         raise ParameterError("trap lifetime overflows the picosecond grid")
     rate = float(dark_rate(params))
-    if rate > 0.0 and not math.isfinite(_MAX_UNIT_GAP / rate * PS_PER_S):
-        raise ParameterError("dark count rate %.3g cps is too small: its "
-                             "exponential gaps overflow the picosecond grid"
+    if rate > 0.0 and not (math.isfinite(_MAX_UNIT_GAP / rate * PS_PER_S)
+                           and rate <= 1e9):
+        raise ParameterError("dark count rate %.3g cps is off the picosecond "
+                             "grid, which carries about 2e-295 to 1e9 cps"
                              % rate)
     jit = params.jitter_model
     sigma_ps = jit.core_sigma_at(params.efficiency) * PS_PER_S

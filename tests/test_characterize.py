@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nfadsim.calibration import make_detector
-from nfadsim.characterize import (_JITTER_CHUNK, _MAX_DRAWS,
+from nfadsim.characterize import (_JITTER_CHUNK, _MAX_BINS, _MAX_DRAWS,
                                   CharacterizationCounts, JitterHistogram,
                                   ProtocolConfig, _exact_histogram,
                                   _split_bins, afterpulse_total,
@@ -321,6 +321,36 @@ class TestJitterWidths:
         with pytest.raises(ParameterError, match="bin_width"):
             measure_jitter_histogram(det, 1000, RandomStream(1),
                                      bin_width=bin_width)
+
+    def test_the_old_narrowest_bin_is_rejected_before_drawing(self):
+        # latency + 10 FWHM over 10**6 bins, the narrowest width accepted
+        # before the span grew with the draw count: 1e6 delays reached
+        # 1.18e6 to 1.24e6 such bins (seeds 1-3), the exponential tail's
+        # maximum growing with ln(draws).
+        det = make_detector(-110.0, 0.115, 20e-6)
+        jm = det.jitter_model
+        width = (jm.latency + 10.0 * jm.fwhm_at(0.115)) / _MAX_BINS
+        for seed in (1, 2, 3):
+            with pytest.raises(ParameterError, match="bin_width"):
+                measure_jitter_histogram(det, 1_000_000, RandomStream(seed),
+                                         bin_width=width)
+
+    def test_a_bin_just_wider_than_the_bound_runs(self):
+        # 10**6 bins of 10 fs span 10 ns, just past the 9.50 ns bound
+        # latency + sigma * 2.8 * (ln(1e6) + 30).
+        det = make_detector(-110.0, 0.115, 20e-6)
+        hist = measure_jitter_histogram(det, 1_000_000, RandomStream(1),
+                                        bin_width=10e-15)
+        assert len(hist.counts) <= _MAX_BINS
+        assert hist.counts.sum() == 1_000_000
+
+    def test_binning_past_the_bin_bound_raises(self):
+        # Widths and delays in binary fractions: the last value's bin is
+        # exactly 10**6 - 1, then 10**6.
+        top = (_MAX_BINS - 1) * 0.5
+        assert len(_exact_histogram([np.array([0.0, top])], 0.5)) == _MAX_BINS
+        with pytest.raises(ParameterError, match="bin_width"):
+            _exact_histogram([np.array([0.0]), np.array([top + 0.5])], 0.5)
 
     def test_too_few_draws_rejected(self):
         det = make_detector(-110.0, 0.16, 20e-6)

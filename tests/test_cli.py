@@ -237,6 +237,21 @@ class TestQkdFixedPoint:
                 == digest, name
 
 
+class TestSaturatedLink:
+    # Both once exited 1 with "p must be in [0, 1]": a 0.1% floor on the
+    # armed fraction gave more primaries than clicks at plain saturation.
+    @pytest.mark.parametrize("ini", [
+        "[qkd]\nuse_optimizer = false\nmu = 1e9\nlosses_db = 5\n",
+        "[qkd]\nmu = 10\nlosses_db = 5\n",
+    ], ids=["fixed_point_mu_1e9", "optimizer_mu_10"])
+    def test_a_saturated_link_exits_0_with_its_rates(self, tmp_path, ini):
+        out = tmp_path / "out"
+        assert cli.main(["qkd", "--config", _cfg(tmp_path, ini), "--out",
+                         str(out)]) == 0
+        _, rows = _read_rows(out / "skr_vs_loss.csv")
+        assert [row[0] for row in rows] == ["5.0"]
+
+
 class TestQkdOptimized:
     def test_grid_dump_and_operating_points(self, tmp_path):
         cfg = _cfg(tmp_path, QKD_OPT_INI)
@@ -475,6 +490,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: [characterize] jitter_bin_ps ")
         assert "FWHM" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_a_jitter_bin_the_draws_overflow_exits_1_naming_it(
+            self, tmp_path, capsys, monkeypatch):
+        # 0.0026 ps was accepted over latency + 10 FWHM, yet 1e6 draws
+        # reach about 1.2e6 such bins; checked before any point runs.
+        monkeypatch.setattr(cli, "characterize_point", None)
+        cfg = _cfg(tmp_path, "[characterize]\njitter_bin_ps = 0.0026\n")
+        out = tmp_path / "out"
+        assert cli.main(["characterize", "--config", cfg, "--out",
+                         str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [characterize] jitter_bin_ps = 0.0026: ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
 

@@ -376,6 +376,20 @@ class TestStreamInvariants:
             sim(flat_dark(1e-300, 5e-6), OpticalTimeline.empty(), 0.01, 1)
 
     @pytest.mark.parametrize("sim", [simulate, simulate_reference])
+    @pytest.mark.parametrize("rate", [1.01e9, 1e12])
+    def test_rates_the_ps_grid_truncates_high_are_rejected(self, sim, rate,
+                                                           flat_dark):
+        # Each gap loses up to 1 ps, which runs the rate high by about
+        # rate * 0.5 ps: 0.05% at 1e9 cps and 50% at 1e12.
+        with pytest.raises(ParameterError, match="picosecond grid"):
+            sim(flat_dark(rate, 1e-6), OpticalTimeline.empty(), 1e-4, 1)
+
+    @pytest.mark.parametrize("sim", [simulate, simulate_reference])
+    def test_the_highest_dark_rate_runs(self, sim, flat_dark):
+        assert len(sim(flat_dark(1e9, 1e-6), OpticalTimeline.empty(), 1e-5,
+                       1)) > 0
+
+    @pytest.mark.parametrize("sim", [simulate, simulate_reference])
     @pytest.mark.parametrize("component", [(1.0, math.inf, 2000.0),
                                            (1.0, 1e300, 2000.0)])
     def test_trap_lifetimes_with_no_int_delay_are_rejected(self, sim,
@@ -636,25 +650,37 @@ RUNAWAY = TrapModel(mean_traps_per_avalanche=50.0, efficiency_exponent=1.0,
                     release_components=((1.0, 100e-6, 100.0),),
                     reference_temperature=183.15)
 
-# (C, armed) reprs of the closed form at candidate rates 0, 1e5 and 1e9 cps,
-# recorded before the afterpulse feedback and the saturation root became
-# one function.  At 1e9 cps the armed fraction takes its 0.1% floor.
+# Each click fills 50 traps of 2 us: past the hold-off, a release finds the
+# detector armed before any fresh candidate almost surely (lambda * b_first
+# is about 12), so the quadratic root leaves no armed time.
+PAST_RUNAWAY = TrapModel(mean_traps_per_avalanche=50.0,
+                         efficiency_exponent=1.0, efficiency_ref=0.115,
+                         release_components=((1.0, 2e-6, 100.0),),
+                         reference_temperature=183.15)
+
+# (C, armed) reprs of the closed form at candidate rates 0, 1e5 and 1e9 cps.
+# The first two were recorded before the afterpulse feedback and the
+# saturation root became one function; the 1e9-cps ones are the root's own,
+# recorded when the 0.1% armed-fraction floor was dropped.
 CLOSED_FORM_REPRS = {
     "disabled": ("(0.0, 1.0)",
                  "(33333.333333333336, 0.33333333333333326)",
-                 "(49949.99999999999, 0.001)"),
+                 "(49997.50012499375, 4.999750012490978e-05)"),
     "reference": ("(0.0, 1.0)",
                   "(np.float64(33425.68548835774), "
                   "np.float64(0.33148629023284515))",
-                  "(49949.99999999999, 0.001)"),
+                  "(np.float64(49997.50012811948), "
+                  "np.float64(4.9997437610360684e-05))"),
     "warm": ("(0.0, 1.0)",
              "(np.float64(173843.26776680222), "
              "np.float64(0.6523134644663956))",
-             "(499500.0, 0.001)"),
+             "(np.float64(499750.265861503), "
+             "np.float64(0.0004994682769939862))"),
     "runaway": ("(0.0, 1.0)",
                 "(np.float64(989183.0807879195), "
                 "np.float64(0.010816919212080611))",
-                "(999000.0, 0.001)"),
+                "(np.float64(999048.0567546842), "
+                "np.float64(0.0009519432453158894))"),
 }
 
 
@@ -692,6 +718,28 @@ class TestAfterpulseAnalytics:
                                QkdOperatingPoint(det, det))
         assert metrics.skr == 0.0
         assert metrics.qber <= 0.5
+
+    @pytest.mark.parametrize("r0", [1e3, 1e5])
+    def test_past_runaway_the_rates_are_the_limit(self, r0):
+        det = make_detector(-90.0, 0.115, 1e-6, trap_model=PAST_RUNAWAY)
+        assert _saturated_rates(det, r0) == (1e6, 0.0)
+
+    def test_a_root_lost_to_rounding_is_the_runaway_limit(self):
+        # Releases of a 2 ns trap survive a 1 us hold-off with e^-500: b is
+        # about 7, but b_late, and with it g, underflows to 0.  So k < 0
+        # and k + sqrt(k^2 + 4*g*r0) is 0.
+        traps = dataclasses.replace(PAST_RUNAWAY,
+                                    mean_traps_per_avalanche=1e218,
+                                    release_components=((1.0, 2e-9, 100.0),))
+        det = make_detector(-90.0, 0.115, 1e-6, trap_model=traps)
+        assert _saturated_rates(det, 1e3) == (1e6, 0.0)
+
+    def test_past_runaway_the_link_has_no_key(self):
+        det = make_detector(-90.0, 0.115, 1e-6, trap_model=PAST_RUNAWAY)
+        metrics = link_metrics(LinkConfig(channel_loss_db=5.0),
+                               QkdOperatingPoint(det, det))
+        assert metrics.qber == 0.5
+        assert metrics.skr == 0.0
 
     def test_dark_rate_shortcut(self):
         det = make_detector(-110.0, 0.115, 20e-6)

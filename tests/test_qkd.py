@@ -175,3 +175,18 @@ class TestMonteCarlo:
         assert abs(mc.qber - an.qber) <= 3.0 * sigma_q
         assert abs(mc.sifted_rate / an.sifted_rate - 1.0) <= 0.10
         assert mc.visibility_dark_subtracted >= mc.visibility_raw
+
+    @pytest.mark.parametrize("mu", [5.0, 50.0])
+    def test_saturated_link_matches_analytic_model(self, mu):
+        # At 0 dB the Data detector is saturated: a candidate comes every
+        # one to three frames, and the armed fraction, 4.1e-4 (mu = 5) and
+        # 1.8e-4 (mu = 50), is below the 0.1% floor the closed form had.
+        cfg = LinkConfig(channel_loss_db=0.0, mu=mu)
+        op = _op()
+        frames = 300_000_000
+        mc = simulate_session(cfg, op, frames=frames, seed=11)
+        an = link_metrics(cfg, op)
+        n_sifted = round(mc.sifted_rate * frames / cfg.frame_rate)
+        sigma_q = math.sqrt(an.qber * (1.0 - an.qber) / n_sifted)
+        assert abs(mc.qber - an.qber) <= 3.0 * sigma_q
+        assert abs(mc.sifted_rate / an.sifted_rate - 1.0) <= 0.10
