@@ -14,9 +14,8 @@ from .characterize import (CharacterizationCounts, CharacterizationResult,
                            Estimate, JitterHistogram, ProtocolConfig,
                            afterpulse_total, characterize_point,
                            dark_rate_estimate, efficiency_estimate,
-                           figure_of_merit, histogram_density,
-                           measure_jitter_histogram, run_protocol,
-                           tcspc_widths)
+                           figure_of_merit, measure_jitter_histogram,
+                           run_protocol, tcspc_widths)
 from .detector import dark_rate, simulate, simulate_reference
 from .engine import EventQueue, RandomStream, pulsed_laser, seconds_to_ps
 from .errors import (ConfigError, EstimatorDomainError, ExtrapolationError,
@@ -37,7 +36,7 @@ __all__ = [
     "CharacterizationCounts", "CharacterizationResult", "Estimate",
     "JitterHistogram", "ProtocolConfig", "afterpulse_total",
     "characterize_point", "dark_rate_estimate", "efficiency_estimate",
-    "figure_of_merit", "histogram_density", "measure_jitter_histogram",
+    "figure_of_merit", "measure_jitter_histogram",
     "run_protocol", "tcspc_widths",
     "dark_rate", "simulate", "simulate_reference",
     "EventQueue", "RandomStream", "pulsed_laser", "seconds_to_ps",

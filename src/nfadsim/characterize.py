@@ -238,14 +238,6 @@ def afterpulse_total(counts: CharacterizationCounts) -> Estimate:
     return Estimate(total, math.sqrt(var))
 
 
-def histogram_density(counts: CharacterizationCounts) -> np.ndarray:
-    """Afterpulse probability density per nanosecond, bin by bin."""
-    if counts.c_d == 0:
-        raise NoSignalError("no detections to condition the histogram on")
-    per_ns = counts.bin_width * 1e9
-    return counts.histogram / (counts.c_d * per_ns)
-
-
 def characterize_point(detector: DetectorParams, cfg: ProtocolConfig,
                        seed) -> CharacterizationResult:
     """Protocol run + estimators bundled into one result with its counts."""
@@ -263,30 +255,22 @@ def characterize_point(detector: DetectorParams, cfg: ProtocolConfig,
 _JITTER_CHUNK = 16_384
 
 
-def _split_bins(v: np.ndarray, bin_width: float, minlength: int):
-    """(Counts per bin of the values numpy's edges cannot move, the rest)."""
-    q = v / bin_width
-    near = ((abs(np.rint(q) - q) < 1e-6) | (q > 1e9)) & (v > 0.0)
-    return np.bincount(q[~near].astype(np.intp), minlength=minlength), v[near]
-
-
 def _exact_histogram(chunks, bin_width: float) -> np.ndarray:
-    """np.histogram(v, bins=n, range=(0, n * bin_width)) of the nonnegative
-    chunks' concatenation v, with n = ceil(max(v) / bin_width) + 1.  No
-    view of a chunk is kept, so the next chunk may reuse its buffer."""
-    counts, aside, top = np.zeros(0, dtype=np.intp), [], 0.0
+    """Counts of the nonnegative chunks' values v in n = ceil(max(v) /
+    bin_width) + 1 bins, bin i holding those with fl(v / bin_width) in
+    [i, i + 1).  No view of a chunk is kept, so the next chunk may reuse
+    its buffer."""
+    counts, top = np.zeros(0, dtype=np.intp), 0.0
     for v in chunks:
         top = v.max(initial=top)
         if top / bin_width > _MAX_BINS - 1:   # n below would pass _MAX_BINS
             raise ParameterError(f"bin_width gives over {_MAX_BINS} bins")
-        binned, near = _split_bins(v, bin_width, len(counts))
+        binned = np.bincount((v / bin_width).astype(np.intp),
+                             minlength=len(counts))
         binned[:len(counts)] += counts
         counts = binned
-        aside.append(near)
     n = int(np.ceil(top / bin_width)) + 1
-    hist = np.histogram(np.concatenate(aside), n, (0.0, n * bin_width))[0]
-    hist[:len(counts)] += counts
-    return hist
+    return np.pad(counts, (0, n - len(counts)))
 
 
 def _check_jitter_bins(detector: DetectorParams, draws: int,
@@ -313,14 +297,10 @@ def measure_jitter_histogram(detector: DetectorParams, draws: int, seed,
                              bin_width: float = 2e-12) -> JitterHistogram:
     """Histogram of response delays, emulating a TCSPC acquisition.
 
-    The counts and generator end state of np.histogram of all delays at once
-    (n = ceil(max / bin_width) + 1 bins on [0, n * bin_width)), drawn (all
-    tail decisions, kept as one bit each, then normals, then tail
-    exponentials) and binned in _JITTER_CHUNK steps through one reused
-    buffer.  numpy's edges fl(i * s), s = fl(fl(n * bin_width) / n), lie
-    within about 4 * 2**-53 * i bins of i * bin_width, so 0.0 and every
-    delay with q = delay / bin_width below 1e9 and over 1e-6 from an
-    integer are in bin floor(q); np.histogram bins the others.
+    Bin i of n = ceil(max / bin_width) + 1 counts the delays d with
+    fl(d / bin_width) in [i, i + 1).  The delays are drawn (all tail
+    decisions, kept as one bit each, then normals, then tail exponentials)
+    and binned in _JITTER_CHUNK steps through one reused buffer.
     """
     _check_jitter_bins(detector, draws, bin_width)
     jm = detector.jitter_model

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from itertools import accumulate
 
 import numpy as np
@@ -22,6 +23,9 @@ def dark_rate(params: DetectorParams) -> float:
     return params.dark_model.rate(params.temperature, params.efficiency)
 
 
+_SQRT_MAX = math.sqrt(sys.float_info.max)   # below it k * k is finite
+
+
 def _saturated_rates(params: DetectorParams,
                      candidate_rate: float) -> tuple[float, float]:
     """Detected click rate C and armed fraction with afterpulse feedback.
@@ -34,17 +38,21 @@ def _saturated_rates(params: DetectorParams,
     candidate came since re-arm, later if the stationary process put no
     click in the deadtime before it (probability exactly 1 - C*deadtime).
     Blocking by siblings of the same cascade is second order and ignored.
-    C is the root of g*C^2 + (1 + r0*deadtime - b)*C - r0, the plain law to
-    the bit at g = b = 0.  Time stays armed unless lam*b_first >= 1 (lam
-    traps per click), which no calibrated detector reaches: b_first <= 1/4
-    and lam <= 2.97.  Past it the rates are the runaway limit, (1/deadtime,
-    0.0): a coin-flip QBER and no key.
+    C is the root 2*r0 / (k + sqrt(k^2 + 4*g*r0)) of g*C^2 + k*C - r0 with
+    k = 1 + r0*deadtime - b, the plain law to the bit at g = b = 0.  Where
+    k^2 overflows (r0*deadtime past about 1.3e154, so C is about
+    1/deadtime) the square root is taken as hypot(k, 2*sqrt(g*r0)).  Time
+    stays armed unless lam*b_first >= 1 (lam traps per click), which no
+    calibrated detector reaches: b_first <= 1/4 and lam <= 2.97.  Past it
+    the rates are the runaway limit, (1/deadtime, 0.0): a coin-flip QBER
+    and no key.
     """
     r0, td = candidate_rate, params.deadtime
     b = g = 0.0
     lam = params.trap_model.mean_traps(params.efficiency)
     if lam != 0.0:
-        taus = params.trap_model.lifetimes_at(params.temperature)
+        # Python floats: (r0 + 1/tau)*td overflows to inf without a warning.
+        taus = params.trap_model.lifetimes_at(params.temperature).tolist()
         b_first = b_late = 0.0
         for w, tau in zip(params.trap_model.weights(), taus):
             survive = math.exp(-td / tau)
@@ -56,7 +64,10 @@ def _saturated_rates(params: DetectorParams,
         return 0.0, 1.0
     k = 1.0 + td * r0 - b
     # No -k + sqrt cancellation; k < 0 or den = 0 only happen in runaway.
-    den = k + math.sqrt(k * k + 4.0 * g * r0)
+    if -_SQRT_MAX < k < _SQRT_MAX:
+        den = k + math.sqrt(k * k + 4.0 * g * r0)
+    else:   # k * k would overflow; float(k) keeps numpy from warning
+        den = float(k) + math.hypot(k, 2.0 * math.sqrt(g) * math.sqrt(r0))
     c = 2.0 * r0 / den if den > 0.0 else math.inf
     armed = 1.0 - c * td
     if armed <= 0.0:

@@ -21,6 +21,10 @@ from .errors import NoSignalError, ParameterError
 from .params import DetectorParams
 
 
+# Above it a time-bin slot is under 1 ps, the simulation grid's step.
+_MAX_PULSE_RATE = 1e12
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     channel_loss_db: float
@@ -38,8 +42,9 @@ class LinkConfig:
     def __post_init__(self):
         if not self.channel_loss_db >= 0.0:
             raise ParameterError("channel_loss_db must be >= 0")
-        if not self.pulse_rate > 0.0:
-            raise ParameterError("pulse_rate must be > 0")
+        if not 0.0 < self.pulse_rate <= _MAX_PULSE_RATE:
+            raise ParameterError(f"pulse_rate must be > 0 and at most "
+                                 f"{_MAX_PULSE_RATE:g} Hz")
         if not self.mu >= 0.0:
             raise ParameterError("mu must be >= 0")
         for name in ("monitor_fraction", "interferometer_visibility_intrinsic",

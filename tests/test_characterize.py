@@ -14,9 +14,8 @@ from nfadsim.calibration import make_detector
 from nfadsim.characterize import (_JITTER_CHUNK, _MAX_BINS, _MAX_DRAWS,
                                   CharacterizationCounts, JitterHistogram,
                                   ProtocolConfig, _exact_histogram,
-                                  _split_bins, afterpulse_total,
-                                  characterize_point, efficiency_estimate,
-                                  figure_of_merit, histogram_density,
+                                  afterpulse_total, characterize_point,
+                                  efficiency_estimate, figure_of_merit,
                                   measure_jitter_histogram, run_protocol,
                                   tcspc_widths)
 from nfadsim.engine import RandomStream
@@ -135,28 +134,13 @@ class TestAfterpulseEstimator:
             afterpulse_total(counts)
 
 
-class TestHistogramDensity:
-    def test_sums_to_raw_conditional_probability(self):
-        det = make_detector(-110.0, 0.115, 20e-6)
-        counts = run_protocol(det, ProtocolConfig(pulses_requested=100_000),
-                              RandomStream(55))
-        density = histogram_density(counts)
-        total = float(density.sum()) * counts.bin_width * 1e9
-        pap = afterpulse_total(counts)
-        n_live = len(counts.histogram) - counts.structural_bins
-        baseline = counts.r_dc * counts.bin_width * n_live
-        assert total == pytest.approx(pap.value + baseline, abs=1e-12)
-
+class TestProtocolHistogram:
     def test_structural_bins_stay_empty(self):
         det = make_detector(-110.0, 0.115, 20e-6)
         counts = run_protocol(det, ProtocolConfig(pulses_requested=50_000),
                               RandomStream(56))
         assert counts.structural_bins == 1000
         assert int(counts.histogram[:counts.structural_bins].sum()) == 0
-
-    def test_requires_detections(self):
-        with pytest.raises(NoSignalError):
-            histogram_density(_counts(c_d=0, c_lp=100))
 
 
 class TestProtocolClosedLoop:
@@ -202,7 +186,7 @@ class TestProtocolClosedLoop:
         assert result.efficiency_systematic == pytest.approx(
             result.efficiency.value * 0.029)
         assert result.dark_rate.value >= 0.0
-        assert len(histogram_density(result.counts)) == 7500
+        assert len(result.counts.histogram) == 7500
 
     def test_characterize_point_keeps_a_negative_afterpulse_estimate(self):
         # Few afterpulses survive a 100 us hold-off, the longest the default
@@ -403,25 +387,16 @@ def _assert_oracle_bytes(det, draws, seed, bin_width=2e-12):
     return delays
 
 
-# Bin counts whose np.histogram edges are not i * bin_width:
-# fl(fl(n * bin_width) / n) != bin_width.
-_MOVED_EDGES = {bw: [n for n in range(2, 4000) if n * bw / n != bw]
-                for bw in (2e-12, 5e-12)}
-
-
 @st.composite
-def _chunked_values(draw):
-    """(bin width, chunks): values on numpy's moved edges, one ulp either
-    side, anywhere, and zeros, in a random order and random chunks."""
-    bw = draw(st.sampled_from(sorted(_MOVED_EDGES)))
-    n = draw(st.sampled_from(_MOVED_EDGES[bw]))
-    edges = np.linspace(0.0, n * bw, n + 1)
-    on = edges[draw(st.lists(st.integers(0, n - 2), max_size=30))]
-    anywhere = draw(st.lists(st.floats(0.0, (n - 2) * bw), max_size=30))
-    values = np.concatenate([
-        on, np.nextafter(on, 0.0), np.nextafter(on, 1.0), anywhere,
-        np.zeros(draw(st.integers(0, 3))),
-        [(n - 1.5) * bw]])                  # sets n = ceil(max / bw) + 1
+def _chunked_edges(draw):
+    """(bin width, chunks): values at i * bin width and one ulp either
+    side, and zeros, in a random order and random chunks."""
+    bw = draw(st.sampled_from([2e-12, 5e-12, 10e-15, 0.5]))
+    i = np.array(draw(st.lists(st.integers(0, 4000)
+                               | st.integers(0, _MAX_BINS - 2), max_size=30)))
+    on = i * bw
+    values = np.concatenate([on, np.nextafter(on, 0.0), np.nextafter(on, 1.0),
+                             np.zeros(draw(st.integers(0, 3)))])
     values = values[draw(st.permutations(range(len(values))))]
     cuts = draw(st.lists(st.integers(0, len(values)), max_size=6))
     return bw, np.split(values, sorted(cuts))
@@ -465,22 +440,20 @@ class TestJitterSampling:
         assert below / 1_000_000 == pytest.approx(
             (1.0 - jm.tail_fraction) / 2.0, abs=0.003)
 
-    @given(_chunked_values())
+    @given(_chunked_edges())
     @example((2e-12, [np.array([0.0])]))
     @example((5e-12, [np.array([]), np.array([7.3e-12])]))
+    @example((0.5, [np.array([1.0])]))
     @settings(max_examples=300)
-    def test_chunks_bin_as_numpy_does(self, case):
+    def test_chunks_bin_by_the_floor_of_the_quotient(self, case):
+        # Bin i counts the values v with fl(v / bin width) in [i, i + 1);
+        # n = ceil(max(v) / bin width) + 1 bins.
         bw, chunks = case
-        want = _numpy_histogram(np.concatenate(chunks), bw)
+        q = np.concatenate(chunks) / bw
+        n = int(np.ceil(q.max(initial=0.0))) + 1
+        want = np.bincount(np.floor(q).astype(np.intp), minlength=n)
         got = _exact_histogram(iter(chunks), bw)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
-
-    def test_values_past_1e9_bins_go_to_numpy(self):
-        bw = 2e-12
-        v = np.array([(2.0 ** 33 + 0.5) * bw, 2.0 ** 53 * bw, 3.5 * bw])
-        binned, near = _split_bins(v, bw, 0)
-        assert binned.tolist() == [0, 0, 0, 1]
-        assert near.tolist() == v[:2].tolist()
 
 
 class TestFigureOfMerit:

@@ -251,6 +251,26 @@ class TestSaturatedLink:
         _, rows = _read_rows(out / "skr_vs_loss.csv")
         assert [row[0] for row in rows] == ["5.0"]
 
+    # Past 1e154 candidates per hold-off, numpy warned: at 1e300 us the
+    # squared candidates overflowed and the root read no clicks at all, and
+    # at 1e308 us so did the trap releases' first-window term.
+    @pytest.mark.parametrize("deadtime_us, mu", [(1e300, 0.06), (1e308, 1e9)])
+    def test_a_hold_off_past_1e294_s_has_no_key_and_no_warning(
+            self, tmp_path, capsys, deadtime_us, mu):
+        ini = f"[qkd]\nuse_optimizer = false\ndeadtime_us = {deadtime_us}\n" \
+            f"mu = {mu}\nlosses_db = 5\n"
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["qkd", "--config", _cfg(tmp_path, ini), "--out",
+                             str(out)])
+        assert code == 0 and caught == []
+        assert capsys.readouterr().err == ""
+        header, rows = _read_rows(out / "skr_vs_loss.csv")
+        row = dict(zip(header, rows[0]))
+        assert float(row["qber"]) == 0.5 and float(row["skr_bps"]) == 0.0
+        assert 0.0 <= float(row["sifted_bps"]) <= 1.000001e6 / deadtime_us
+
 
 class TestQkdOptimized:
     def test_grid_dump_and_operating_points(self, tmp_path):
@@ -562,6 +582,7 @@ class TestExitCodes:
         ("mu", "-1"),
         ("visibility_intrinsic", "2"),
         ("pulse_rate_hz", "-1"),
+        ("pulse_rate_hz", "1e300"),     # a slot far below 1 ps
         ("auth_rate_cost_bps", "-1"),
         ("losses_db", "-5"),
     ])

@@ -712,6 +712,16 @@ class TestAfterpulseAnalytics:
         _, armed = _saturated_rates(CLOSED_FORM_DETECTORS["runaway"], r0)
         assert 0.0 < armed < 1.0
 
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_DETECTORS))
+    def test_past_1e154_candidates_per_hold_off_one_click_per_hold_off(
+            self, name):
+        # k * k overflowed here: the root read (0.0, 1.0), with numpy's
+        # overflow warning where the trap sum ran.
+        det = CLOSED_FORM_DETECTORS[name]
+        clicks, armed = _saturated_rates(det, 1e300)
+        assert clicks == pytest.approx(1.0 / det.deadtime, rel=1e-12)
+        assert 0.0 <= armed < 1e-12
+
     def test_runaway_link_has_no_key(self):
         det = CLOSED_FORM_DETECTORS["runaway"]
         metrics = link_metrics(LinkConfig(channel_loss_db=5.0),

@@ -65,6 +65,16 @@ class TestLinkConfig:
         with pytest.raises(ParameterError):
             LinkConfig(channel_loss_db=10.0, ec_inefficiency=0.9)
 
+    def test_pulse_rate_keeps_a_slot_on_the_ps_grid(self):
+        # Above 1e12 Hz a time-bin slot is under 1 ps: a 1.5e12 Hz session
+        # read QBER 0.0 against the closed form's 0.279, and a 5e12 Hz one
+        # raised NoSignalError.
+        assert LinkConfig(channel_loss_db=0.0, pulse_rate=1e12).frame_rate \
+            == 5e11
+        for rate in (math.nextafter(1e12, math.inf), 1.5e12, 1e300):
+            with pytest.raises(ParameterError, match="pulse_rate"):
+                LinkConfig(channel_loss_db=0.0, pulse_rate=rate)
+
 
 class TestLinkMetricsContainer:
     def test_qber_range_enforced(self):
