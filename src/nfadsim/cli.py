@@ -8,7 +8,10 @@ selftest writes nothing, and exits 3 if one of its checks fails.
 
 Output files are deterministic byte for byte for a given config and seed:
 floats are serialized with ``repr`` (lossless round-trip), JSON keys are
-sorted, and nothing records wall time.
+sorted, and nothing records wall time.  characterize measures its grid
+points in forked processes, one per CPU this process may use (``taskset -c
+0`` keeps it to one); each point's draws come from its own substream, so the
+bytes are the same.
 """
 
 from __future__ import annotations
@@ -16,7 +19,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import pickle
+import signal
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -149,15 +156,91 @@ def _histogram_rows(bin_width: float, counts: np.ndarray, starts: dict):
         yield ("\n".join(map("{},{}".format, col, counts.tolist())),)
 
 
+def _processes(jobs: int) -> int:
+    """Processes to share ``jobs``: one per CPU this process may use, at
+    most one per job.  One where the affinity call is missing (not Linux)
+    or another thread runs, which a fork would copy mid-step."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), jobs))
+
+
+def _fork(func, indices) -> tuple[int, int]:
+    """Fork a child that sends ``func(i)`` for each index in order, up to
+    and including the first exception raised instead, pickled down a pipe;
+    return its pid and the pipe's read end.  The child exits 0 only once
+    it has sent them."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:
+        os.close(read_fd)
+        values = []
+        for i in indices:
+            try:
+                values.append(func(i))
+            except Exception as exc:
+                values.append(exc)
+                break
+        with open(write_fd, "wb") as fh:
+            pickle.dump(values, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_map(func, count: int) -> list:
+    """``[func(0), ..., func(count - 1)]``, the indices split into
+    contiguous runs, one per process (``_processes``).  This process forks
+    a child for each later run, computes the first run itself, then reads
+    each child's values and reaps it.  As in a loop, the exception of the
+    lowest failing index is raised; a child that dies before sending its
+    values is a RuntimeError.  No child outlives the call."""
+    procs = _processes(count)
+    bounds = [count * i // procs for i in range(procs + 1)]
+    children = []                       # (pid, read end), not yet reaped
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            children.append(_fork(func, range(lo, hi)))
+        results = [func(i) for i in range(bounds[1])]
+        while children:
+            pid, read_fd = children[0]
+            with open(read_fd, "rb", closefd=False) as fh:
+                data = fh.read()
+            del children[0]
+            os.close(read_fd)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code != 0:
+                raise RuntimeError(f"worker process {pid} exited with "
+                                   f"{code} before sending its results")
+            for value in pickle.loads(data):
+                if isinstance(value, Exception):
+                    raise value
+                results.append(value)
+        return results
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def cmd_characterize(cfg: RunConfig, seed: int, grid_dump: bool = False):
     c = cfg.characterize
     pcfg, points = _prep_characterize(cfg)
+
+    def measure(index):
+        det, base = points[index][2], RandomStream(seed).child(index)
+        return (characterize_point(det, pcfg, base),
+                measure_jitter_histogram(det, c.jitter_draws, base.child(2),
+                                         bin_width=c.jitter_bin_ps * 1e-12))
+
     outputs, rows, starts = [], [], {}
-    for index, (temp_c, eta, det) in enumerate(points):
-        base = RandomStream(seed).child(index)
-        point = characterize_point(det, pcfg, base)
-        hist = measure_jitter_histogram(det, c.jitter_draws, base.child(2),
-                                        bin_width=c.jitter_bin_ps * 1e-12)
+    for (temp_c, eta, _), (point, hist) in zip(
+            points, _fork_map(measure, len(points))):
         fwhm = tcspc_widths(hist, 0.5)
         w1pct = tcspc_widths(hist, 0.01)
         dcr = point.dark_rate.value

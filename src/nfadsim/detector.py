@@ -24,6 +24,8 @@ def dark_rate(params: DetectorParams) -> float:
 
 
 _SQRT_MAX = math.sqrt(sys.float_info.max)   # below it k * k is finite
+# Below it 1 - C*deadtime keeps under half its digits.
+_ARMED_NOISE = math.sqrt(sys.float_info.epsilon)
 
 
 def _saturated_rates(params: DetectorParams,
@@ -41,11 +43,14 @@ def _saturated_rates(params: DetectorParams,
     C is the root 2*r0 / (k + sqrt(k^2 + 4*g*r0)) of g*C^2 + k*C - r0 with
     k = 1 + r0*deadtime - b, the plain law to the bit at g = b = 0.  Where
     k^2 overflows (r0*deadtime past about 1.3e154, so C is about
-    1/deadtime) the square root is taken as hypot(k, 2*sqrt(g*r0)).  Time
-    stays armed unless lam*b_first >= 1 (lam traps per click), which no
-    calibrated detector reaches: b_first <= 1/4 and lam <= 2.97.  Past it
-    the rates are the runaway limit, (1/deadtime, 0.0): a coin-flip QBER
-    and no key.
+    1/deadtime) it is the same root with r0 divided out,
+    2 / (k' + hypot(k', 2*sqrt(g/r0))) with k' = deadtime + (1 - b)/r0,
+    which holds where r0*deadtime itself overflows.  The armed fraction is
+    1 - C*deadtime, or C*(1 - b + g*C)/r0 by the root's equation where
+    that difference is rounding noise.  Time stays armed unless
+    lam*b_first >= 1 (lam traps per click), which no calibrated detector
+    reaches: b_first <= 1/4 and lam <= 2.97.  Past it the rates are the
+    runaway limit, (1/deadtime, 0.0): a coin-flip QBER and no key.
     """
     r0, td = candidate_rate, params.deadtime
     b = g = 0.0
@@ -65,12 +70,15 @@ def _saturated_rates(params: DetectorParams,
     k = 1.0 + td * r0 - b
     # No -k + sqrt cancellation; k < 0 or den = 0 only happen in runaway.
     if -_SQRT_MAX < k < _SQRT_MAX:
-        den = k + math.sqrt(k * k + 4.0 * g * r0)
-    else:   # k * k would overflow; float(k) keeps numpy from warning
-        den = float(k) + math.hypot(k, 2.0 * math.sqrt(g) * math.sqrt(r0))
-    c = 2.0 * r0 / den if den > 0.0 else math.inf
+        num, den = 2.0 * r0, k + math.sqrt(k * k + 4.0 * g * r0)
+    else:   # k * k would overflow; float() keeps numpy from warning
+        k = float(td + (1.0 - b) / r0)
+        num, den = 2.0, k + math.hypot(k, 2.0 * math.sqrt(g / r0))
+    c = num / den if den > 0.0 else math.inf
     armed = 1.0 - c * td
-    if armed <= 0.0:
+    if abs(armed) < _ARMED_NOISE:
+        armed = c * (1.0 - b + g * c) / r0
+    if not armed > 0.0:
         return 1.0 / td, 0.0
     return c, armed
 

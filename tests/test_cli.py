@@ -5,6 +5,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import signal
 import tempfile
 import tracemalloc
 import warnings
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from nfadsim import cli, config
 from nfadsim.calibration import make_detector
+from nfadsim.errors import NoSignalError, ParameterError
 from nfadsim.optimize import SearchSpace, optimize
 from nfadsim.params import TrapModel
 from nfadsim.qkd import LinkConfig, QkdOperatingPoint, link_metrics
@@ -165,6 +168,132 @@ class TestCharacterize:
         assert not out.exists()
 
 
+# Grids of 1, 2, 3 and 5 points, each small enough to run in a blink.
+_GRIDS = {1: ("-110", "0.115"),
+          2: ("-110", "0.115, 0.16"),
+          3: ("-110", "0.1, 0.115, 0.16"),
+          5: ("-110, -100, -90, -80, -70", "0.115")}
+_FAILING_ETAS = (0.1, 0.115, 0.13, 0.16)
+_FAILING_GRID = ("-110", ", ".join(map(str, _FAILING_ETAS)))
+
+
+def _grid_cfg(tmp_path, temps, etas):
+    return _cfg(tmp_path, f"[characterize]\ntemperatures_c = {temps}\n"
+                f"efficiencies = {etas}\npulses = 1000\n"
+                "jitter_draws = 20000\n")
+
+
+def _allow_cpus(monkeypatch, cpus):
+    """Let this process use ``cpus`` CPUs; return the pids it forks."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli.os, "fork", counted)
+    return forks
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_at(monkeypatch, failing):
+    """Make the points at indices ``failing`` raise: ParameterError (exit
+    1) at odd indices, NoSignalError (exit 2) at even ones."""
+    point = cli.characterize_point
+
+    def failing_point(det, pcfg, base):
+        index = _FAILING_ETAS.index(det.efficiency)
+        if index in failing:
+            raise (ParameterError if index % 2 else NoSignalError)(
+                f"point {index} fails")
+        return point(det, pcfg, base)
+
+    monkeypatch.setattr(cli, "characterize_point", failing_point)
+
+
+class TestForkedPoints:
+    @pytest.mark.parametrize("points", sorted(_GRIDS))
+    def test_every_cpu_count_writes_the_same_bytes(self, tmp_path,
+                                                   monkeypatch, points):
+        cfg = _grid_cfg(tmp_path, *_GRIDS[points])
+        outs = {}
+        for cpus in (1, 2, 3):
+            forks = _allow_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert cli.main(["characterize", "--config", cfg, "--seed", "3",
+                             "--out", str(out)]) == 0
+            assert len(forks) == min(cpus, points) - 1
+            _assert_no_children()
+            outs[cpus] = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert outs[2] == outs[1] and outs[3] == outs[1]
+
+    @pytest.mark.parametrize("failing", [{3}, {2, 3}, {1, 3}, {2}])
+    def test_the_lowest_failing_point_decides_the_exit(
+            self, tmp_path, monkeypatch, capsys, failing):
+        # Two CPUs run points 0-1 here and 2-3 in a child; three CPUs run
+        # point 0 here, 1 in one child and 2-3 in another.
+        _fail_at(monkeypatch, failing)
+        cfg = _grid_cfg(tmp_path, *_FAILING_GRID)
+        seen = []
+        for cpus in (1, 2, 3):
+            forks = _allow_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            code = cli.main(["characterize", "--config", cfg, "--out",
+                             str(out)])
+            seen.append((code, capsys.readouterr().err))
+            assert len(forks) == cpus - 1
+            assert not out.exists()
+            _assert_no_children()
+        lowest = min(failing)
+        assert seen[0] == (1 if lowest % 2 else 2, (
+            "error: " if lowest % 2 else "runtime error: ")
+            + f"point {lowest} fails\n")
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+
+    def test_a_killed_child_exits_2(self, tmp_path, monkeypatch, capsys):
+        parent, point = os.getpid(), cli.characterize_point
+
+        def killed_in_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return point(*args)
+
+        monkeypatch.setattr(cli, "characterize_point", killed_in_child)
+        _allow_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        assert cli.main(["characterize", "--config",
+                         _grid_cfg(tmp_path, *_FAILING_GRID), "--out",
+                         str(out)]) == 2
+        assert capsys.readouterr().err.startswith("runtime error: worker ")
+        assert not out.exists()
+        _assert_no_children()
+
+    def test_an_interrupt_here_stops_every_child(self, tmp_path,
+                                                 monkeypatch):
+        parent, point = os.getpid(), cli.characterize_point
+
+        def interrupted_here(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return point(*args)
+
+        monkeypatch.setattr(cli, "characterize_point", interrupted_here)
+        forks = _allow_cpus(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["characterize", "--config",
+                      _grid_cfg(tmp_path, *_FAILING_GRID), "--out",
+                      str(tmp_path / "out")])
+        assert len(forks) == 2
+        _assert_no_children()
+
+
 class TestQkdFixedPoint:
     def test_rows_match_direct_evaluation(self, tmp_path):
         cfg = _cfg(tmp_path, QKD_FIXED_INI)
@@ -268,8 +397,31 @@ class TestSaturatedLink:
         assert capsys.readouterr().err == ""
         header, rows = _read_rows(out / "skr_vs_loss.csv")
         row = dict(zip(header, rows[0]))
-        assert float(row["qber"]) == 0.5 and float(row["skr_bps"]) == 0.0
-        assert 0.0 <= float(row["sifted_bps"]) <= 1.000001e6 / deadtime_us
+        # No release outlives the hold-off, so every click is a primary:
+        # not the coin-flip QBER of an armed fraction rounded to 0.
+        assert 0.0 < float(row["qber"]) < 0.5
+        assert float(row["skr_bps"]) == 0.0
+        # One click per hold-off; at 1e308 us r0 * hold-off overflowed and
+        # the root read no clicks.
+        assert float(row["sifted_bps"]) == pytest.approx(1e6 / deadtime_us,
+                                                         rel=1e-6, abs=0.0)
+
+    # 1 - C*hold-off kept only rounding noise (1.1e-16 where the root gives
+    # about 1e-50): more primaries than clicks, and the run exited 1 with
+    # "p must be in [0, 1]".
+    @pytest.mark.parametrize("deadtime_us", [1e50, 1e140])
+    def test_a_hold_off_near_saturation_exits_0_without_key(
+            self, tmp_path, capsys, deadtime_us):
+        ini = f"[qkd]\nuse_optimizer = false\ndeadtime_us = {deadtime_us}\n" \
+            "losses_db = 5\n"
+        out = tmp_path / "out"
+        assert cli.main(["qkd", "--config", _cfg(tmp_path, ini), "--out",
+                         str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = _read_rows(out / "skr_vs_loss.csv")
+        row = dict(zip(header, rows[0]))
+        assert 0.0 <= float(row["qber"]) <= 0.5
+        assert float(row["skr_bps"]) == 0.0
 
 
 class TestQkdOptimized:

@@ -722,6 +722,33 @@ class TestAfterpulseAnalytics:
         assert clicks == pytest.approx(1.0 / det.deadtime, rel=1e-12)
         assert 0.0 <= armed < 1e-12
 
+    @pytest.mark.parametrize("deadtime", [1e4, 1e44, 1e134])
+    def test_near_saturation_the_armed_fraction_keeps_its_digits(
+            self, deadtime):
+        # 1 - C*deadtime kept only rounding noise here: 1 - 2.7e-8 times
+        # the fraction at 1e4 s, and 0.0 at 1e44 s.
+        det = make_detector(-110.0, 0.115, deadtime,
+                            trap_model=TrapModel.disabled())
+        _, armed = _saturated_rates(det, 1e5)
+        assert armed == pytest.approx(1.0 / (1.0 + 1e5 * deadtime),
+                                      rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("deadtime", [1e44, 1e134, 1e294, 1e302])
+    def test_at_saturation_every_click_is_a_primary(self, deadtime):
+        # No release outlives these hold-offs, so the link's QBER is the
+        # trap-free one.  It read 0.5: the armed fraction was rounding
+        # noise or 0, and at 1e302 s r0*deadtime overflowed to no clicks.
+        cfg = LinkConfig(channel_loss_db=5.0, mu=1e9)
+        free = make_detector(-90.0, 0.115, 20e-6,
+                             trap_model=TrapModel.disabled())
+        det = make_detector(-90.0, 0.115, deadtime)
+        metrics = link_metrics(cfg, QkdOperatingPoint(det, det))
+        trap_free = link_metrics(cfg, QkdOperatingPoint(free, free))
+        assert metrics.qber == pytest.approx(trap_free.qber, rel=1e-9)
+        assert metrics.sifted_rate == pytest.approx(1.0 / deadtime,
+                                                    rel=1e-9, abs=0.0)
+        assert metrics.skr == 0.0
+
     def test_runaway_link_has_no_key(self):
         det = CLOSED_FORM_DETECTORS["runaway"]
         metrics = link_metrics(LinkConfig(channel_loss_db=5.0),
