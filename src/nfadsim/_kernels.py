@@ -1,17 +1,31 @@
 """Simulation kernels: the detector's event loop in plain Python.
 
-The kernels draw nothing but uniforms, one at a time from ``gen.random()``
-or, for the dark candidates and the laser decisions of ``characterize``,
-as ndarrays from ``gen.block(n)``; exponential, normal, Poisson and
-categorical variates are derived here by inversion/rejection with
-``math.*`` scalar routines.  The one numpy arithmetic is over a block of
-dark-candidate uniforms (``_DarkCandidates``): ``np.log``, then int64
-running sums.  A gap that ``np.log``'s ulp-level difference from
-``math.log`` could truncate to another int is redone with ``math.log``, so
-every gap is ``_exp_gap_ps``'s.  On an Intel Xeon (Python 3.11, numpy
-2.4) a block of 1024 gaps costs about 30 ns a gap this way, 105 ns with
-Python-int sums after ``np.log`` and 220 to 250 ns with ``math.log`` per
-gap, which is no faster than drawing each gap as its candidate comes up.
+The kernels draw nothing but uniforms: ``free_run``'s pulse decisions one
+at a time from ``gen.random()``, every other draw as ndarrays from
+``gen.block(n)``.  Exponential, normal, Poisson and categorical variates
+are derived from them in the scalar loop's order and arithmetic.  Those
+substreams are read ahead: a block is parsed with numpy into the values of
+the events it holds whole, in draw order; the dark candidates in
+``_DarkCandidates``, the laser decisions of ``characterize`` inline, and
+the rest in ``_ReadAhead``: per click the jitter delay and the trap
+release delays (``_parse_jitter``, ``_parse_traps``), per signal click of
+a session its frame skip and flip (``_parse_schedule``), and the bits.  On
+every exit a kernel gives back with ``unread`` the uniforms after the last
+value it took, so every substream ends where one-at-a-time draws leave it.
+
+The parse keeps every byte.  Comparisons (branch, polar acceptance,
+Knuth's product, component, flip, bit) and the IEEE-rounded products,
+quotients and square roots give numpy the scalar loop's values; only
+``np.log`` may differ from ``math.log``, by an ulp or so.  A value
+truncated after a log (dark gap, jitter delay, release delay, frame skip)
+that a 64-ulp error could move to another int (``_LOG_SLACK``) is redone
+with ``math.log``, and a value past 2**61 stays a Python int.  On an Intel
+Xeon (Python 3.11, numpy 2.4) a block of 1024 dark gaps costs about 30 ns
+a gap this way, 105 ns with Python-int sums after ``np.log`` and 220 to
+250 ns with ``math.log`` per gap, which is no faster than drawing each gap
+as its candidate comes up.  A 4096-uniform block costs about 165 ns a
+jitter delay and 200 ns a click's traps, against about 1.75 us a click for
+both drawn one at a time; an event is a C-level ``chain.__next__`` away.
 
 Event-step core.  Every click goes through one cycle: avalanche, timing
 jitter, trap filling, hold-off, re-arm.  ``_next_click(t_limit,
@@ -39,10 +53,9 @@ returns two ints and ``qkd_monitor`` one.  Draw contract, shared with
 ``detector.simulate_reference``: per click, the jitter delay, then the trap
 count, then one (component, release delay) pair per trap.  A dark
 candidate draws the next gap when it is processed, armed or not; a pulse
-draws its click decision only while armed.  The dark gaps come from their
-own substream alone, so they are read ahead in blocks: on every exit a
-kernel gives back with ``unread`` the uniforms past the next candidate,
-and the substream ends where one-at-a-time draws leave it.
+draws its click decision only while armed.  A session's signal click draws
+its frame skip, then (decoding only) the bit and the flip.  Each substream
+serves one mechanism alone, which is what lets it be read ahead.
 
 Skip rules.  Work that cannot produce a click is skipped exactly, so the
 draw contract above and every output bit stay those of the plain event
@@ -70,8 +83,10 @@ infinite gap has no int; ``detector`` rejects the rates that would draw one.
 
 import math
 from bisect import bisect_left
+from functools import partial
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import length_hint
 
 import numpy as np
 
@@ -85,8 +100,10 @@ NEVER = 1 << 62
 # Laser decisions ``characterize`` reads per photon block.
 _LASER_BLOCK = 1024
 
-# Dark candidates drawn per block: the first block, doubled up to the last.
-_DARK_FIRST_BLOCK = 64
+# Uniforms per read-ahead block: the first block, doubled up to the last.
+_FIRST_BLOCK = 64
+_LAST_BLOCK = 4096
+# Dark candidates drawn per block, from _FIRST_BLOCK.
 _DARK_LAST_BLOCK = 1024
 # Relative slack around a gap inside which np.log's error could move its
 # truncation: 64 ulps of a double.
@@ -107,55 +124,257 @@ def _skip_below(deadtime_ps, tau_ps):
     return 0.0
 
 
+def _truncated(v, exact):
+    """int(x) for each x of v, which was computed with np.log: an int64
+    array, or an object array of Python ints where a value reaches 2**61.
+    Where np.log's error could move x across an int, the value is
+    exact(j), row j computed the scalar loop's way with math.log."""
+    if not len(v) or float(np.abs(v).max()) < 2.0 ** 61:
+        ints = v.astype(np.int64)
+    else:   # also raises the scalar loop's error on inf or nan
+        ints = np.array([int(x) for x in v.tolist()], dtype=object)
+    for j in (np.trunc(v * (1.0 - _LOG_SLACK))
+              != np.trunc(v * (1.0 + _LOG_SLACK))).nonzero()[0].tolist():
+        ints[j] = exact(j)
+    return ints
+
+
+def _event_starts(end, n):
+    """The starts of the events a block of n uniforms holds whole, the
+    first at 0, as an int array: an event at i ends at end[i], past n where
+    the block cuts it."""
+    end = memoryview(end)   # Python ints without a list of all n
+    starts = []
+    i = 0
+    while i < n:
+        j = end[i]
+        if j > n:
+            break
+        starts.append(i)
+        i = j
+    return np.array(starts, dtype=np.intp)
+
+
+def _parse_jitter(u, jitter):
+    """The jitter delays, clamped at 0, of the variates a block holds whole,
+    and the draw count after each.  A variate draws its branch uniform,
+    then the tail's one uniform or polar pairs up to the first inside the
+    unit circle."""
+    sigma_ps, tail_fraction, tail_scale, latency_ps = jitter
+    n = len(u)
+    # s[j] = a*a + b*b for the polar pair (a, b) = 2 * u[j:j + 2] - 1.
+    s = 2.0 * u
+    s -= 1.0
+    s *= s
+    s[:-1] += s[1:]
+    # pair[j]: the first of the pairs j, j + 2, ... inside the circle, or
+    # n.  A core variate at i ends 2 past pair[i + 1], a tail one at i + 2.
+    pair = np.arange(n + 1)
+    pair[:-2][(s[:-1] <= 0.0) | (s[:-1] >= 1.0)] = n
+    pair[-2:] = n
+    for half in (pair[0::2], pair[1::2]):
+        np.minimum.accumulate(half[::-1], out=half[::-1])
+    end = pair[1:]
+    end += 2
+    tail = u < tail_fraction
+    end[tail] = tail.nonzero()[0] + 2
+    starts = _event_starts(end, n)
+    ends = end[starts]
+    tail = tail[starts]
+
+    # A tail variate's uniform, or a core variate's pair (a, b), ends at
+    # its end: the argument of log is 1 - u or s.
+    at = ends - 1
+    a = 2.0 * u[at - 1]
+    a -= 1.0
+    arg = np.where(tail, 1.0 - u[at], s[at - 1])
+    x = np.log(arg)
+    core = x * -2.0
+    core /= arg
+    np.sqrt(core, out=core)
+    core *= a
+    x *= -tail_scale
+    x = np.where(tail, x, core)
+    x *= sigma_ps
+
+    def exact(j):
+        if tail[j]:
+            x = -tail_scale * math.log(float(arg[j]))
+        else:
+            x = float(a[j]) * math.sqrt(
+                -2.0 * math.log(float(arg[j])) / float(arg[j]))
+        return int(x * sigma_ps)
+
+    delays = _truncated(x, exact)
+    if not -2 ** 61 < latency_ps < 2 ** 61:
+        delays = delays.astype(object)
+    delays += latency_ps
+    np.maximum(delays, 0, out=delays)
+    return delays.tolist(), ends
+
+
+def _parse_traps(u, traps, skip_below):
+    """Per click whose draws a block holds whole, the release delays of its
+    traps whose uniform is not below ``skip_below``, as a tuple, and the
+    draw count after each click.  A click draws Knuth's product of
+    uniforms for its trap count n, then a (component, delay) pair per
+    trap: 1 + n + 2n uniforms.  At lam = 0 a click draws nothing."""
+    lam, cum_weights, tau_ps = traps
+    n = len(u)
+    if not lam > 0.0:
+        return [()] * n, np.zeros(n, np.intp)
+    limit = math.exp(-lam)
+    # count[i]: the trap count of a click whose draws start at i, or n
+    # where its product runs past the block.
+    count = np.zeros(n, np.intp)
+    live = (u > limit).nonzero()[0]
+    p = u[live]
+    k = 1
+    while len(live):
+        at = live + k
+        if at[-1] >= n:
+            cut = np.searchsorted(at, n)
+            count[live[cut:]] = n
+            live, p, at = live[:cut], p[:cut], at[:cut]
+        count[live] = k
+        p *= u[at]
+        more = p > limit
+        live, p = live[more], p[more]
+        k += 1
+    end = count * 3
+    end += 1
+    end += np.arange(n)
+    starts = _event_starts(end, n)
+    count = count[starts]
+    releases = [()] * len(starts)
+    n_traps = int(count.sum())
+    if n_traps:
+        # Each trap's component uniform; its delay uniform comes next.
+        click = np.repeat(np.arange(len(starts)), count)
+        first = count.cumsum()
+        first -= count
+        first *= -2
+        first += starts
+        first += count
+        at = np.arange(1, 2 * n_traps + 1, 2)
+        at += np.repeat(first, count)
+        comp = np.searchsorted(np.array(cum_weights[:-1]), u[at],
+                               side="right")
+        u = u[at + 1]
+        kept = (u >= np.array(skip_below)[comp]).nonzero()[0]
+        arg = 1.0 - u[kept]
+        tau = np.array(tau_ps)[comp[kept]]
+        x = np.log(arg)
+        np.negative(x, out=x)
+        x *= tau
+        delays = _truncated(x, lambda j: int(
+            -math.log(float(arg[j])) * float(tau[j]))).tolist()
+        for i, delay in zip(click[kept].tolist(), delays):
+            releases[i] += (delay,)
+    return releases, end[starts]
+
+
+def _parse_schedule(u, log_q, p_flip, decode):
+    """Per signal click whose draws a block holds whole, 2 * frame skip +
+    flip, and the draw count after each.  A click draws its frame skip
+    int(ln(1 - u) / log_q) unless log_q = 0 (p_click = 1: the skip is 0),
+    then, decoding only, its flip, u < p_flip."""
+    stride = (log_q < 0.0) + decode
+    n = len(u)
+    if not stride:
+        return [0] * n, np.zeros(n, np.intp)
+    m = n // stride
+    skip2 = np.zeros(m, np.int64)
+    if log_q < 0.0:
+        arg = 1.0 - u[0:m * stride:stride]
+        x = np.log(arg)
+        x /= log_q
+        skip2 = _truncated(x, lambda j: int(
+            math.log(float(arg[j])) / log_q))
+        skip2 *= 2
+    if decode:
+        skip2 += u[stride - 1::stride][:m] < p_flip
+    return skip2.tolist(), np.arange(stride, m * stride + 1, stride)
+
+
+def _parse_bits(u):
+    """The bits u >= 0.5 of a block, one draw each."""
+    return ((u >= 0.5).view(np.int8).tolist(),
+            np.arange(1, len(u) + 1))
+
+
+class _ReadAhead:
+    """One substream's per-event values, parsed ahead from uniform blocks.
+
+    ``parse(u)`` gives the values of the events a block of uniforms holds
+    whole, in draw order, and the draw count after each; the draws of an
+    event the block cuts are read again at the head of the next block.
+    Blocks hold ``_FIRST_BLOCK`` uniforms, doubling up to ``_LAST_BLOCK``
+    (and past it while a block holds no whole event).  ``next()``, a
+    C-level ``chain.__next__``, serves the values one at a time, and
+    ``close`` gives back with ``unread`` the uniforms after the last value
+    served, so the source ends where one-at-a-time draws would have left
+    it.  Nothing is read before the first ``next()``.
+    """
+
+    __slots__ = ("next", "_source", "_parse", "_u", "_ends", "_values")
+
+    def __init__(self, source, parse):
+        self._source, self._parse = source, parse
+        self._u, self._ends, self._values = np.empty(0), (), iter(())
+        self.next = chain.from_iterable(self._blocks()).__next__
+
+    def _rest(self):
+        """The block's uniforms after the last value served."""
+        served = len(self._ends) - length_hint(self._values)
+        return self._u[self._ends[served - 1]:] if served else self._u
+
+    def _blocks(self):
+        n = _FIRST_BLOCK
+        while True:
+            self._u, self._ends = self._source.block(n), ()
+            values, ends = self._parse(self._u)
+            self._ends, self._values = ends, iter(values)
+            n = min(2 * n, _LAST_BLOCK) if len(ends) else 2 * n
+            yield self._values
+            self._source.unread(self._rest())
+
+    def close(self):
+        self._source.unread(self._rest())
+        # The chain's generator holds self: without it the block goes now.
+        self.next = None
+
+
 def _avalanche_step(det, gens, rel_heap):
     """One detector's click step: ``avalanche(t)``, for a click at raw time
-    t, draws the jitter delay, then the trap count (Knuth's product of
-    uniforms), then one (component, exponential delay) pair per trap, and
-    returns the recorded time.  A release at t + delay goes onto rel_heap
-    unless it falls before re-arm at recorded + deadtime_ps."""
-    deadtime_ps, _, (lam, cum_weights, tau_ps), jitter = det
-    sigma_ps, tail_fraction, tail_scale, latency_ps = jitter
-    jitter_random, trap_random = gens["jitter"].random, gens["traps"].random
-    log, sqrt, push = math.log, math.sqrt, heappush
-    limit = math.exp(-lam)
-    last = len(cum_weights) - 1
-    skip_below = [_skip_below(deadtime_ps, tau) for tau in tau_ps]
+    t, takes the jitter delay, then the release delays of the traps it
+    fills, and returns the recorded time.  A release at t + delay goes onto
+    rel_heap unless it falls before re-arm at recorded + deadtime_ps.  The
+    delays are read ahead from the "jitter" and "traps" sources;
+    ``avalanche.close()`` gives back the draws not taken."""
+    deadtime_ps, _, traps, jitter = det
+    skip_below = [_skip_below(deadtime_ps, tau) for tau in traps[2]]
+    delays = _ReadAhead(gens["jitter"], partial(_parse_jitter,
+                                                jitter=jitter))
+    releases = _ReadAhead(gens["traps"], partial(
+        _parse_traps, traps=traps, skip_below=skip_below))
+    next_delay, next_releases, push = delays.next, releases.next, heappush
 
     def avalanche(t):
-        # Jitter: Gaussian core (mode at latency) + one-sided exponential tail.
-        if jitter_random() < tail_fraction:
-            x = -tail_scale * log(1.0 - jitter_random())
-        else:
-            # Marsaglia polar method; the second variate is discarded so
-            # the draw count depends only on the rejection path.
-            while True:
-                a = 2.0 * jitter_random() - 1.0
-                b = 2.0 * jitter_random() - 1.0
-                s = a * a + b * b
-                if 0.0 < s < 1.0:
-                    break
-            x = a * sqrt(-2.0 * log(s) / s)
-        delay = latency_ps + int(x * sigma_ps)
-        recorded = t + delay if delay > 0 else t
-        if lam > 0.0:
-            n_traps = 0
-            p = trap_random()
-            while p > limit:
-                n_traps += 1
-                p *= trap_random()
+        recorded = t + next_delay()
+        filled = next_releases()
+        if filled:
             armed_from = recorded + deadtime_ps
-            for _ in range(n_traps):
-                u = trap_random()
-                comp = 0
-                while comp < last and u >= cum_weights[comp]:
-                    comp += 1
-                u = trap_random()
-                if u >= skip_below[comp]:
-                    release = t + int(-log(1.0 - u) * tau_ps[comp])
-                    if release >= armed_from:
-                        push(rel_heap, release)
+            for delay in filled:
+                if t + delay >= armed_from:
+                    push(rel_heap, t + delay)
         return recorded
 
+    def close():
+        delays.close()
+        releases.close()
+
+    avalanche.close = close
     return avalanche
 
 
@@ -175,7 +394,7 @@ class _DarkCandidates:
 
     def __init__(self, source, rate):
         self._source, self._rate = source, rate
-        self._size = _DARK_FIRST_BLOCK
+        self._size = _FIRST_BLOCK
         self.times, self.i = [0], 0
         if rate > 0.0:
             self._refill()
@@ -195,16 +414,14 @@ class _DarkCandidates:
         np.negative(x, out=x)
         x /= rate
         x *= PS_PER_S
-        for j in (np.trunc(x * (1.0 - _LOG_SLACK))
-                  != np.trunc(x * (1.0 + _LOG_SLACK))).nonzero()[0].tolist():
-            x[j] = _exp_gap_ps(float(u[j]), rate)
+        gaps = _truncated(x, lambda j: _exp_gap_ps(float(u[j]), rate))
         start = self.times[-1]
         if start + float(x.max()) * n < 2.0 ** 62:
-            times = np.cumsum(x.astype(np.int64))
+            times = np.cumsum(gaps)
             times += start
             times = times.tolist()
         else:  # a time near int64's end; below 4e-6 cps a gap can pass it
-            gaps = list(map(int, x.tolist()))
+            gaps = gaps.tolist()
             gaps[0] += start
             times = list(accumulate(gaps))
         self.times = times
@@ -320,6 +537,7 @@ def free_run(duration_ps, pulse_times_ps, pulse_p_click, det, gens):
                                           i_pulse)
     finally:
         darks.close()
+        avalanche.close()
 
     return times, origins
 
@@ -443,6 +661,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
                     hist[idx] += 1
     finally:
         darks.close()
+        avalanche.close()
         photons.unread(block[pos:])
     return c_d, c_lp, hist, t_now, False
 
@@ -457,9 +676,6 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
     error when the slot disagrees with that frame's bit.
     """
     deadtime_ps, dark_rate, _, jitter = det
-    photon_random = gens["photons"].random
-    bits_random = gens["bits"].random if decode else None
-    log = math.log
     duration_ps = n_frames * frame_ps
     latency_ps = jitter[3]
     n_clicks = n_errors = 0
@@ -473,7 +689,14 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
     # clicks in the NEVER // frame_ps frames of the whole picosecond grid,
     # and its log(1 - p) is 0: it is run as no signal at all.
     use_signal = 1.0 - p_click_frame < 1.0
-    log_q = log(1.0 - p_click_frame) if p_click_frame < 1.0 else 0.0
+    log_q = math.log(1.0 - p_click_frame) if p_click_frame < 1.0 else 0.0
+    # The signal schedule: per signal click, 2 * frame skip + flip.
+    signal = _ReadAhead(gens["photons"], partial(
+        _parse_schedule, log_q=log_q, p_flip=p_optical_error,
+        decode=decode))
+    next_signal = signal.next
+    bits = _ReadAhead(gens["bits"], _parse_bits) if decode else None
+    next_bit = bits.next if decode else None
     # sig_time -1: the first signal click is drawn before the first event.
     sig_time = -1 if use_signal else NEVER
     sig_frame = sig_bit = 0
@@ -486,15 +709,13 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
             # the geometric frame skip, then (decoding only) the bit and the
             # flip.
             if use_signal and sig_time < armed_from:
-                sig_frame = armed_from // frame_ps + 1 if n_clicks else 0
-                if log_q < 0.0:
-                    sig_frame += int(log(1.0 - photon_random()) / log_q)
+                skip2 = next_signal()
+                sig_frame = ((armed_from // frame_ps + 1 if n_clicks else 0)
+                             + (skip2 >> 1))
                 slot = 0
                 if decode:
-                    sig_bit = 0 if bits_random() < 0.5 else 1
-                    slot = sig_bit
-                    if photon_random() < p_optical_error:
-                        slot = 1 - slot
+                    sig_bit = next_bit()
+                    slot = sig_bit ^ (skip2 & 1)
                 sig_time = (sig_frame * frame_ps + slot * slot_ps
                             + slot_ps // 2)
 
@@ -527,11 +748,15 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
                 else:
                     # Bits of frames without a scheduled signal pulse are
                     # drawn lazily; a fair coin either way.
-                    true_bit = 0 if bits_random() < 0.5 else 1
+                    true_bit = next_bit()
                 if slot_hat != true_bit:
                     n_errors += 1
     finally:
         darks.close()
+        avalanche.close()
+        signal.close()
+        if decode:
+            bits.close()
 
     return n_clicks, n_errors
 

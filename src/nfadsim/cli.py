@@ -37,7 +37,8 @@ from .config import RunConfig, parse_config
 from .engine import RandomStream
 from .errors import (ConfigError, EstimatorDomainError, ExtrapolationError,
                      NoSignalError, OpenSupportError, ParameterError)
-from .optimize import GridPoint, Optimum, SearchSpace, optimize
+from .optimize import (MAX_TABLE_CELLS, GridPoint, Optimum, SearchSpace,
+                       optimize)
 from .params import DarkRateModel, DetectorParams, TrapModel
 from .qkd import (LinkConfig, QkdOperatingPoint, link_metrics,
                   simulate_session)
@@ -337,6 +338,13 @@ def _search_space(cfg: RunConfig) -> SearchSpace:
                             efficiency="efficiencies",
                             deadtime_grid="deadtimes_us",
                             temperature_grid="temperatures_c") from exc
+    cells = space.table_cells(o.per_detector)
+    if cells > MAX_TABLE_CELLS:
+        raise ConfigError(
+            "[optimizer] efficiencies x deadtimes_us x temperatures_c"
+            + (" with per_detector = true" if o.per_detector else "")
+            + f": {cells:,} key rates per loss, past the "
+            f"{MAX_TABLE_CELLS:,} a search may tabulate")
     return space
 
 

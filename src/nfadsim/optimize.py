@@ -33,6 +33,10 @@ DEFAULT_DEADTIME_GRID = (2e-6, 5e-6, 10e-6, 20e-6, 40e-6, 80e-6)
 DEFAULT_TEMPERATURE_GRID_C = (-50.0, -70.0, -90.0, -110.0)
 DEFAULT_LOSS_GRID_DB = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
+# Key rates one search tabulates per loss: 2**24 float64 are 128 MB, 220
+# times the default per-detector grid's 76,176 (4 temperatures x 138**2).
+MAX_TABLE_CELLS = 2 ** 24
+
 
 class GridPoint(NamedTuple):
     """One candidate operating point (temperatures in Celsius)."""
@@ -82,6 +86,13 @@ class SearchSpace:
         varying fastest."""
         return [(eta, tau) for eta in self.efficiency_grid
                 for tau in self.deadtime_grid]
+
+    def table_cells(self, per_detector: bool = False) -> int:
+        """Key rates one search tabulates per loss: temperatures x sides,
+        x sides again per detector."""
+        sides = len(self.efficiency_grid) * len(self.deadtime_grid)
+        return (len(self.temperature_grid) * sides
+                * (sides if per_detector else 1))
 
     def points(self, per_detector: bool = False):
         """Candidate operating points in deterministic enumeration order."""
@@ -138,8 +149,13 @@ def optimize(space: SearchSpace, links: Sequence[LinkConfig],
     Every detector on the grid is constructed (and therefore validated)
     before the first evaluation.  The optimum is the largest key rate, ties
     going to the smallest ``_tie_key``; the key totally orders the grid, so
-    the result does not depend on enumeration order.
+    the result does not depend on enumeration order.  A table past
+    ``MAX_TABLE_CELLS`` is refused before any detector is built.
     """
+    cells = space.table_cells(per_detector)
+    if cells > MAX_TABLE_CELLS:
+        raise ParameterError(f"the search would tabulate {cells:,} key "
+                             f"rates per loss, past {MAX_TABLE_CELLS:,}")
     temps = space.temperature_grid
     side = space.sides()
     detectors = [[make_detector(t, eta, tau) for eta, tau in side]

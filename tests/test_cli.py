@@ -527,6 +527,52 @@ class TestOptimizeCommand:
                 == digest, name
 
 
+    @pytest.mark.parametrize("past, code", [(0, 0), (1, 1)])
+    def test_a_table_past_the_bound_exits_1_without_output(
+            self, tmp_path, capsys, monkeypatch, past, code):
+        # The bound set to this grid's per-detector table (2 temperatures
+        # x 4 sides, squared): at it the command runs; one cell past it,
+        # it exits 1 before any detector is built.
+        monkeypatch.setattr(cli, "MAX_TABLE_CELLS", 32 - past)
+        if code:
+            monkeypatch.setattr(cli, "optimize", None)
+        cfg = _cfg(tmp_path, QKD_OPT_INI + "per_detector = true\n")
+        out = tmp_path / "out"
+        assert cli.main(["optimize", "--config", cfg, "--out",
+                         str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == ("error: [optimizer] efficiencies x deadtimes_us "
+                           "x temperatures_c with per_detector = true: 32 "
+                           f"key rates per loss, past the {32 - past} a "
+                           "search may tabulate\n")
+            assert not out.exists()
+        else:
+            assert err == "" and out.exists()
+
+    def test_a_ten_times_finer_grid_exits_1_before_it_allocates(
+            self, tmp_path, capsys):
+        # 230 efficiencies x 60 hold-offs x 4 temperatures, per detector:
+        # 7.6e8 key rates, a 6.1 GB table per loss.
+        etas = ", ".join(str(round(0.05 + 0.001 * k, 3)) for k in range(230))
+        taus = ", ".join(str(k) for k in range(1, 61))
+        cfg = _cfg(tmp_path, f"[optimizer]\nper_detector = true\n"
+                             f"efficiencies = {etas}\ndeadtimes_us = {taus}\n")
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert cli.main(["optimize", "--config", cfg, "--out",
+                             str(out)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        err = capsys.readouterr().err
+        assert err.startswith("error: [optimizer] ")
+        assert "761,760,000 key rates" in err
+        assert not out.exists()
+
+
 class TestSelftest:
     def test_passes_with_defaults(self, capsys):
         assert cli.main(["selftest", "--seed", "42"]) == 0

@@ -197,10 +197,18 @@ def _dense_laser():
 
 
 class _Scripted:
-    """A uniform source that returns given values in order."""
+    """A uniform source that returns given values in order: ``block(n)``
+    serves up to n of them, and ``unread`` puts values back in front."""
 
     def __init__(self, values):
-        self.random = iter(values).__next__
+        self._values = list(values)
+
+    def block(self, n):
+        head, self._values = self._values[:n], self._values[n:]
+        return np.array(head, dtype=np.float64)
+
+    def unread(self, values):
+        self._values[:0] = values.tolist()
 
 
 def _fuzz_detector(temp_c, eta, deadtime, dark_rt, trap_mean, components,

@@ -12,9 +12,12 @@ import hashlib
 import math
 from bisect import bisect_left
 from itertools import accumulate
+from operator import length_hint
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfadsim import _kernels
 from nfadsim.calibration import make_detector
@@ -117,11 +120,14 @@ _SMALL_CASES = {
     "qkd_data/always": lambda: (_small_qkd(1.0, 0.005), _DATA),
     "qkd_data/never": lambda: (_small_qkd(0.0, 0.005), _DATA),
     "qkd_data/rare": lambda: (_small_qkd(1e-15, 0.005), _DATA),
+    # p = 2**-54 leaves 1 - p == 1: run as no signal at all.
+    "qkd_data/tiny": lambda: (_small_qkd(2.0 ** -54, 0.005), _DATA),
     "qkd_data/short_hold": lambda: (
         _small_qkd(2e-3, 0.005, det=_short_hold(0.25)), _DATA),
     "qkd_monitor": lambda: (_small_qkd(1e-3), _MONITOR),
     "qkd_monitor/always": lambda: (_small_qkd(1.0), _MONITOR),
     "qkd_monitor/never": lambda: (_small_qkd(0.0), _MONITOR),
+    "qkd_monitor/tiny": lambda: (_small_qkd(2.0 ** -54), _MONITOR),
 }
 
 
@@ -230,8 +236,10 @@ _GOLDEN = {
     ("qkd_data/rare", 3): (1, 1),
     ("qkd_data/rare", 4): (0, 0),
     ("qkd_data/short_hold", 3): (2064, 329),
+    ("qkd_data/tiny", 3): (1, 1),
     ("qkd_monitor/always", 3): 3195,
     ("qkd_monitor/never", 3): 1,
+    ("qkd_monitor/tiny", 3): 1,
 }
 
 
@@ -291,9 +299,11 @@ _NEXT_DARK = {
     "qkd_data/never": 0.899579830295347,
     "qkd_data/rare": 0.899579830295347,
     "qkd_data/short_hold": 0.5142990804242584,
+    "qkd_data/tiny": 0.899579830295347,
     "qkd_monitor": 0.899579830295347,
     "qkd_monitor/always": 0.899579830295347,
     "qkd_monitor/never": 0.899579830295347,
+    "qkd_monitor/tiny": 0.899579830295347,
 }
 
 
@@ -304,6 +314,79 @@ def test_kernels_leave_the_dark_stream_where_they_read_to(name):
     with stream.uniforms(names) as sources:
         _kernel(name)(*fixed, sources)
     assert stream.generator("darks").random() == _NEXT_DARK[name]
+
+
+# The next draw of the other substreams after each case at seed 3,
+# recorded when the kernels drew the jitter, trap, signal and bit uniforms
+# one at a time (the photon draws of characterize are in _NEXT_PHOTON).
+# Every session case ends partway through a read-ahead block of each.
+_NEXT_DRAWS = {
+    "characterize": {"jitter": 0.16081385363841816,
+                     "traps": 0.03968592474284949},
+    "characterize/held_off": {"jitter": 0.613248716689675,
+                              "traps": 0.8837947204957993},
+    "characterize/idle_end": {"jitter": 0.6260095204038598,
+                              "traps": 0.9066868442000304},
+    "characterize/no_darks": {"jitter": 0.34157111330165735,
+                              "traps": 0.18280129752301388},
+    "characterize/pending": {"jitter": 0.6193888611223568,
+                             "traps": 0.25602137727094865},
+    "characterize/short_hold": {"jitter": 0.03024914303436399,
+                                "traps": 0.38154087651237656},
+    "characterize/sparse": {"jitter": 0.222962769256963,
+                            "traps": 0.7434522399196803},
+    "characterize/starved": {"jitter": 0.44107538095995047,
+                             "traps": 0.7083079142205214},
+    "free_run": {"jitter": 0.4193267515584401, "traps": 0.131892567248295,
+                 "photons": 0.054253563515460956},
+    "qkd_data": {"jitter": 0.18921976029812382,
+                 "traps": 0.23534543101561667,
+                 "photons": 0.37743448761579446,
+                 "bits": 0.8129089034858586},
+    "qkd_data/always": {"jitter": 0.9823085115443351,
+                        "traps": 0.12345737528464573,
+                        "photons": 0.9680787433679144,
+                        "bits": 0.6700709994828119},
+    "qkd_data/never": {"jitter": 0.8981707686770491,
+                       "traps": 0.09457830442392834,
+                       "photons": 0.10033602866159974,
+                       "bits": 0.9036039314424413},
+    "qkd_data/rare": {"jitter": 0.8981707686770491,
+                      "traps": 0.09457830442392834,
+                      "photons": 0.5288834801304864,
+                      "bits": 0.09685979900311847},
+    "qkd_data/short_hold": {"jitter": 0.057510399138914314,
+                            "traps": 0.615333416955053,
+                            "photons": 0.8587239873784898,
+                            "bits": 0.9027838778027376},
+    "qkd_data/tiny": {"jitter": 0.8981707686770491,
+                      "traps": 0.09457830442392834,
+                      "photons": 0.10033602866159974,
+                      "bits": 0.9036039314424413},
+    "qkd_monitor": {"jitter": 0.9120503229998651,
+                    "traps": 0.1829473069736901,
+                    "photons": 0.701563274719472},
+    "qkd_monitor/always": {"jitter": 0.9588640999277662,
+                           "traps": 0.9264553203196075,
+                           "photons": 0.10033602866159974},
+    "qkd_monitor/never": {"jitter": 0.8981707686770491,
+                          "traps": 0.09457830442392834,
+                          "photons": 0.10033602866159974},
+    "qkd_monitor/tiny": {"jitter": 0.8981707686770491,
+                         "traps": 0.09457830442392834,
+                         "photons": 0.10033602866159974},
+}
+
+
+@pytest.mark.parametrize("name, substream", sorted(
+    (name, n) for name, draws in _NEXT_DRAWS.items() for n in draws))
+def test_kernels_leave_every_stream_where_they_read_to(name, substream):
+    fixed, names = _SMALL_CASES[name]()
+    stream = RandomStream(3)
+    with stream.uniforms(names) as sources:
+        _kernel(name)(*fixed, sources)
+    assert (stream.generator(substream).random()
+            == _NEXT_DRAWS[name][substream])
 
 
 def _scalar_dark_times(seed, rate, n):
@@ -358,7 +441,7 @@ class TestDarkCandidates:
         # k = 1e5 + j: each lands inside the slack and is redone.
         rate = 1e7
         us = [-math.expm1(-(100_000 + j) * rate / 1e12)
-              for j in range(_kernels._DARK_FIRST_BLOCK)]
+              for j in range(_kernels._FIRST_BLOCK)]
         redone = []
 
         def exp_gap_ps(u, rate_per_s):
@@ -433,3 +516,236 @@ def test_kernel_args_keep_their_values(name):
     # the repr pins every value and every native type the kernels receive.
     det, expected = _KERNEL_ARGS[name]
     assert repr(_kernel_args(det)) == expected
+
+
+# The scalar loops the parsers stand in for, as the kernels drew one
+# uniform at a time: each gives the values of the events a block holds
+# whole and the draw count after each.
+def _scalar_events(us, draw_event):
+    draws = iter(us.tolist())
+    values, ends = [], []
+    try:
+        while True:
+            values.append(draw_event(draws.__next__))
+            ends.append(len(us) - length_hint(draws))
+    except StopIteration:
+        return values, ends
+
+
+def _scalar_jitter(us, jitter):
+    sigma_ps, tail_fraction, tail_scale, latency_ps = jitter
+
+    def delay(random):
+        if random() < tail_fraction:
+            x = -tail_scale * math.log(1.0 - random())
+        else:
+            while True:
+                a = 2.0 * random() - 1.0
+                b = 2.0 * random() - 1.0
+                s = a * a + b * b
+                if 0.0 < s < 1.0:
+                    break
+            x = a * math.sqrt(-2.0 * math.log(s) / s)
+        delay = latency_ps + int(x * sigma_ps)
+        return delay if delay > 0 else 0
+
+    return _scalar_events(us, delay)
+
+
+def _scalar_traps(us, traps, skip_below):
+    lam, cum_weights, tau_ps = traps
+    limit, last = math.exp(-lam), len(cum_weights) - 1
+
+    def releases(random):
+        n_traps = 0
+        p = random()
+        while p > limit:
+            n_traps += 1
+            p *= random()
+        filled = []
+        for _ in range(n_traps):
+            u = random()
+            comp = 0
+            while comp < last and u >= cum_weights[comp]:
+                comp += 1
+            u = random()
+            if u >= skip_below[comp]:
+                filled.append(int(-math.log(1.0 - u) * tau_ps[comp]))
+        return tuple(filled)
+
+    return _scalar_events(us, releases)
+
+
+def _scalar_schedule(us, log_q, p_flip, decode):
+    def skip2_flip(random):
+        skip = int(math.log(1.0 - random()) / log_q) if log_q < 0.0 else 0
+        flip = 0
+        if decode and random() < p_flip:
+            flip = 1
+        return 2 * skip + flip
+
+    return _scalar_events(us, skip2_flip)
+
+
+def _scalar_bits(us):
+    return _scalar_events(us, lambda random: 0 if random() < 0.5 else 1)
+
+
+def _assert_parses_as(parsed, scalar):
+    values, ends = parsed
+    assert (values, ends.tolist()) == scalar
+
+
+class _CountingMath:
+    """``math`` with a count of ``log`` calls: the parsers call math.log
+    only to redo a value that np.log could truncate to another int."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.logs += 1
+        return math.log(x)
+
+
+_BLOCKS = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300))
+
+
+def _block(seed, n):
+    return np.random.default_rng(seed).random(n)
+
+
+class TestReadAheadParsers:
+    """Each block parser gives its scalar loop's values and draw counts."""
+
+    @settings(max_examples=200)
+    @given(**_BLOCKS, sigma_ps=st.floats(0.0, 1e4),
+           tail_fraction=st.floats(0.0, 0.99),
+           tail_scale=st.floats(1.0, 5.0),
+           latency_ps=st.integers(-10 ** 4, 10 ** 4))
+    def test_jitter(self, seed, n, sigma_ps, tail_fraction, tail_scale,
+                    latency_ps):
+        jitter = (sigma_ps, tail_fraction, tail_scale, latency_ps)
+        us = _block(seed, n)
+        _assert_parses_as(_kernels._parse_jitter(us, jitter),
+                          _scalar_jitter(us, jitter))
+
+    @settings(max_examples=200)
+    @given(**_BLOCKS, lam=st.floats(0.0, 6.0),
+           weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+           tau_ps=st.lists(st.floats(0.0, 1e9), min_size=3, max_size=3),
+           deadtime_ps=st.integers(1, 10 ** 8))
+    def test_traps(self, seed, n, lam, weights, tau_ps, deadtime_ps):
+        cum_weights = tuple(accumulate(weights))
+        traps = (lam, cum_weights, tuple(tau_ps[:len(weights)]))
+        skip_below = [_kernels._skip_below(deadtime_ps, tau)
+                      for tau in traps[2]]
+        us = _block(seed, n)
+        parsed = _kernels._parse_traps(us, traps, skip_below)
+        if lam > 0.0:
+            _assert_parses_as(parsed, _scalar_traps(us, traps, skip_below))
+        else:   # a click draws nothing
+            assert parsed[0] == [()] * n and not parsed[1].any()
+
+    @settings(max_examples=200)
+    @given(**_BLOCKS, p_click=st.sampled_from(
+        [1.0, 1.0 - 2.0 ** -53, 0.3, 1e-4, 2.0 ** -53]),
+        p_flip=st.floats(0.0, 1.0), decode=st.booleans())
+    def test_schedule(self, seed, n, p_click, p_flip, decode):
+        log_q = math.log(1.0 - p_click) if p_click < 1.0 else 0.0
+        us = _block(seed, n)
+        parsed = _kernels._parse_schedule(us, log_q, p_flip, decode)
+        if log_q < 0.0 or decode:
+            _assert_parses_as(parsed,
+                              _scalar_schedule(us, log_q, p_flip, decode))
+        else:   # p_click = 1 without decoding: a click draws nothing
+            assert parsed[0] == [0] * n and not parsed[1].any()
+
+    @settings(max_examples=50)
+    @given(**_BLOCKS)
+    def test_bits(self, seed, n):
+        us = _block(seed, n)
+        us[::7] = 0.5
+        _assert_parses_as(_kernels._parse_bits(us), _scalar_bits(us))
+
+    def test_a_polar_pair_at_the_center_is_rejected(self):
+        # u = 0.5 twice is the pair (0, 0): s = 0, rejected like s >= 1.
+        jitter = (60.0, 0.1, 2.8, 1000)
+        us = np.array([0.9, 0.5, 0.5, 0.99, 0.3, 0.7, 0.6, 0.05, 0.4])
+        values, ends = _kernels._parse_jitter(us, jitter)
+        assert ends.tolist() == [7, 9]
+        _assert_parses_as((values, ends), _scalar_jitter(us, jitter))
+
+    @pytest.mark.parametrize("parse, scalar, us, ends", [
+        # A tail variate, then a core one with two pairs outside the
+        # circle before (0.2, 0.0).
+        (lambda us: _kernels._parse_jitter(us, (60.0, 0.1, 2.8, 1000)),
+         lambda us: _scalar_jitter(us, (60.0, 0.1, 2.8, 1000)),
+         [0.0, 0.3, 0.9, 0.01, 0.01, 0.99, 0.99, 0.6, 0.5], [2, 9]),
+        # A click with no trap, then one with three (0.9**3 > e^-1).
+        (lambda us: _kernels._parse_traps(
+            us, (1.0, (0.5, 1.0), (1e6, 1e7)), [0.0, 0.0]),
+         lambda us: _scalar_traps(
+             us, (1.0, (0.5, 1.0), (1e6, 1e7)), [0.0, 0.0]),
+         [0.1, 0.9, 0.9, 0.9, 0.1, 0.2, 0.3, 0.7, 0.4, 0.6, 0.5], [1, 11]),
+    ])
+    def test_an_event_cut_by_the_block_end_waits_for_the_next(
+            self, parse, scalar, us, ends):
+        us = np.array(us)
+        assert parse(us)[1].tolist() == ends
+        for cut in range(len(us) + 1):
+            parsed = parse(us[:cut])
+            assert parsed[1].tolist() == [e for e in ends if e <= cut]
+            _assert_parses_as(parsed, scalar(us[:cut]))
+
+    def test_values_near_an_int_are_redone_with_math_log(self, monkeypatch):
+        # Delays and frame skips within rounding of an int: each parse redoes
+        # every one of them with math.log and keeps the scalar value.
+        counting = _CountingMath()
+        monkeypatch.setattr(_kernels, "math", counting)
+        ks = range(1, 9)
+        near = [-math.expm1(-k) for k in ks]        # -ln(1 - u) ~ k
+        a, b = 0.8, 0.5                             # a core pair off 0
+        x = (2 * a - 1) * math.sqrt(-2.0 * math.log((2 * a - 1) ** 2)
+                                    / (2 * a - 1) ** 2)
+        cases = [
+            # Tail variates (branch uniform 0 < 0.1) and one core variate
+            # whose x * sigma sits on 3.
+            (lambda us: _kernels._parse_jitter(us, (1.0, 0.1, 1.0, 0)),
+             lambda us: _scalar_jitter(us, (1.0, 0.1, 1.0, 0)),
+             [v for u in near for v in (0.0, u)], len(ks)),
+            (lambda us: _kernels._parse_jitter(us, (3.0 / x, 0.1, 1.0, 0)),
+             lambda us: _scalar_jitter(us, (3.0 / x, 0.1, 1.0, 0)),
+             [0.5, a, b], 1),
+            # One trap per click (0.5 * 0.1 < e^-1), component 0.
+            (lambda us: _kernels._parse_traps(
+                us, (1.0, (1.0,), (1.0,)), [0.0]),
+             lambda us: _scalar_traps(us, (1.0, (1.0,), (1.0,)), [0.0]),
+             [v for u in near for v in (0.5, 0.1, 0.0, u)], len(ks)),
+            # Frame skips ln(1 - u) / ln(1 - p) ~ k.
+            (lambda us: _kernels._parse_schedule(
+                us, math.log(0.75), 0.0, False),
+             lambda us: _scalar_schedule(us, math.log(0.75), 0.0, False),
+             [-math.expm1(k * math.log(0.75)) for k in ks], len(ks)),
+        ]
+        for parse, scalar, us, redone in cases:
+            us = np.array(us)
+            counting.logs = 0
+            parsed = parse(us)
+            assert counting.logs == redone
+            monkeypatch.setattr(_kernels, "math", math)
+            _assert_parses_as(parsed, scalar(us))
+            monkeypatch.setattr(_kernels, "math", counting)
+
+    def test_values_past_2_to_61_stay_python_ints(self):
+        # A 1e300 ps jitter sigma and latency, and a 1e35 ps trap lifetime.
+        us = _block(4, 300)
+        jitter = (1e300, 0.3, 2.0, 10 ** 300)
+        _assert_parses_as(_kernels._parse_jitter(us, jitter),
+                          _scalar_jitter(us, jitter))
+        traps = (2.0, (0.5, 1.0), (1e35, 1e20))
+        _assert_parses_as(_kernels._parse_traps(us, traps, [0.0, 0.0]),
+                          _scalar_traps(us, traps, [0.0, 0.0]))

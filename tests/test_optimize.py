@@ -1,6 +1,7 @@
 """Grid search over operating points: exactness, ordering, tie-breaks."""
 
 import sys
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from nfadsim.optimize import (DEFAULT_DEADTIME_GRID, DEFAULT_EFFICIENCY_GRID,
                               DEFAULT_TEMPERATURE_GRID_C, GridPoint, Optimum,
                               SearchSpace, _tie_key, optimize)
 from nfadsim.qkd import LinkConfig, QkdOperatingPoint, link_metrics
+
+# The module: the package's name "optimize" is the function.
+optimize_module = import_module("nfadsim.optimize")
 
 SMALL = SearchSpace(efficiency_grid=(0.1, 0.2),
                     deadtime_grid=(5e-6, 20e-6),
@@ -31,6 +35,12 @@ class TestSearchSpace:
     def test_point_counts(self):
         assert len(list(SMALL.points(False))) == 2 * 2 * 2
         assert len(list(SMALL.points(True))) == 2 * (2 * 2) ** 2
+
+    def test_table_cells_count_the_points(self):
+        for per_detector in (False, True):
+            assert (SMALL.table_cells(per_detector)
+                    == len(list(SMALL.points(per_detector))))
+        assert SearchSpace().table_cells(True) == 4 * 138 ** 2
 
     def test_shared_points_tie_both_detectors(self):
         for p in SMALL.points(False):
@@ -110,6 +120,24 @@ class TestOptimize:
         assert opt.found
         assert opt.point == GridPoint(-90.0, 0.2, 10e-6, 0.2, 10e-6)
         assert opt.metrics == direct
+
+    @pytest.mark.parametrize("per_detector", [False, True])
+    @pytest.mark.parametrize("past, refused", [(0, False), (1, True)])
+    def test_a_table_past_the_bound_is_refused_before_any_detector(
+            self, monkeypatch, per_detector, past, refused):
+        # The bound set to SMALL's table: at it the search runs; one cell
+        # past it, nothing is built.
+        cells = SMALL.table_cells(per_detector)
+        monkeypatch.setattr(optimize_module, "MAX_TABLE_CELLS", cells - past)
+        if refused:
+            monkeypatch.setattr(optimize_module, "make_detector", None)
+            with pytest.raises(ParameterError, match=f"{cells:,} key rates"):
+                optimize(SMALL, [LinkConfig(channel_loss_db=10.0)],
+                         per_detector)
+        else:
+            (opt,) = optimize(SMALL, [LinkConfig(channel_loss_db=10.0)],
+                              per_detector)
+            assert opt.table.size == cells
 
     def test_optimum_dominates_random_subsample(self):
         space = SearchSpace()
