@@ -1,17 +1,19 @@
 """Simulation kernels: the detector's event loop in plain Python.
 
-The kernels draw nothing but uniforms: ``free_run``'s pulse decisions one
-at a time from ``gen.random()``, every other draw as ndarrays from
-``gen.block(n)``.  Exponential, normal, Poisson and categorical variates
-are derived from them in the scalar loop's order and arithmetic.  Those
-substreams are read ahead: a block is parsed with numpy into the values of
-the events it holds whole, in draw order; the dark candidates in
-``_DarkCandidates``, the laser decisions of ``characterize`` inline, and
-the rest in ``_ReadAhead``: per click the jitter delay and the trap
-release delays (``_parse_jitter``, ``_parse_traps``), per signal click of
-a session its frame skip and flip (``_parse_schedule``), and the bits.  On
-every exit a kernel gives back with ``unread`` the uniforms after the last
-value it took, so every substream ends where one-at-a-time draws leave it.
+The kernels draw nothing but uniforms, and every draw is read ahead from
+its substream's numpy generator by a ``_ReadAhead``, which owns that
+generator's position for the kernel call.  Exponential, normal, Poisson
+and categorical variates are derived from the uniforms in the scalar
+loop's order and arithmetic.  A block of ``gen.random(n)`` is parsed with
+numpy into the values of the events it holds whole, in draw order: per
+click the jitter delay and the trap release delays (``_parse_jitter``,
+``_parse_traps``), per signal click of a session its frame skip and flip
+(``_parse_schedule``), the bits, ``free_run``'s pulse decisions one per
+draw, ``characterize``'s laser decisions as runs of misses
+(``_parse_laser``) and the dark gaps a block at a time, which
+``_DarkCandidates`` sums into candidate times.  On every exit a kernel
+closes its readers, and each rewinds its generator past the draws it did
+not serve, so every substream ends where one-at-a-time draws leave it.
 
 The parse keeps every byte.  Comparisons (branch, polar acceptance,
 Knuth's product, component, flip, bit) and the IEEE-rounded products,
@@ -43,8 +45,8 @@ the kinds ``engine.EVENT_*`` number for the reference simulator.
 
 Each kernel takes its own scalars, then ``det``, the ``(deadtime_ps,
 dark_rate, traps, jitter)`` of ``detector._kernel_args``, and ``gens``, a
-substream name -> uniform source map such as ``RandomStream.uniforms``
-yields; it unpacks both at entry.  Outputs are plain Python containers:
+substream name -> numpy Generator map such as ``RandomStream.generators``
+gives; it unpacks both at entry.  Outputs are plain Python containers:
 ``free_run`` returns the recorded times as an ``array("q")`` of ps and
 the origin codes as a ``bytearray``, 9 bytes per click, which
 ``detector.simulate`` reads with ``np.frombuffer``; ``characterize``
@@ -70,11 +72,11 @@ loop:
   and past more by bisection.
 - In ``characterize``, an armed cycle whose pulse misses, with no dark or
   release due inside its bin, is followed at once by the next cycle at the
-  bin's end.  Such an idle run reads its laser decisions from a block of
-  photon draws and jumps to the first one below ``p_click_laser``; with
-  none, it ends after k + 1 misses, k = min(cycles until the next dark or
+  bin's end.  Such an idle run reads its laser decisions as runs of
+  misses and jumps to the first one below ``p_click_laser``; with none,
+  it ends after k + 1 misses, k = min(cycles until the next dark or
   release is due, pulses left), where the cycle-by-cycle loop would stop.
-  Draws it did not use go back to the source with ``unread``.
+  The draws of a run it used in part go back with the reader's close.
 
 Time is integer picoseconds in Python ints, which do not wrap: a gap or a
 frame skip beyond ``NEVER`` stays exact and is never reached.  Only an
@@ -97,14 +99,12 @@ from .params import ORIGIN_AFTERPULSE, ORIGIN_DARK, ORIGIN_PHOTON, PS_PER_S
 # empty and its top can be compared without a length test.
 NEVER = 1 << 62
 
-# Laser decisions ``characterize`` reads per photon block.
-_LASER_BLOCK = 1024
-
-# Uniforms per read-ahead block: the first block, doubled up to the last.
+# Fresh uniforms per read-ahead block: the first block, doubled up to the
+# last.
 _FIRST_BLOCK = 64
 _LAST_BLOCK = 4096
-# Dark candidates drawn per block, from _FIRST_BLOCK.
-_DARK_LAST_BLOCK = 1024
+# PCG64's period: advancing by -n modulo it steps back n outputs.
+_PCG64_PERIOD = 1 << 128
 # Relative slack around a gap inside which np.log's error could move its
 # truncation: 64 ulps of a double.
 _LOG_SLACK = 2.0 ** -46
@@ -297,32 +297,82 @@ def _parse_schedule(u, log_q, p_flip, decode):
     return skip2.tolist(), np.arange(stride, m * stride + 1, stride)
 
 
+def _parse_draws(u):
+    """Each uniform of a block as a float, one draw each."""
+    return u.tolist(), np.arange(1, len(u) + 1)
+
+
 def _parse_bits(u):
     """The bits u >= 0.5 of a block, one draw each."""
     return ((u >= 0.5).view(np.int8).tolist(),
             np.arange(1, len(u) + 1))
 
 
+def _parse_laser(u, p_click):
+    """Laser decisions as runs, each a hit (u < p_click) and the misses
+    before it, given as its draw count, then the misses after the last hit
+    as minus their count, and the draw count after each run."""
+    n = len(u)
+    ends = (u < p_click).nonzero()[0]
+    ends += 1
+    runs = np.diff(ends, prepend=0).tolist()
+    last = int(ends[-1]) if len(ends) else 0
+    if last < n:
+        runs.append(last - n)
+        ends = np.append(ends, n)
+    return runs, ends
+
+
+def _parse_gaps(u, rate):
+    """A block's dark gaps ``int(-ln(1 - u) / rate * PS_PER_S)``, drawn
+    ``_exp_gap_ps``'s way, as one value: an int64 or object array."""
+    # np.log may differ from math.log by an ulp or so (0.35% of draws): a
+    # gap that such an error could truncate to another int is computed
+    # again with math.log.  Below about 0.015 cps most gaps pass 2**46 ps
+    # and are redone; a kernel call draws few there.
+    x = np.log(1.0 - u)
+    np.negative(x, out=x)
+    x /= rate
+    x *= PS_PER_S
+    return [_truncated(x, lambda j: _exp_gap_ps(float(u[j]), rate))], (len(u),)
+
+
+def _rewind(gen, n):
+    """Step gen back over its last n doubles, one 64-bit output each."""
+    bits = gen.bit_generator
+    # advance() also clears the half-used 32-bit output; keep it.
+    spare = bits.state
+    bits.advance(-n % _PCG64_PERIOD)
+    if spare["has_uint32"]:
+        state = bits.state
+        state["has_uint32"] = spare["has_uint32"]
+        state["uinteger"] = spare["uinteger"]
+        bits.state = state
+
+
 class _ReadAhead:
-    """One substream's per-event values, parsed ahead from uniform blocks.
+    """One substream's per-event values, read ahead from its generator.
 
     ``parse(u)`` gives the values of the events a block of uniforms holds
-    whole, in draw order, and the draw count after each; the draws of an
-    event the block cuts are read again at the head of the next block.
-    Blocks hold ``_FIRST_BLOCK`` uniforms, doubling up to ``_LAST_BLOCK``
+    whole, in draw order, and the draw count after each.  A block opens
+    with the draws of the event the previous block cut, then takes
+    ``gen.random(n)``, n = ``_FIRST_BLOCK`` doubling up to ``_LAST_BLOCK``
     (and past it while a block holds no whole event).  ``next()``, a
-    C-level ``chain.__next__``, serves the values one at a time, and
-    ``close`` gives back with ``unread`` the uniforms after the last value
-    served, so the source ends where one-at-a-time draws would have left
-    it.  Nothing is read before the first ``next()``.
+    C-level ``chain.__next__``, serves the values one at a time.  The
+    reader owns the generator's position: ``close(back)`` rewinds it past
+    every draw not served, and ``back`` more, so it ends where
+    one-at-a-time draws would have left it.  Nothing is drawn before the
+    first ``next()``.  The reader adds itself to ``readers``, the kernel
+    call's list of readers to close on every exit.
     """
 
-    __slots__ = ("next", "_source", "_parse", "_u", "_ends", "_values")
+    __slots__ = ("next", "_gen", "_parse", "_u", "_ends", "_values")
 
-    def __init__(self, source, parse):
-        self._source, self._parse = source, parse
+    def __init__(self, gen, parse, readers):
+        self._gen, self._parse = gen, parse
         self._u, self._ends, self._values = np.empty(0), (), iter(())
         self.next = chain.from_iterable(self._blocks()).__next__
+        readers.append(self)
 
     def _rest(self):
         """The block's uniforms after the last value served."""
@@ -332,32 +382,36 @@ class _ReadAhead:
     def _blocks(self):
         n = _FIRST_BLOCK
         while True:
-            self._u, self._ends = self._source.block(n), ()
+            self._u = np.concatenate((self._rest(), self._gen.random(n)))
+            self._ends = ()
             values, ends = self._parse(self._u)
             self._ends, self._values = ends, iter(values)
             n = min(2 * n, _LAST_BLOCK) if len(ends) else 2 * n
             yield self._values
-            self._source.unread(self._rest())
 
-    def close(self):
-        self._source.unread(self._rest())
-        # The chain's generator holds self: without it the block goes now.
+    def close(self, back=0):
+        rewind = len(self._rest()) + back
+        if rewind:
+            _rewind(self._gen, rewind)
+        # Closed, the reader holds nothing, so a second close rewinds
+        # nothing; and the chain's generator, which holds self, goes now.
+        self._u, self._ends, self._values = self._u[:0], (), iter(())
         self.next = None
 
 
-def _avalanche_step(det, gens, rel_heap):
+def _avalanche_step(det, gens, rel_heap, readers):
     """One detector's click step: ``avalanche(t)``, for a click at raw time
     t, takes the jitter delay, then the release delays of the traps it
     fills, and returns the recorded time.  A release at t + delay goes onto
     rel_heap unless it falls before re-arm at recorded + deadtime_ps.  The
-    delays are read ahead from the "jitter" and "traps" sources;
-    ``avalanche.close()`` gives back the draws not taken."""
+    delays are read ahead from the "jitter" and "traps" generators by two
+    readers added to ``readers``."""
     deadtime_ps, _, traps, jitter = det
     skip_below = [_skip_below(deadtime_ps, tau) for tau in traps[2]]
     delays = _ReadAhead(gens["jitter"], partial(_parse_jitter,
-                                                jitter=jitter))
+                                                jitter=jitter), readers)
     releases = _ReadAhead(gens["traps"], partial(
-        _parse_traps, traps=traps, skip_below=skip_below))
+        _parse_traps, traps=traps, skip_below=skip_below), readers)
     next_delay, next_releases, push = delays.next, releases.next, heappush
 
     def avalanche(t):
@@ -370,11 +424,6 @@ def _avalanche_step(det, gens, rel_heap):
                     push(rel_heap, t + delay)
         return recorded
 
-    def close():
-        delays.close()
-        releases.close()
-
-    avalanche.close = close
     return avalanche
 
 
@@ -383,40 +432,29 @@ class _DarkCandidates:
 
     ``times[i]``, also kept as ``next``, is the next candidate's time; the
     candidates before it are consumed.  Times are exact running sums of
-    gaps ``int(-ln(1 - u) / rate * PS_PER_S)``, drawn ``_exp_gap_ps``'s way
-    from blocks of ``source.block(n)``.  ``close`` gives back with
-    ``unread`` the uniforms of the candidates after ``next``, so the source
-    ends where one-at-a-time draws would have left it.  At rate 0 there is
-    one candidate, at ``NEVER``, and nothing is drawn.
+    the gaps ``_parse_gaps`` gives, one block at a time.  ``close`` rewinds
+    the generator past the candidates after ``next``, so it ends where
+    one-at-a-time draws would have left it.  At rate 0 there is one
+    candidate, at ``NEVER``, and nothing is drawn.  Like a ``_ReadAhead``,
+    it adds itself to ``readers``.
     """
 
-    __slots__ = ("times", "i", "next", "_source", "_rate", "_size", "_u")
+    __slots__ = ("times", "i", "next", "_gaps")
 
-    def __init__(self, source, rate):
-        self._source, self._rate = source, rate
-        self._size = _FIRST_BLOCK
-        self.times, self.i = [0], 0
+    def __init__(self, gen, rate, readers):
+        readers.append(self)
+        # Its own reader, closed by close() with the candidates left.
+        self._gaps = _ReadAhead(gen, partial(_parse_gaps, rate=rate), [])
+        self.times, self.i, self.next = [NEVER], 0, NEVER
         if rate > 0.0:
+            self.times = [0]
             self._refill()
-        else:
-            self.times, self.next, self._u = [NEVER], NEVER, source.block(0)
 
     def _refill(self):
         """Replace the consumed block by the next one; return its times."""
-        n, rate = self._size, self._rate
-        self._size = min(2 * n, _DARK_LAST_BLOCK)
-        self._u = u = self._source.block(n)
-        # np.log may differ from math.log by an ulp or so (0.35% of draws):
-        # a gap that such an error could truncate to another int is
-        # computed again with math.log.  Below about 0.015 cps most gaps
-        # pass 2**46 ps and are redone; a kernel call draws few there.
-        x = np.log(1.0 - u)
-        np.negative(x, out=x)
-        x /= rate
-        x *= PS_PER_S
-        gaps = _truncated(x, lambda j: _exp_gap_ps(float(u[j]), rate))
+        gaps = self._gaps.next()
         start = self.times[-1]
-        if start + float(x.max()) * n < 2.0 ** 62:
+        if start + float(gaps.max()) * len(gaps) < 2.0 ** 62:
             times = np.cumsum(gaps)
             times += start
             times = times.tolist()
@@ -450,7 +488,7 @@ class _DarkCandidates:
             self.next = self.times[i]
 
     def close(self):
-        self._source.unread(self._u[self.i + 1:])
+        self._gaps.close(len(self.times) - self.i - 1)
 
 
 def _next_click(t_limit, armed_from, rel_heap, darks):
@@ -495,17 +533,18 @@ def free_run(duration_ps, pulse_times_ps, pulse_p_click, det, gens):
     from array import array
 
     deadtime_ps, dark_rate, _, _ = det
-    photon_random = gens["photons"].random
     times, origins = array("q"), bytearray()
-
     rel_heap = [NEVER]
-    avalanche = _avalanche_step(det, gens, rel_heap)
-    darks = _DarkCandidates(gens["darks"], dark_rate)
     i_pulse = 0
     n_pulses = len(pulse_times_ps)
     armed_from = 0  # armed when t >= armed_from
 
+    readers = []    # closed on every exit
     try:
+        avalanche = _avalanche_step(det, gens, rel_heap, readers)
+        darks = _DarkCandidates(gens["darks"], dark_rate, readers)
+        photon_random = _ReadAhead(gens["photons"], _parse_draws,
+                                   readers).next
         while True:
             t_sched = (pulse_times_ps[i_pulse] if i_pulse < n_pulses
                        else NEVER)
@@ -536,8 +575,8 @@ def free_run(duration_ps, pulse_times_ps, pulse_p_click, det, gens):
                     i_pulse = bisect_left(pulse_times_ps, armed_from,
                                           i_pulse)
     finally:
-        darks.close()
-        avalanche.close()
+        for reader in readers:
+            reader.close()
 
     return times, origins
 
@@ -553,23 +592,24 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
     (c_d, c_lp, histogram, live_ps, starved).
     """
     deadtime_ps, dark_rate, _, _ = det
-    photons = gens["photons"]
     n_bins = span_ps // bin_ps
     hist = [0] * n_bins
     c_d = c_lp = 0
-
     rel_heap = [NEVER]
-    avalanche = _avalanche_step(det, gens, rel_heap)
-    darks = _DarkCandidates(gens["darks"], dark_rate)
     armed_from = 0
     last_click = -quiet_ps  # lets the first pulse fire at t = 0
     t_now = 0
-    # Laser decisions: a block of photon draws, the positions of its hits
-    # (draws below p_click_laser) closed by NEVER, and the next one to read.
-    block = photons.block(0)
-    hits, i_hit, pos = [NEVER], 0, 0
+    # The laser decisions left of the run being read (see _parse_laser):
+    # r > 0 draws ending on a hit, or -r misses; 0 when none are left.
+    run = 0
 
+    readers = []    # closed on every exit
     try:
+        laser = _ReadAhead(gens["photons"], partial(
+            _parse_laser, p_click=p_click_laser), readers)
+        avalanche = _avalanche_step(det, gens, rel_heap, readers)
+        darks = _DarkCandidates(gens["darks"], dark_rate, readers)
+        next_run = laser.next
         while c_lp < n_pulses:
             cycle_start = t_now
             target = last_click + quiet_ps
@@ -617,23 +657,22 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
                     k = n_pulses - c_lp
                     if due < bin_end + k * bin_ps:  # due >= target: k >= 0
                         k = (due - bin_end) // bin_ps + 1
-                    while hits[i_hit] - pos > k and pos + k >= len(block):
-                        # The draws left in the block all miss and the run
-                        # goes on: read them again with the next ones.
-                        photons.unread(block[pos:])
-                        block = photons.block(
-                            min(len(block) - pos + _LASER_BLOCK,
-                                n_pulses - c_lp + 1))
-                        hits = (block < p_click_laser).nonzero()[0].tolist()
-                        hits.append(NEVER)
-                        i_hit = pos = 0
-                    skip = hits[i_hit] - pos
-                    if skip <= k:                   # a hit after skip misses
-                        t = target + skip * bin_ps
-                        i_hit += 1
-                    else:                           # k + 1 misses
-                        skip = k
-                    pos += skip + 1
+                    left = k + 1                    # draws the run may take
+                    while True:
+                        if not run:
+                            run = next_run()
+                        if 0 < run <= left:         # a hit within reach
+                            left -= run
+                            run = 0
+                            t = target + (k - left) * bin_ps
+                            break
+                        if abs(run) >= left:        # k + 1 draws, no hit
+                            run += left if run < 0 else -left
+                            left = 0
+                            break
+                        left += run                 # -run misses, all taken
+                        run = 0
+                    skip = k - left                 # k when no hit
                     c_lp += skip
                     target += skip * bin_ps
                     bin_end = target + bin_ps
@@ -660,9 +699,10 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
                 if 0 <= idx < n_bins:
                     hist[idx] += 1
     finally:
-        darks.close()
-        avalanche.close()
-        photons.unread(block[pos:])
+        if run:     # a run used in part gives back the rest of its draws
+            laser.close(abs(run))
+        for reader in readers:
+            reader.close()
     return c_d, c_lp, hist, t_now, False
 
 
@@ -681,8 +721,6 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
     n_clicks = n_errors = 0
 
     rel_heap = [NEVER]
-    avalanche = _avalanche_step(det, gens, rel_heap)
-    darks = _DarkCandidates(gens["darks"], dark_rate)
     armed_from = 0
 
     # A p that leaves 1 - p == 1 (p <= 2**-54) expects fewer than 0.1 signal
@@ -690,18 +728,20 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
     # and its log(1 - p) is 0: it is run as no signal at all.
     use_signal = 1.0 - p_click_frame < 1.0
     log_q = math.log(1.0 - p_click_frame) if p_click_frame < 1.0 else 0.0
-    # The signal schedule: per signal click, 2 * frame skip + flip.
-    signal = _ReadAhead(gens["photons"], partial(
-        _parse_schedule, log_q=log_q, p_flip=p_optical_error,
-        decode=decode))
-    next_signal = signal.next
-    bits = _ReadAhead(gens["bits"], _parse_bits) if decode else None
-    next_bit = bits.next if decode else None
     # sig_time -1: the first signal click is drawn before the first event.
     sig_time = -1 if use_signal else NEVER
     sig_frame = sig_bit = 0
 
+    readers = []    # closed on every exit
     try:
+        avalanche = _avalanche_step(det, gens, rel_heap, readers)
+        darks = _DarkCandidates(gens["darks"], dark_rate, readers)
+        # The signal schedule: per signal click, 2 * frame skip + flip.
+        next_signal = _ReadAhead(gens["photons"], partial(
+            _parse_schedule, log_q=log_q, p_flip=p_optical_error,
+            decode=decode), readers).next
+        if decode:
+            next_bit = _ReadAhead(gens["bits"], _parse_bits, readers).next
         while True:
             # A signal click inside the dead window is absorbed without an
             # avalanche; redraw from the first fully armed frame.  One beyond
@@ -752,11 +792,8 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
                 if slot_hat != true_bit:
                     n_errors += 1
     finally:
-        darks.close()
-        avalanche.close()
-        signal.close()
-        if decode:
-            bits.close()
+        for reader in readers:
+            reader.close()
 
     return n_clicks, n_errors
 
@@ -778,7 +815,7 @@ def qkd_monitor(n_frames, frame_ps, slot_ps, p_click_frame, det, gens):
 
     Same detector mechanics as qkd_data without bit bookkeeping; returns the
     number of clicks over n_frames frames.  It draws no bit, so gens needs
-    no "bits" source.
+    no "bits" generator.
     """
     return _session(n_frames, frame_ps, slot_ps, p_click_frame, 0.0, det,
                     gens, False)[0]

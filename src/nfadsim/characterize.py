@@ -163,11 +163,11 @@ def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
     det = _kernel_args(detector)
     p_click = -math.expm1(-cfg.laser_mu * detector.efficiency)
 
-    with stream.child(0).uniforms(_KERNEL_SUBSTREAMS) as gens:
-        c_d, c_lp, hist, live_ps, starved = _kernels.characterize(
-            cfg.pulses_requested, seconds_to_ps(cfg.quiet_window), bin_ps,
-            seconds_to_ps(cfg.histogram_span), p_click,
-            seconds_to_ps(_CYCLE_TIMEOUT), det, gens)
+    c_d, c_lp, hist, live_ps, starved = _kernels.characterize(
+        cfg.pulses_requested, seconds_to_ps(cfg.quiet_window), bin_ps,
+        seconds_to_ps(cfg.histogram_span), p_click,
+        seconds_to_ps(_CYCLE_TIMEOUT), det,
+        stream.child(0).generators(_KERNEL_SUBSTREAMS))
     if starved:
         raise ProtocolStarvationError(
             "quiet window of %.3g s not reached within %.3g s of simulated "
@@ -175,8 +175,8 @@ def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
             (cfg.quiet_window, _CYCLE_TIMEOUT))
 
     live_time = live_ps / PS_PER_S
-    with stream.child(1).uniforms(_KERNEL_SUBSTREAMS) as gens:
-        dark_times, _ = _kernels.free_run(live_ps, [], [], det, gens)
+    dark_times, _ = _kernels.free_run(
+        live_ps, [], [], det, stream.child(1).generators(_KERNEL_SUBSTREAMS))
     dark_counts = int(len(dark_times))
     r_dc = dark_counts / live_time if live_time > 0.0 else 0.0
 

@@ -95,8 +95,13 @@ def _kernel_args(params: DetectorParams):
     in ps).  Native floats and tuples, not numpy scalars and arrays: the
     kernels' arithmetic on them gives the same values and runs faster in
     the interpreter.  Dark rates below about 2e-295 cps (a gap can be ``inf``
-    ps) or above 1e9 cps (whole-ps gaps run them >= 0.05% high) are rejected.
+    ps) or above 1e9 cps (whole-ps gaps run them >= 0.05% high) are rejected,
+    and so is a hold-off that rounds to 0 ps: a click would re-arm at once.
     """
+    deadtime_ps = seconds_to_ps(params.deadtime)
+    if deadtime_ps < 1:
+        raise ParameterError("hold-off %.3g s rounds to 0 ps on the 1 ps "
+                             "grid of the simulation" % params.deadtime)
     trap = params.trap_model
     lam = trap.mean_traps(params.efficiency)
     cum_weights = tuple(accumulate(float(c[0])
@@ -113,7 +118,7 @@ def _kernel_args(params: DetectorParams):
                              % rate)
     jit = params.jitter_model
     sigma_ps = jit.core_sigma_at(params.efficiency) * PS_PER_S
-    return (seconds_to_ps(params.deadtime), rate,
+    return (deadtime_ps, rate,
             (float(lam), cum_weights, tau_ps),
             (float(sigma_ps), float(jit.tail_fraction),
              float(jit.tail_scale_factor), seconds_to_ps(jit.latency)))
@@ -137,10 +142,9 @@ def simulate(params: DetectorParams, timeline: OpticalTimeline,
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     det = _kernel_args(params)
     pulse_times_ps, pulse_p = timeline_to_ps(timeline, params.efficiency)
-    with stream.uniforms(_KERNEL_SUBSTREAMS) as gens:
-        times_ps, origins = _kernels.free_run(
-            duration_ps, memoryview(pulse_times_ps), memoryview(pulse_p),
-            det, gens)
+    times_ps, origins = _kernels.free_run(
+        duration_ps, memoryview(pulse_times_ps), memoryview(pulse_p), det,
+        stream.generators(_KERNEL_SUBSTREAMS))
     return ClickStream(np.frombuffer(times_ps, dtype=np.int64) / PS_PER_S,
                        np.frombuffer(origins, dtype=np.uint8))
 

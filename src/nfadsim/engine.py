@@ -9,12 +9,9 @@ ambiguity so replays are bit-exact.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
-import itertools
 import math
-import operator
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -40,7 +37,10 @@ class RandomStream:
     mechanism never shifts another's draws (this is what makes paired-seed
     monotonicity tests meaningful).  Substreams and child streams are derived
     through ``numpy.random.SeedSequence`` spawn keys, so the mapping from
-    (seed, name) to a bit stream is stable and documented.
+    (seed, name) to a bit stream is stable and documented.  The kernels take
+    ``generators(names)`` as their ``gens`` map; a kernel call reads each
+    generator ahead and, on every exit, rewinds it past the draws it did not
+    use, so it ends where one scalar ``random()`` call per draw leaves it.
     """
 
     # A name's position is its spawn index.  No kernel draws from
@@ -67,98 +67,14 @@ class RandomStream:
         return self._generators[name]
 
     def generators(self, names: Iterable[str]) -> dict[str, np.random.Generator]:
+        """The named substreams' generators, by name."""
         return {n: self.generator(n) for n in names}
-
-    @contextlib.contextmanager
-    def uniforms(self, names: Iterable[str]) -> Iterator[dict]:
-        """Kernel-ready uniform sources for the named substreams.
-
-        Yields a name -> source mapping, the ``gens`` argument of the
-        kernels.  Each source's ``random()`` returns exactly the doubles
-        that scalar ``Generator.random()`` calls would, read from growing
-        blocks.  ``block(n)`` reads the next n of those doubles as one
-        ndarray, and ``unread(values)`` gives back the ones a caller did
-        not use.  On exit, also when the body raises, every generator is
-        rewound past its unread values, so it ends where the scalar calls
-        would have left it.
-        """
-        sources = {n: _BufferedUniforms(g)
-                   for n, g in self.generators(names).items()}
-        try:
-            yield sources
-        finally:
-            for source in sources.values():
-                source.close()
 
     def child(self, index: int) -> "RandomStream":
         """An independent derived stream (e.g. per detector, per pass)."""
         if index < 0:
             raise ParameterError("child index must be >= 0")
         return RandomStream(self.seed, self._key + (_CHILD_OFFSET + index,))
-
-
-_FIRST_BLOCK = 64
-_LAST_BLOCK = 4096
-_PCG64_PERIOD = 1 << 128
-
-
-def _closed() -> float:
-    raise RuntimeError("uniform source used outside its uniforms() block")
-
-
-class _BufferedUniforms:
-    """``Generator.random()`` look-alike served from ``random(n)`` blocks.
-
-    ``random`` is the bound ``__next__`` of a chain over blocks of 64 to
-    4096 values.  A block draw consumes one 64-bit output per double, as the
-    scalar call does, so the values are the same; ``close`` rewinds the
-    generator by the values drawn but never read.
-
-    ``block(n)`` reads the next n values as an ndarray: what is left of
-    the list block, then fresh draws.  ``unread(values)`` puts the unused
-    tail of a block read back in front: later reads return those values
-    again, and ``close`` counts them as never read.
-    """
-
-    __slots__ = ("random", "_gen", "_block")
-
-    def __init__(self, gen: np.random.Generator):
-        self._gen = gen
-        self._block: list = [iter(())]  # the block being read
-        self.random = itertools.chain.from_iterable(
-            _blocks(gen, self._block)).__next__
-
-    def block(self, n: int) -> np.ndarray:
-        head = list(itertools.islice(self._block[0], n))
-        return np.concatenate((head, self._gen.random(n - len(head))))
-
-    def unread(self, values: np.ndarray) -> None:
-        # The chain still holds the emptied block; _blocks serves this one
-        # next.
-        self._block[0] = iter(values.tolist() + list(self._block[0]))
-
-    def close(self) -> None:
-        self.random = _closed
-        unread = operator.length_hint(self._block[0])
-        if unread:
-            bits = self._gen.bit_generator
-            # advance() also clears the half-used 32-bit output; keep it.
-            spare = bits.state
-            bits.advance(-unread % _PCG64_PERIOD)
-            if spare["has_uint32"]:
-                state = bits.state
-                state["has_uint32"] = spare["has_uint32"]
-                state["uinteger"] = spare["uinteger"]
-                bits.state = state
-
-
-def _blocks(gen: np.random.Generator, current: list):
-    size = _FIRST_BLOCK
-    while True:
-        if not operator.length_hint(current[0]):
-            current[0] = iter(gen.random(size).tolist())
-            size = min(2 * size, _LAST_BLOCK)
-        yield current[0]
 
 
 class EventQueue:

@@ -316,7 +316,8 @@ class DetectorParams:
         Single-photon detection probability while armed, in [0, 0.35].
     deadtime : float
         Active hold-off after each click, seconds (hardware range is
-        1 us - 200 us; any positive value is accepted).
+        1 us - 200 us; any positive value is accepted, and a simulation
+        takes one that rounds to at least 1 ps).
     dark_model, trap_model, jitter_model
         Component models defined above.
     """

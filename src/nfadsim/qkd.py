@@ -241,9 +241,9 @@ def simulate_session(cfg: LinkConfig, op: QkdOperatingPoint, frames: int,
 
     det_d = _kernel_args(op.data_detector)
     p_sig, p_dk = _data_budget(cfg, op)
-    with stream.child(0).uniforms((*_KERNEL_SUBSTREAMS, "bits")) as gens:
-        n_sifted, n_errors = _kernels.qkd_data(
-            frames, frame_ps, slot_ps, p_sig, cfg.optical_error, det_d, gens)
+    n_sifted, n_errors = _kernels.qkd_data(
+        frames, frame_ps, slot_ps, p_sig, cfg.optical_error, det_d,
+        stream.child(0).generators((*_KERNEL_SUBSTREAMS, "bits")))
     if n_sifted == 0:
         raise NoSignalError("no sifted detections in the session")
     sifted = n_sifted / duration
@@ -253,9 +253,9 @@ def simulate_session(cfg: LinkConfig, op: QkdOperatingPoint, frames: int,
     arms, r_dark_m = _monitor_budget(cfg, op)
     totals = []
     for child, (p_frame, _, armed) in enumerate(arms, 1):
-        with stream.child(child).uniforms(_KERNEL_SUBSTREAMS) as gens:
-            n_arm = _kernels.qkd_monitor(frames, frame_ps, slot_ps, p_frame,
-                                         det_m, gens)
+        n_arm = _kernels.qkd_monitor(
+            frames, frame_ps, slot_ps, p_frame, det_m,
+            stream.child(child).generators(_KERNEL_SUBSTREAMS))
         # The model-expected detected dark counts in this arm.
         totals.append((n_arm, duration * r_dark_m * armed))
     return _link_result(cfg, sifted, qber, totals)

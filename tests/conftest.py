@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -48,3 +49,40 @@ def cascade_bound():
         return b / (1.0 - b)
 
     return bound
+
+
+class _ScriptedBits:
+    """The bit generator of a ``_Scripted`` source: its position, which
+    ``advance`` moves modulo PCG64's period, and a state with no half-used
+    32-bit output."""
+
+    state = {"has_uint32": 0}
+
+    def __init__(self):
+        self.position = 0
+
+    def advance(self, delta):
+        self.position = (self.position + delta) % (1 << 128)
+
+
+class _Scripted:
+    """A generator-like source that serves given uniforms in order:
+    ``random(n)`` returns up to n of them, and a rewind of its
+    ``bit_generator`` serves the last ones again."""
+
+    def __init__(self, values):
+        self._values = list(values)
+        self.bit_generator = _ScriptedBits()
+
+    def random(self, n):
+        i = self.bit_generator.position
+        head = self._values[i:i + n]
+        self.bit_generator.position += len(head)
+        return np.array(head, dtype=np.float64)
+
+
+@pytest.fixture
+def scripted():
+    """Factory for a generator-like source of given uniforms, for a kernel
+    part to read."""
+    return _Scripted

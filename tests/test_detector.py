@@ -82,10 +82,10 @@ class TestReferenceEquality:
         u0, u1 = RandomStream(1).generator("darks").random(2).tolist()
         rate = -math.log(1.0 - u0) * 1e12 / 50.5
         heap = [50, _kernels.NEVER]
-        with RandomStream(1).uniforms(("darks",)) as sources:
-            darks = _kernels._DarkCandidates(sources["darks"], rate)
-            assert darks.next == 50
-            t, origin = _kernels._next_click(100, 0, heap, darks)
+        darks = _kernels._DarkCandidates(RandomStream(1).generator("darks"),
+                                         rate, [])
+        assert darks.next == 50
+        t, origin = _kernels._next_click(100, 0, heap, darks)
         assert (t, origin) == (50, ORIGIN_DARK)
         assert darks.next == 50 + int(-math.log(1.0 - u1) / rate * 1e12) > 50
         assert heap == [50, _kernels.NEVER]
@@ -93,7 +93,7 @@ class TestReferenceEquality:
     @pytest.mark.parametrize("deadtime_ps, kept", [(4000, True),
                                                    (4001, False)])
     def test_release_at_rearm_is_kept_and_earlier_ones_are_not(
-            self, deadtime_ps, kept):
+            self, deadtime_ps, kept, scripted):
         # A click at 0 ps recorded at 1000 ps (pure latency) fills one trap
         # whose release lands at 5000 ps.  Re-arm at exactly 5000 ps makes it
         # live (armed means t >= armed_from); one more ps of hold-off makes
@@ -103,9 +103,9 @@ class TestReferenceEquality:
         heap = [_kernels.NEVER]
         recorded = _kernels._avalanche_step(
             (deadtime_ps, 0.0, traps, jitter),
-            {"jitter": _Scripted([0.5, 0.5]),       # tail branch, x = 0
-             "traps": _Scripted([0.5, 0.1, 0.0, 0.5])},  # 1 trap, comp 0, ln 2
-            heap)(0)
+            {"jitter": scripted([0.5, 0.5]),        # tail branch, x = 0
+             "traps": scripted([0.5, 0.1, 0.0, 0.5])},  # 1 trap, comp 0, ln 2
+            heap, [])(0)
         assert recorded == 1000
         assert heap == ([5000, _kernels.NEVER] if kept else [_kernels.NEVER])
 
@@ -124,8 +124,9 @@ class TestReferenceEquality:
         det = (1000, 0.0, (0.0, (1.0,), (1.0,)), (0.0, 1.0, 0.0, 0))
         times = memoryview(np.array(pulses, dtype=np.int64))
         p_click = memoryview(np.ones(len(pulses)))
-        with RandomStream(1).uniforms(RandomStream.SUBSTREAMS) as gens:
-            recorded, _ = _kernels.free_run(5000, times, p_click, det, gens)
+        recorded, _ = _kernels.free_run(
+            5000, times, p_click, det,
+            RandomStream(1).generators(RandomStream.SUBSTREAMS))
         assert list(recorded) == clicks
 
 
@@ -158,7 +159,8 @@ class TestReleaseSkip:
         assert _kernels._skip_below(10**6, tau_ps) == 0.0
 
     @pytest.mark.parametrize("ulps_below, kept", [(0, True), (1, False)])
-    def test_a_release_exactly_at_rearm_is_kept(self, ulps_below, kept):
+    def test_a_release_exactly_at_rearm_is_kept(self, ulps_below, kept,
+                                                scripted):
         # Zero jitter: a click at 0 ps is recorded at 0 ps and re-arms at
         # 1000 ps.  u is the smallest uniform whose delay from a 1500 ps
         # lifetime reaches 1000 ps: its release is kept.  One ulp less
@@ -174,9 +176,9 @@ class TestReleaseSkip:
         heap = [_kernels.NEVER]
         recorded = _kernels._avalanche_step(
             (deadtime_ps, 0.0, (1.0, (1.0,), (tau_ps,)), (0.0, 1.0, 0.0, 0)),
-            {"jitter": _Scripted([0.5, 0.5]),       # tail branch, x = 0
-             "traps": _Scripted([0.5, 0.1, 0.0, u])},  # 1 trap, comp 0
-            heap)(0)
+            {"jitter": scripted([0.5, 0.5]),        # tail branch, x = 0
+             "traps": scripted([0.5, 0.1, 0.0, u])},  # 1 trap, comp 0
+            heap, [])(0)
         assert recorded == 0
         assert heap == ([1000, _kernels.NEVER] if kept else [_kernels.NEVER])
 
@@ -194,21 +196,6 @@ def _lifetime_detector(temp_c, component):
 
 def _dense_laser():
     return pulsed_laser(period=1e-6, mean_photon_number=3.0, count=2000)
-
-
-class _Scripted:
-    """A uniform source that returns given values in order: ``block(n)``
-    serves up to n of them, and ``unread`` puts values back in front."""
-
-    def __init__(self, values):
-        self._values = list(values)
-
-    def block(self, n):
-        head, self._values = self._values[:n], self._values[n:]
-        return np.array(head, dtype=np.float64)
-
-    def unread(self, values):
-        self._values[:0] = values.tolist()
 
 
 def _fuzz_detector(temp_c, eta, deadtime, dark_rt, trap_mean, components,

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from nfadsim.engine import (EVENT_DARK, EVENT_PULSE, EVENT_RELEASE,
                             EventQueue, RandomStream, pulsed_laser,
@@ -70,105 +68,6 @@ class TestRandomStream:
     def test_negative_child_index_rejected(self):
         with pytest.raises(ParameterError):
             RandomStream(1).child(-1)
-
-
-def _scalar_draws(seed, n):
-    """n scalar Generator.random() calls on a fresh "darks" substream."""
-    gen = RandomStream(seed).generator("darks")
-    return [gen.random() for _ in range(n)], gen.bit_generator.state
-
-
-_N_DRAWS = st.integers(min_value=0, max_value=3 * 4096 + 17)
-_SEED = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-class TestBufferedUniforms:
-    @given(n=_N_DRAWS, seed=_SEED)
-    @example(n=0, seed=0)
-    @example(n=63, seed=1)
-    @example(n=64, seed=2)
-    @example(n=65, seed=3)
-    @example(n=4095, seed=4)
-    @example(n=4096, seed=5)
-    @example(n=4097, seed=6)
-    @example(n=3 * 4096 + 17, seed=7)
-    def test_values_and_end_state_match_scalar_calls(self, n, seed):
-        expected, end_state = _scalar_draws(seed, n)
-        stream = RandomStream(seed)
-        with stream.uniforms(("darks",)) as sources:
-            drawn = [sources["darks"].random() for _ in range(n)]
-        assert drawn == expected
-        assert stream.generator("darks").bit_generator.state == end_state
-
-    @given(n=_N_DRAWS, seed=_SEED)
-    @example(n=0, seed=0)
-    @example(n=64, seed=1)
-    @example(n=4097, seed=2)
-    def test_body_that_raises_still_rewinds(self, n, seed):
-        expected, end_state = _scalar_draws(seed, n)
-        stream = RandomStream(seed)
-        drawn = []
-        with pytest.raises(KeyError):
-            with stream.uniforms(("darks",)) as sources:
-                drawn.extend(sources["darks"].random() for _ in range(n))
-                raise KeyError("body failed")
-        assert drawn == expected
-        assert stream.generator("darks").bit_generator.state == end_state
-
-    @given(ops=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 5000),
-                                  st.integers(0, 5000)), max_size=5),
-           seed=_SEED)
-    @example(ops=[], seed=0)
-    @example(ops=[(1, 10, 3), (60, 100, 50)], seed=1)   # inside a list block
-    @example(ops=[(0, 4097, 0), (5, 0, 0)], seed=2)
-    def test_block_reads_and_unread_tails_follow_scalar_calls(self, ops,
-                                                              seed):
-        # Each op: that many scalar reads, a block read, and the tail after
-        # the first `keep` values of the block given back.
-        stream = RandomStream(seed)
-        read = []
-        with stream.uniforms(("darks",)) as sources:
-            source = sources["darks"]
-            for n_scalar, size, keep in ops:
-                read.extend(source.random() for _ in range(n_scalar))
-                block = source.block(size)
-                assert block.dtype == np.float64 and len(block) == size
-                read.extend(block[:keep].tolist())
-                source.unread(block[keep:])
-        expected, end_state = _scalar_draws(seed, len(read))
-        assert read == expected
-        assert stream.generator("darks").bit_generator.state == end_state
-
-    def test_substreams_are_read_and_rewound_independently(self):
-        stream = RandomStream(9)
-        with stream.uniforms(("darks", "jitter")) as sources:
-            darks = [sources["darks"].random() for _ in range(100)]
-            jitter = [sources["jitter"].random() for _ in range(5000)]
-        scalar = RandomStream(9)
-        assert darks == [scalar.generator("darks").random()
-                         for _ in range(100)]
-        assert jitter == [scalar.generator("jitter").random()
-                          for _ in range(5000)]
-        for name in ("darks", "jitter", "traps"):
-            assert (stream.generator(name).bit_generator.state
-                    == scalar.generator(name).bit_generator.state)
-
-    def test_half_used_32_bit_output_survives_the_rewind(self):
-        stream, scalar = RandomStream(4), RandomStream(4)
-        for s in (stream, scalar):
-            s.generator("bits").integers(0, 10, dtype=np.uint32)
-        with stream.uniforms(("bits",)) as sources:
-            sources["bits"].random()
-        scalar.generator("bits").random()
-        state = stream.generator("bits").bit_generator.state
-        assert state["has_uint32"] == 1
-        assert state == scalar.generator("bits").bit_generator.state
-
-    def test_source_is_unusable_after_the_block(self):
-        with RandomStream(1).uniforms(("darks",)) as sources:
-            sources["darks"].random()
-        with pytest.raises(RuntimeError):
-            sources["darks"].random()
 
 
 class TestEventQueue:

@@ -1,8 +1,9 @@
-"""Bit-equality of the kernels across uniform sources, and their outputs.
+"""Bit-equality of the kernels' read-ahead draws with scalar draws, and
+their outputs.
 
-Every call site feeds the kernels the buffered uniform sources of
-``RandomStream.uniforms``.  Fed the raw generators of
-``RandomStream.generators`` instead, read one scalar draw at a time, the
+Every call site feeds the kernels the generators of
+``RandomStream.generators``, which the kernels read ahead in blocks.  Fed
+generators whose blocks are scalar draws one at a time instead, the
 kernels must give equal outputs and leave every substream in the same
 state.  Recorded outputs pin each kernel and the branches it takes.
 """
@@ -11,12 +12,13 @@ import dataclasses
 import hashlib
 import math
 from bisect import bisect_left
+from functools import partial
 from itertools import accumulate
 from operator import length_hint
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nfadsim import _kernels
@@ -144,32 +146,28 @@ def _plain(result):
     return result
 
 
-class _ScalarBlocks:
-    """A raw generator with the block read of the buffered sources: a block
-    is n scalar draws, and unread values are rewound by ``advance``."""
+class _ScalarDraws:
+    """A generator whose block read ``random(n)`` is n scalar draws; the
+    readers rewind it through its bit generator."""
 
     def __init__(self, gen):
-        self.random = gen.random
-        self._bits = gen.bit_generator
+        self._random = gen.random
+        self.bit_generator = gen.bit_generator
 
-    def block(self, n):
-        return np.array([self.random() for _ in range(n)])
-
-    def unread(self, values):
-        self._bits.advance(-len(values) % (1 << 128))
+    def random(self, n):
+        return np.array([self._random() for _ in range(n)])
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("name", sorted(_SMALL_CASES))
-def test_buffered_uniforms_match_raw_generators(name, seed):
+def test_block_reads_match_scalar_draws(name, seed):
     kernel = _kernel(name)
     fixed, names = _SMALL_CASES[name]()
     raw_stream = RandomStream(seed)
-    raw = kernel(*fixed, {n: _ScalarBlocks(g) for n, g
+    raw = kernel(*fixed, {n: _ScalarDraws(g) for n, g
                           in raw_stream.generators(names).items()})
     stream = RandomStream(seed)
-    with stream.uniforms(names) as sources:
-        buffered = kernel(*fixed, sources)
+    buffered = kernel(*fixed, stream.generators(names))
     assert _plain(buffered) == _plain(raw)
     for n in names:
         assert (stream.generator(n).bit_generator.state
@@ -246,8 +244,7 @@ _GOLDEN = {
 @pytest.mark.parametrize("name, seed", sorted(_GOLDEN))
 def test_kernels_keep_their_recorded_outputs(name, seed):
     fixed, names = _SMALL_CASES[name]()
-    with RandomStream(seed).uniforms(names) as sources:
-        out = _kernel(name)(*fixed, sources)
+    out = _kernel(name)(*fixed, RandomStream(seed).generators(names))
     if name.startswith("characterize"):
         c_d, c_lp, hist, live_ps, starved = out
         hist_sha = hashlib.sha256(
@@ -257,8 +254,8 @@ def test_kernels_keep_their_recorded_outputs(name, seed):
 
 
 # The next photon draw after each characterize case at seed 3, recorded
-# with the loop that drew one laser decision per cycle.  The raw side of
-# the test above reads blocks through the same kernel code, so this is
+# with the loop that drew one laser decision per cycle.  The scalar side
+# of the test above reads blocks through the same kernel code, so this is
 # what shows a block's unused draws going back to the stream.
 _NEXT_PHOTON = {
     "characterize": 0.20700743807743294,
@@ -276,8 +273,7 @@ _NEXT_PHOTON = {
 def test_characterize_leaves_the_photon_stream_where_it_read_to(name):
     fixed, names = _SMALL_CASES[name]()
     stream = RandomStream(3)
-    with stream.uniforms(names) as sources:
-        _kernel(name)(*fixed, sources)
+    _kernel(name)(*fixed, stream.generators(names))
     assert stream.generator("photons").random() == _NEXT_PHOTON[name]
 
 
@@ -311,8 +307,7 @@ _NEXT_DARK = {
 def test_kernels_leave_the_dark_stream_where_they_read_to(name):
     fixed, names = _SMALL_CASES[name]()
     stream = RandomStream(3)
-    with stream.uniforms(names) as sources:
-        _kernel(name)(*fixed, sources)
+    _kernel(name)(*fixed, stream.generators(names))
     assert stream.generator("darks").random() == _NEXT_DARK[name]
 
 
@@ -383,8 +378,7 @@ _NEXT_DRAWS = {
 def test_kernels_leave_every_stream_where_they_read_to(name, substream):
     fixed, names = _SMALL_CASES[name]()
     stream = RandomStream(3)
-    with stream.uniforms(names) as sources:
-        _kernel(name)(*fixed, sources)
+    _kernel(name)(*fixed, stream.generators(names))
     assert (stream.generator(substream).random()
             == _NEXT_DRAWS[name][substream])
 
@@ -396,24 +390,13 @@ def _scalar_dark_times(seed, rate, n):
     return list(accumulate(_kernels._exp_gap_ps(u, rate) for u in us))
 
 
-def _block_dark_times(source, rate, n):
-    """The first n candidate times of a dark source, block by block."""
-    darks = _kernels._DarkCandidates(source, rate)
+def _block_dark_times(gen, rate, n):
+    """The first n candidate times of a dark generator, block by block."""
+    darks = _kernels._DarkCandidates(gen, rate, [])
     times = list(darks.times)
     while len(times) < n:
         times.extend(darks._refill())
     return times[:n]
-
-
-class _BlockUniforms:
-    """A uniform source that serves given values as blocks."""
-
-    def __init__(self, values):
-        self._values, self._read = list(values), 0
-
-    def block(self, n):
-        self._read += n
-        return np.array(self._values[self._read - n:self._read])
 
 
 class TestDarkCandidates:
@@ -422,9 +405,8 @@ class TestDarkCandidates:
     @pytest.mark.parametrize("rate", [1.0, 15.6, 1e4, 1e7, 1e9])
     def test_times_are_running_sums_of_scalar_gaps(self, rate):
         n = 1_000_000
-        with RandomStream(5).uniforms(("darks",)) as sources:
-            assert (_block_dark_times(sources["darks"], rate, n)
-                    == _scalar_dark_times(5, rate, n))
+        assert (_block_dark_times(RandomStream(5).generator("darks"), rate,
+                                  n) == _scalar_dark_times(5, rate, n))
 
     def test_gaps_past_int64_stay_exact(self):
         # Below about 4e-6 cps a gap can pass 2**63 ps, and every gap is
@@ -432,11 +414,11 @@ class TestDarkCandidates:
         rate, n = 1e-6, 100_000
         expected = _scalar_dark_times(6, rate, n)
         assert max(b - a for a, b in zip(expected, expected[1:])) > 2 ** 63
-        with RandomStream(6).uniforms(("darks",)) as sources:
-            assert _block_dark_times(sources["darks"], rate, n) == expected
+        assert _block_dark_times(RandomStream(6).generator("darks"), rate,
+                                 n) == expected
 
     def test_a_gap_near_an_int_is_drawn_again_with_math_log(
-            self, monkeypatch):
+            self, monkeypatch, scripted):
         # Uniforms whose gaps at 1e7 cps are within rounding of k * 1 ps,
         # k = 1e5 + j: each lands inside the slack and is redone.
         rate = 1e7
@@ -449,7 +431,7 @@ class TestDarkCandidates:
             return int(-math.log(1.0 - u) / rate_per_s * 1e12)
 
         monkeypatch.setattr(_kernels, "_exp_gap_ps", exp_gap_ps)
-        darks = _kernels._DarkCandidates(_BlockUniforms(us), rate)
+        darks = _kernels._DarkCandidates(scripted(us), rate, [])
         assert darks.times == list(accumulate(
             int(-math.log(1.0 - u) / rate * 1e12) for u in us))
         assert len(redone) == len(us)
@@ -469,8 +451,7 @@ class TestDarkCandidates:
         ticks = _scalar_dark_times(seed, rate, 400)
         duration = ticks[candidate] + offset
         stream = RandomStream(seed)
-        with stream.uniforms(_MONITOR) as gens:
-            _kernels.free_run(duration, [], [], det, gens)
+        _kernels.free_run(duration, [], [], det, stream.generators(_MONITOR))
         scalar = RandomStream(seed).generator("darks")
         scalar.random(bisect_left(ticks, duration) + 1)
         assert (stream.generator("darks").bit_generator.state
@@ -478,8 +459,8 @@ class TestDarkCandidates:
 
 
 def test_consecutive_simulate_calls_continue_one_stream():
-    # Each call rewinds its buffered substreams on exit, so the second call
-    # starts exactly where scalar draws would have left the first.
+    # Each call rewinds its read-ahead substreams on exit, so the second
+    # call starts exactly where scalar draws would have left the first.
     det = make_detector(-90.0, 0.25, 3e-6)
     tl = pulsed_laser(period=1e-6, mean_photon_number=0.3, count=10_000)
     stream = RandomStream(4242)
@@ -589,6 +570,22 @@ def _scalar_schedule(us, log_q, p_flip, decode):
 
 def _scalar_bits(us):
     return _scalar_events(us, lambda random: 0 if random() < 0.5 else 1)
+
+
+def _scalar_laser(us, p_click):
+    """Laser decisions as runs: each hit with the misses before it as its
+    draw count, then minus the misses after the last hit."""
+    runs, ends, draws = [], [], 0
+    for i, u in enumerate(us.tolist(), 1):
+        draws += 1
+        if u < p_click:
+            runs.append(draws)
+            ends.append(i)
+            draws = 0
+    if draws:
+        runs.append(-draws)
+        ends.append(len(us))
+    return runs, ends
 
 
 def _assert_parses_as(parsed, scalar):
@@ -749,3 +746,221 @@ class TestReadAheadParsers:
         traps = (2.0, (0.5, 1.0), (1e35, 1e20))
         _assert_parses_as(_kernels._parse_traps(us, traps, [0.0, 0.0]),
                           _scalar_traps(us, traps, [0.0, 0.0]))
+
+    @settings(max_examples=50)
+    @given(**_BLOCKS)
+    def test_draws(self, seed, n):
+        us = _block(seed, n)
+        _assert_parses_as(_kernels._parse_draws(us),
+                          _scalar_events(us, lambda random: random()))
+
+    @settings(max_examples=200)
+    @given(**_BLOCKS, p_click=st.sampled_from(
+        [0.0, 2.0 ** -53, 0.005, 0.3, 1.0]) | st.floats(0.0, 1.0))
+    def test_laser(self, seed, n, p_click):
+        us = _block(seed, n)
+        _assert_parses_as(_kernels._parse_laser(us, p_click),
+                          _scalar_laser(us, p_click))
+
+    def test_a_laser_run_cut_at_every_block_length(self):
+        # Hits at draws 3, 4 and 9 of 12: whole runs of 3, 1 and 5 draws,
+        # then 3 misses.  A block cut anywhere keeps the runs before the
+        # cut whole and ends on the misses after its last hit.
+        us = np.array([0.9, 0.8, 0.1, 0.05, 0.7, 0.9, 0.6, 0.9, 0.2, 0.8,
+                       0.9, 0.7])
+        runs, ends = _kernels._parse_laser(us, 0.3)
+        assert (runs, ends.tolist()) == ([3, 1, 5, -3], [3, 4, 9, 12])
+        for cut in range(len(us) + 1):
+            parsed = _kernels._parse_laser(us[:cut], 0.3)
+            whole = [e for e in ends[:-1].tolist() if e <= cut]
+            tail = cut - (whole[-1] if whole else 0)
+            assert parsed[1].tolist() == whole + ([cut] if tail else [])
+            assert parsed[0] == runs[:len(whole)] + ([-tail] if tail else [])
+            _assert_parses_as(parsed, _scalar_laser(us[:cut], 0.3))
+
+
+def _scalar_draws(seed, name, n):
+    """n scalar Generator.random() calls on a fresh substream, and its
+    state after them."""
+    gen = RandomStream(seed).generator(name)
+    return [gen.random() for _ in range(n)], gen.bit_generator.state
+
+
+_N_DRAWS = st.integers(min_value=0, max_value=3 * 4096 + 17)
+_SEED = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class _Raised(Exception):
+    pass
+
+
+class _RaisingAt(list):
+    """Pulse click probabilities that raise from index ``stop`` on, and
+    keep the index they raised at."""
+
+    def __init__(self, values, stop):
+        super().__init__(values)
+        self.stop, self.raised_at = stop, None
+
+    def __getitem__(self, i):
+        if i >= self.stop:
+            self.raised_at = i
+            raise _Raised(i)
+        return list.__getitem__(self, i)
+
+
+class TestReadAhead:
+    """A reader serves its generator's scalar draws and, closed, leaves the
+    generator where those draws would."""
+
+    @given(n=_N_DRAWS, seed=_SEED)
+    @example(n=0, seed=0)
+    @example(n=63, seed=1)
+    @example(n=64, seed=2)
+    @example(n=65, seed=3)
+    @example(n=4032, seed=4)    # the first six blocks, 64 doubling to 2048
+    @example(n=4096, seed=5)
+    @example(n=8128, seed=6)    # and the first 4096 one
+    @example(n=3 * 4096 + 17, seed=7)
+    def test_values_and_end_state_match_scalar_calls(self, n, seed):
+        expected, end_state = _scalar_draws(seed, "darks", n)
+        stream = RandomStream(seed)
+        reader = _kernels._ReadAhead(stream.generator("darks"),
+                                     _kernels._parse_draws, [])
+        drawn = [reader.next() for _ in range(n)]
+        reader.close()
+        assert drawn == expected
+        assert stream.generator("darks").bit_generator.state == end_state
+
+    @given(n=_N_DRAWS, back=st.integers(0, 300), seed=_SEED)
+    @example(n=0, back=0, seed=0)
+    @example(n=65, back=2, seed=1)      # back into the first block
+    @example(n=192, back=192, seed=2)   # every draw served, at a block end
+    def test_close_gives_back_the_last_draws_served(self, n, back, seed):
+        back = min(back, n)
+        _, end_state = _scalar_draws(seed, "darks", n - back)
+        stream = RandomStream(seed)
+        reader = _kernels._ReadAhead(stream.generator("darks"),
+                                     _kernels._parse_draws, [])
+        for _ in range(n):
+            reader.next()
+        reader.close(back)
+        assert stream.generator("darks").bit_generator.state == end_state
+
+    @pytest.mark.parametrize("parse, scalar", [
+        (partial(_kernels._parse_jitter, jitter=(60.0, 0.1, 2.8, 1000)),
+         lambda us: _scalar_jitter(us, (60.0, 0.1, 2.8, 1000))),
+        # About 15 draws a click: blocks often cut one.
+        (partial(_kernels._parse_traps, traps=(4.5, (0.5, 1.0), (1e6, 1e7)),
+                 skip_below=[0.0, 0.0]),
+         lambda us: _scalar_traps(us, (4.5, (0.5, 1.0), (1e6, 1e7)),
+                                  [0.0, 0.0])),
+    ])
+    @pytest.mark.parametrize("events", [0, 1, 17, 700, 3000])
+    def test_events_cut_by_a_block_are_served_whole(self, parse, scalar,
+                                                    events):
+        us = RandomStream(5).generator("traps").random(60_000)
+        values, ends = scalar(us)
+        stream = RandomStream(5)
+        reader = _kernels._ReadAhead(stream.generator("traps"), parse, [])
+        assert [reader.next() for _ in range(events)] == values[:events]
+        reader.close()
+        _, end_state = _scalar_draws(5, "traps", ends[events - 1]
+                                     if events else 0)
+        assert stream.generator("traps").bit_generator.state == end_state
+
+    @pytest.mark.parametrize("p_click", [0.0, 1e-3, 0.3, 1.0])
+    def test_laser_runs_across_blocks_are_the_scalar_decisions(self,
+                                                              p_click):
+        stream = RandomStream(8)
+        reader = _kernels._ReadAhead(stream.generator("photons"), partial(
+            _kernels._parse_laser, p_click=p_click), [])
+        hits = []
+        while len(hits) < 20_000:
+            run = reader.next()
+            hits += [False] * (abs(run) - (run > 0)) + [True] * (run > 0)
+        reader.close()
+        us, end_state = _scalar_draws(8, "photons", len(hits))
+        assert hits == [u < p_click for u in us]
+        assert stream.generator("photons").bit_generator.state == end_state
+
+    def test_substreams_are_read_and_rewound_independently(self):
+        stream = RandomStream(9)
+        readers = []
+        darks, jitter = (_kernels._ReadAhead(stream.generator(name),
+                                             _kernels._parse_draws, readers)
+                         for name in ("darks", "jitter"))
+        drawn_darks = [darks.next() for _ in range(100)]
+        drawn_jitter = [jitter.next() for _ in range(5000)]
+        for reader in readers:
+            reader.close()
+        scalar = RandomStream(9)
+        assert drawn_darks == [scalar.generator("darks").random()
+                               for _ in range(100)]
+        assert drawn_jitter == [scalar.generator("jitter").random()
+                                for _ in range(5000)]
+        for name in ("darks", "jitter", "traps"):
+            assert (stream.generator(name).bit_generator.state
+                    == scalar.generator(name).bit_generator.state)
+
+    def test_half_used_32_bit_output_survives_the_rewind(self):
+        stream, scalar = RandomStream(4), RandomStream(4)
+        for s in (stream, scalar):
+            s.generator("bits").integers(0, 10, dtype=np.uint32)
+        reader = _kernels._ReadAhead(stream.generator("bits"),
+                                     _kernels._parse_draws, [])
+        reader.next()
+        reader.close()
+        scalar.generator("bits").random()
+        state = stream.generator("bits").bit_generator.state
+        assert state["has_uint32"] == 1
+        assert state == scalar.generator("bits").bit_generator.state
+
+    def test_reader_is_unusable_after_close(self):
+        reader = _kernels._ReadAhead(RandomStream(1).generator("darks"),
+                                     _kernels._parse_draws, [])
+        reader.next()
+        reader.close()
+        with pytest.raises(TypeError):
+            reader.next()
+
+    @pytest.mark.parametrize("stop", [0, 1, 700, 1999])
+    def test_a_kernel_that_raises_mid_call_rewinds_every_substream(
+            self, stop):
+        (duration, pulse_ps, pulse_p, det), names = _small_free_run()
+        p_click = _RaisingAt(pulse_p, stop)
+        stream = RandomStream(3)
+        with pytest.raises(_Raised):
+            _kernels.free_run(duration, pulse_ps, p_click, det,
+                              stream.generators(names))
+        # A call that ends at the pulse it raised at takes the same draws.
+        whole = RandomStream(3)
+        _kernels.free_run(pulse_ps[p_click.raised_at], pulse_ps, pulse_p,
+                          det, whole.generators(names))
+        for name in names:
+            assert (stream.generator(name).bit_generator.state
+                    == whole.generator(name).bit_generator.state), name
+
+    def test_a_kernel_short_of_a_substream_rewinds_the_others(self):
+        # qkd_data fails at its "bits" reader, after the dark process drew
+        # its first block: that gives back all but the first candidate,
+        # which the event loop draws at the start.
+        fixed, _ = _SMALL_CASES["qkd_data"]()
+        stream = RandomStream(3)
+        with pytest.raises(KeyError):
+            _kernels.qkd_data(*fixed, stream.generators(_MONITOR))
+        for name in _MONITOR:
+            _, end_state = _scalar_draws(3, name, name == "darks")
+            assert stream.generator(name).bit_generator.state == end_state
+
+    def test_an_all_miss_laser_reads_bounded_blocks(self):
+        # No darks, no traps and a laser that never clicks: one idle run of
+        # 10**6 cycles reads one decision a cycle in blocks of at most
+        # 4096, where a run would otherwise wait for its hit.
+        det = (10**4, 0.0, (0.0, (1.0,), (1.0,)), (0.0, 1.0, 0.0, 0))
+        stream = RandomStream(2)
+        out = _kernels.characterize(10**6, 10**5, 20_000, 10**5, 0.0,
+                                    10**10, det, stream.generators(_MONITOR))
+        assert out == (0, 10**6, [0] * 5, 10**6 * 20_000, False)
+        _, end_state = _scalar_draws(2, "photons", 10**6)
+        assert stream.generator("photons").bit_generator.state == end_state

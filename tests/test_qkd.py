@@ -1,5 +1,6 @@
 """Link budget, analytic rate model, and the frame-level Monte Carlo."""
 
+import dataclasses
 import math
 
 import pytest
@@ -8,7 +9,7 @@ from nfadsim._kernels import NEVER
 from nfadsim.calibration import make_detector
 from nfadsim.engine import seconds_to_ps
 from nfadsim.errors import NoSignalError, ParameterError
-from nfadsim.params import TrapModel
+from nfadsim.params import DarkRateModel, TrapModel
 from nfadsim.qkd import (LinkConfig, LinkMetrics, QkdOperatingPoint,
                          binary_entropy, link_metrics, simulate_session)
 
@@ -152,6 +153,34 @@ class TestMonteCarlo:
         with pytest.raises(ParameterError, match="picosecond grid"):
             simulate_session(cfg, _op(), frames=NEVER // frame_ps + 1,
                              seed=1)
+
+    @staticmethod
+    def _bare_op(deadtime):
+        # No darks, no traps, no latency: every click is a signal click.
+        det = make_detector(-90.0, 0.115, deadtime, dark_model=DarkRateModel(
+            amplitude_thermal=0.0, activation_temperature=0.0, floor=0.0,
+            efficiency_exponent=0.0, efficiency_ref=0.115),
+            trap_model=TrapModel.disabled())
+        det = dataclasses.replace(det, jitter_model=dataclasses.replace(
+            det.jitter_model, latency=0.0))
+        return QkdOperatingPoint(data_detector=det, monitor_detector=det)
+
+    def test_a_hold_off_that_rounds_to_0_ps_is_rejected(self):
+        # A 0 ps hold-off re-arms at the click itself: a signal pulse whose
+        # jitter delay is 0 would click again (0.725 clicks a frame at
+        # p_sig = 0.394).
+        with pytest.raises(ParameterError, match=r"hold-off 1e-13 s .*1 ps"):
+            simulate_session(LinkConfig(channel_loss_db=0.0, mu=5.0),
+                             self._bare_op(1e-13), frames=100_000, seed=1)
+
+    def test_a_1_ps_hold_off_runs(self):
+        # 6e-13 s rounds to 1 ps: each frame clicks at most once, with the
+        # Data detector's signal probability.
+        cfg = LinkConfig(channel_loss_db=0.0, mu=5.0)
+        m = simulate_session(cfg, self._bare_op(6e-13), frames=100_000,
+                             seed=1)
+        p_sig = 0.9 * -math.expm1(-5.0 * 0.115)
+        assert abs(m.sifted_rate / cfg.frame_rate / p_sig - 1.0) < 0.01
 
     def test_deterministic_replay(self):
         cfg = LinkConfig(channel_loss_db=10.0)
