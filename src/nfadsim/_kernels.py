@@ -4,7 +4,7 @@ The kernels draw nothing but uniforms, and every draw is read ahead from
 its substream's numpy generator by a ``_ReadAhead``, which owns that
 generator's position for the kernel call.  Exponential, normal, Poisson
 and categorical variates are derived from the uniforms in the scalar
-loop's order and arithmetic.  A block of ``gen.random(n)`` is parsed with
+loop's order and arithmetic.  A block of ``gen.random`` draws is parsed with
 numpy into the values of the events it holds whole, in draw order: per
 click the jitter delay and the trap release delays (``_parse_jitter``,
 ``_parse_traps``), per signal click of a session its frame skip and flip
@@ -354,16 +354,16 @@ class _ReadAhead:
     """One substream's per-event values, read ahead from its generator.
 
     ``parse(u)`` gives the values of the events a block of uniforms holds
-    whole, in draw order, and the draw count after each.  A block opens
-    with the draws of the event the previous block cut, then takes
-    ``gen.random(n)``, n = ``_FIRST_BLOCK`` doubling up to ``_LAST_BLOCK``
-    (and past it while a block holds no whole event).  ``next()``, a
-    C-level ``chain.__next__``, serves the values one at a time.  The
-    reader owns the generator's position: ``close(back)`` rewinds it past
-    every draw not served, and ``back`` more, so it ends where
-    one-at-a-time draws would have left it.  Nothing is drawn before the
-    first ``next()``.  The reader adds itself to ``readers``, the kernel
-    call's list of readers to close on every exit.
+    whole, in draw order, and the draw count after each.  A block is the
+    draws the last one did not serve, filled to n with ``gen.random``, n =
+    ``_FIRST_BLOCK`` doubling up to ``_LAST_BLOCK`` (past it while a block
+    holds no whole event): events that draw nothing reuse one block.
+    ``next()``, a C-level ``chain.__next__``, serves the values one at a
+    time.  The reader owns the generator's position: ``close(back)``
+    rewinds it past every draw not served, and ``back`` more, so it ends
+    where one-at-a-time draws would have left it.  Nothing is drawn before
+    the first ``next()``.  The reader adds itself to ``readers``, the
+    kernel call's list of readers to close on every exit.
     """
 
     __slots__ = ("next", "_gen", "_parse", "_u", "_ends", "_values")
@@ -382,8 +382,9 @@ class _ReadAhead:
     def _blocks(self):
         n = _FIRST_BLOCK
         while True:
-            self._u = np.concatenate((self._rest(), self._gen.random(n)))
-            self._ends = ()
+            u = self._rest()
+            u = np.concatenate((u, self._gen.random(max(n - len(u), 0))))
+            self._u, self._ends = u, ()
             values, ends = self._parse(self._u)
             self._ends, self._values = ends, iter(values)
             n = min(2 * n, _LAST_BLOCK) if len(ends) else 2 * n
@@ -395,7 +396,7 @@ class _ReadAhead:
             _rewind(self._gen, rewind)
         # Closed, the reader holds nothing, so a second close rewinds
         # nothing; and the chain's generator, which holds self, goes now.
-        self._u, self._ends, self._values = self._u[:0], (), iter(())
+        self._u, self._ends, self._values = np.empty(0), (), iter(())
         self.next = None
 
 

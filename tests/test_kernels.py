@@ -158,6 +158,19 @@ class _ScalarDraws:
         return np.array([self._random() for _ in range(n)])
 
 
+class _CountingDraws:
+    """A generator that counts the uniforms its block reads draw."""
+
+    def __init__(self, gen):
+        self._random = gen.random
+        self.bit_generator = gen.bit_generator
+        self.drawn = 0
+
+    def random(self, n):
+        self.drawn += n
+        return self._random(n)
+
+
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("name", sorted(_SMALL_CASES))
 def test_block_reads_match_scalar_draws(name, seed):
@@ -963,4 +976,41 @@ class TestReadAhead:
                                     10**10, det, stream.generators(_MONITOR))
         assert out == (0, 10**6, [0] * 5, 10**6 * 20_000, False)
         _, end_state = _scalar_draws(2, "photons", 10**6)
+        assert stream.generator("photons").bit_generator.state == end_state
+
+    @pytest.mark.parametrize("parse, value", [
+        (partial(_kernels._parse_traps, traps=(0.0, (1.0,), (1e6,)),
+                 skip_below=[0.0]), ()),
+        (partial(_kernels._parse_schedule, log_q=0.0, p_flip=0.0,
+                 decode=False), 0),
+    ], ids=["traps_at_lam_0", "schedule_at_p_click_1"])
+    def test_events_that_draw_nothing_parse_one_bounded_block(self, parse,
+                                                              value):
+        # No traps, or a monitor's signal at p_click = 1: every event
+        # draws nothing, so a block serves its events and is parsed again.
+        stream = RandomStream(6)
+        gen = _CountingDraws(stream.generator("traps"))
+        reader = _kernels._ReadAhead(gen, parse, [])
+        longest = 0
+        for _ in range(10**5):
+            assert reader.next() == value
+            longest = max(longest, len(reader._u))
+        reader.close()
+        assert longest <= _kernels._LAST_BLOCK
+        assert gen.drawn <= _kernels._LAST_BLOCK
+        _, end_state = _scalar_draws(6, "traps", 0)
+        assert stream.generator("traps").bit_generator.state == end_state
+
+    def test_a_monitor_at_p_click_1_draws_a_bounded_schedule(self):
+        # Every signal click of the session draws nothing from "photons":
+        # about 3 * 10**4 clicks read one block of at most 4096 uniforms
+        # and give it all back.
+        fixed = (2 * 10**7, *_small_qkd(1.0)[1:])
+        stream = RandomStream(4)
+        gens = stream.generators(_MONITOR)
+        gens["photons"] = photons = _CountingDraws(gens["photons"])
+        clicks = _kernels.qkd_monitor(*fixed, gens)
+        assert clicks > 6 * _kernels._LAST_BLOCK
+        assert photons.drawn <= _kernels._LAST_BLOCK
+        _, end_state = _scalar_draws(4, "photons", 0)
         assert stream.generator("photons").bit_generator.state == end_state
