@@ -25,9 +25,12 @@ with ``math.log``, and a value past 2**61 stays a Python int.  On an Intel
 Xeon (Python 3.11, numpy 2.4) a block of 1024 dark gaps costs about 30 ns
 a gap this way, 105 ns with Python-int sums after ``np.log`` and 220 to
 250 ns with ``math.log`` per gap, which is no faster than drawing each gap
-as its candidate comes up.  A 4096-uniform block costs about 165 ns a
-jitter delay and 200 ns a click's traps, against about 1.75 us a click for
+as its candidate comes up.  A 4096-uniform block costs about 160 ns a
+jitter delay and 170 ns a click's traps, against about 1.75 us a click for
 both drawn one at a time; an event is a C-level ``chain.__next__`` away.
+Of a block's trap parse, Knuth's count (running products over whole
+slices) takes about 30% and the walk over the event starts (four events
+a step) about 25%.
 
 Event-step core.  Every click goes through one cycle: avalanche, timing
 jitter, trap filling, hold-off, re-arm.  ``_next_click(t_limit,
@@ -100,8 +103,8 @@ from .params import ORIGIN_AFTERPULSE, ORIGIN_DARK, ORIGIN_PHOTON, PS_PER_S
 NEVER = 1 << 62
 
 # Fresh uniforms per read-ahead block: the first block, doubled up to the
-# last.
-_FIRST_BLOCK = 64
+# last (see _ReadAhead).
+_FIRST_BLOCK = 1024
 _LAST_BLOCK = 4096
 # PCG64's period: advancing by -n modulo it steps back n outputs.
 _PCG64_PERIOD = 1 << 128
@@ -142,17 +145,29 @@ def _truncated(v, exact):
 def _event_starts(end, n):
     """The starts of the events a block of n uniforms holds whole, the
     first at 0, as an int array: an event at i ends at end[i], past n where
-    the block cuts it."""
-    end = memoryview(end)   # Python ints without a list of all n
-    starts = []
+    the block cuts it.
+
+    The walk steps four events at a time: g is end with a cut at n + 1,
+    and n and n + 1 step to themselves.  From each step s of g4 = g2[g2],
+    g2 = g[g], the events s, g(s), g2(s) and g(g2(s)) are gathered, and
+    those past the block's last whole event are dropped."""
+    g = np.empty(n + 2, np.intp)
+    np.minimum(end[:n], n + 1, out=g[:n])
+    g[n:] = n, n + 1
+    g2 = g[g]
+    walk = memoryview(g2[g2])   # Python ints without a list of all n
+    steps = []
     i = 0
     while i < n:
-        j = end[i]
-        if j > n:
-            break
-        starts.append(i)
-        i = j
-    return np.array(starts, dtype=np.intp)
+        steps.append(i)
+        i = walk[i]
+    s = np.empty((len(steps), 4), np.intp)
+    s[:, 0] = steps
+    s[:, 1] = g[s[:, 0]]
+    s[:, 2] = g2[s[:, 0]]
+    s[:, 3] = g[s[:, 2]]
+    s = s.ravel()
+    return s[(s < n) & (g[s] <= n)]
 
 
 def _parse_jitter(u, jitter):
@@ -224,22 +239,19 @@ def _parse_traps(u, traps, skip_below):
     if not lam > 0.0:
         return [()] * n, np.zeros(n, np.intp)
     limit = math.exp(-lam)
-    # count[i]: the trap count of a click whose draws start at i, or n
-    # where its product runs past the block.
-    count = np.zeros(n, np.intp)
-    live = (u > limit).nonzero()[0]
-    p = u[live]
+    # count[i]: the trap count of a click whose draws start at i.  p[i] is
+    # the product of u[i:i + k + 1], taken left to right at every i at
+    # once; a product at or below limit stays there, so its count stops.
+    # A product that runs past the block counts a trap a draw, so its
+    # click's draws end past the block.
+    p = u.copy()
+    more = p > limit
+    count = more.astype(np.intp)
     k = 1
-    while len(live):
-        at = live + k
-        if at[-1] >= n:
-            cut = np.searchsorted(at, n)
-            count[live[cut:]] = n
-            live, p, at = live[:cut], p[:cut], at[:cut]
-        count[live] = k
-        p *= u[at]
-        more = p > limit
-        live, p = live[more], p[more]
+    while more.any():
+        p[:n - k] *= u[k:]
+        more = p[:n - k] > limit
+        count[:n - k] += more
         k += 1
     end = count * 3
     end += 1
@@ -357,7 +369,11 @@ class _ReadAhead:
     whole, in draw order, and the draw count after each.  A block is the
     draws the last one did not serve, filled to n with ``gen.random``, n =
     ``_FIRST_BLOCK`` doubling up to ``_LAST_BLOCK`` (past it while a block
-    holds no whole event): events that draw nothing reuse one block.
+    holds no whole event): events that draw nothing reuse one block.  A
+    parse pays about 60 us of fixed numpy calls, so a short call's blocks
+    start at 1024 uniforms: a session's monitor call, about 900 clicks,
+    reads two or three blocks a substream.  A first block of 4096 would
+    cost ``simulate`` over 4 bytes a pulse of peak memory.
     ``next()``, a C-level ``chain.__next__``, serves the values one at a
     time.  The reader owns the generator's position: ``close(back)``
     rewinds it past every draw not served, and ``back`` more, so it ends

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -21,6 +22,14 @@ _KERNEL_SUBSTREAMS = ("darks", "photons", "traps", "jitter")
 def dark_rate(params: DetectorParams) -> float:
     """Dark count rate (cps) at the detector's operating point."""
     return params.dark_model.rate(params.temperature, params.efficiency)
+
+
+@lru_cache(maxsize=256)
+def _trap_components(trap, temperature: float):
+    """(weight, lifetime in s) per release component of ``trap`` at
+    ``temperature``, as Python floats."""
+    return tuple(zip(trap.weights().tolist(),
+                     trap.lifetimes_at(temperature).tolist()))
 
 
 _SQRT_MAX = math.sqrt(sys.float_info.max)   # below it k * k is finite
@@ -57,14 +66,17 @@ def _saturated_rates(params: DetectorParams,
     lam = params.trap_model.mean_traps(params.efficiency)
     if lam != 0.0:
         # Python floats: (r0 + 1/tau)*td overflows to inf without a warning.
-        taus = params.trap_model.lifetimes_at(params.temperature).tolist()
         b_first = b_late = 0.0
-        for w, tau in zip(params.trap_model.weights(), taus):
+        for w, tau in _trap_components(params.trap_model,
+                                       params.temperature):
             survive = math.exp(-td / tau)
             first = -math.expm1(-(r0 + 1.0 / tau) * td) / (1.0 + r0 * tau)
             b_first += w * survive * first
             b_late += w * survive * survive
-        b, g = lam * (b_first + b_late), lam * b_late * td
+        # numpy scalars: the closed form's reprs, which the session digests
+        # hash, pin their type.
+        b = np.float64(lam * (b_first + b_late))
+        g = np.float64(lam * b_late * td)
     if r0 <= 0.0:
         return 0.0, 1.0
     k = 1.0 + td * r0 - b
@@ -97,6 +109,8 @@ def _kernel_args(params: DetectorParams):
     the interpreter.  Dark rates below about 2e-295 cps (a gap can be ``inf``
     ps) or above 1e9 cps (whole-ps gaps run them >= 0.05% high) are rejected,
     and so is a hold-off that rounds to 0 ps: a click would re-arm at once.
+    So is a trap mean past about 708.4, where exp(-mean) underflows and
+    Knuth's product would stop near 745 traps a click whatever the mean.
     """
     deadtime_ps = seconds_to_ps(params.deadtime)
     if deadtime_ps < 1:
@@ -104,10 +118,14 @@ def _kernel_args(params: DetectorParams):
                              "grid of the simulation" % params.deadtime)
     trap = params.trap_model
     lam = trap.mean_traps(params.efficiency)
+    if not math.exp(-lam) >= sys.float_info.min:
+        raise ParameterError("mean traps per avalanche %.4g is past about "
+                             "708.4: exp(-mean), the limit of the trap "
+                             "count's product, is not a normal double" % lam)
     cum_weights = tuple(accumulate(float(c[0])
                                    for c in trap.release_components))
-    tau_ps = tuple(t * PS_PER_S
-                   for t in trap.lifetimes_at(params.temperature).tolist())
+    tau_ps = tuple(tau * PS_PER_S for _, tau in
+                   _trap_components(trap, params.temperature))
     if not all(map(math.isfinite, tau_ps)):
         raise ParameterError("trap lifetime overflows the picosecond grid")
     rate = float(dark_rate(params))

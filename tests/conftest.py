@@ -12,6 +12,12 @@ from nfadsim.params import DetectorParams
 # slow shared hosts do not turn a pass into a deadline failure.
 settings.register_profile("replay", derandomize=True, deadline=None,
                           database=None)
+# The same replay with ten times the examples, for a deeper run of chosen
+# property tests: ``pytest --hypothesis-profile=deep``.  Tests that set
+# their own example count scale it with the loaded profile
+# (``test_kernels._examples``).
+settings.register_profile("deep", settings.get_profile("replay"),
+                          max_examples=10 * settings.default.max_examples)
 settings.load_profile("replay")
 
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from nfadsim import _kernels
 from nfadsim.calibration import make_detector
-from nfadsim.detector import (_saturated_rates, dark_rate, simulate,
+from nfadsim.detector import (_kernel_args, _saturated_rates,
+                              _trap_components, dark_rate, simulate,
                               simulate_reference)
 from nfadsim.engine import RandomStream, pulsed_laser, seconds_to_ps
 from nfadsim.errors import ParameterError
@@ -414,6 +415,34 @@ class TestStreamInvariants:
         assert np.array_equal(fast.times, slow.times)
         assert np.array_equal(fast.origins, slow.origins)
 
+    @staticmethod
+    def _trap_mean_detector(mean, exponent=1.0):
+        # At 11.5% against a 10% reference the mean is mean * 1.15**exponent.
+        return make_detector(-90.0, 0.115, 10e-6, trap_model=TrapModel(
+            mean_traps_per_avalanche=mean, efficiency_exponent=exponent,
+            efficiency_ref=0.1, release_components=((1.0, 1e-6, 100.0),),
+            reference_temperature=183.15))
+
+    @pytest.mark.parametrize("sim", [simulate, simulate_reference])
+    @pytest.mark.parametrize("mean, exponent", [
+        (616.0, 1.0), (1000.0, 0.0), (5000.0, 0.0), (1e300, 0.0),
+        (2.0, 800.0)])
+    def test_a_trap_mean_whose_count_limit_underflows_is_rejected(
+            self, sim, mean, exponent):
+        # Past about 708.4 traps a click exp(-mean) is subnormal, and past
+        # 745 it is 0.0: Knuth's product stopped near 745 traps a click
+        # whatever the mean (746.8 at 1000, 744.2 at 5000).
+        det = self._trap_mean_detector(mean, exponent)
+        with pytest.raises(ParameterError,
+                           match=r"mean traps per avalanche .* 708\.4"):
+            sim(det, _dense_laser(), 0.002, 1)
+
+    def test_a_trap_mean_whose_count_limit_is_normal_is_kept(self):
+        # 615.99 * 1.15 = 708.389 leaves exp(-mean) a normal double; 616
+        # (708.4) does not.
+        assert _kernel_args(self._trap_mean_detector(615.99))[2][0] == \
+            pytest.approx(708.389, abs=1e-3)
+
     def test_no_generation_mechanism_no_clicks(self, flat_dark):
         det = flat_dark(0.0, 5e-6)
         tl = pulsed_laser(period=1e-6, mean_photon_number=0.0, count=5000)
@@ -743,6 +772,33 @@ class TestAfterpulseAnalytics:
         assert metrics.sifted_rate == pytest.approx(1.0 / deadtime,
                                                     rel=1e-9, abs=0.0)
         assert metrics.skr == 0.0
+
+    def test_equal_trap_models_share_one_cache_entry(self):
+        _trap_components.cache_clear()
+        a = make_detector(-90.0, 0.115, 10e-6)
+        b = make_detector(-90.0, 0.2, 40e-6,
+                          trap_model=dataclasses.replace(a.trap_model))
+        assert b.trap_model is not a.trap_model
+        _saturated_rates(a, 1e5)
+        _saturated_rates(b, 1e5)
+        info = _trap_components.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+
+    def test_a_lifetime_that_overflows_raises_on_every_call(self):
+        # An error is not cached: the second call raises it again.
+        det = _lifetime_detector(-110.0, (1.0, 1e-6, 2e6))
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="component 0"):
+                _saturated_rates(det, 1e5)
+
+    def test_the_trap_cache_is_bounded(self):
+        _trap_components.cache_clear()
+        size = _trap_components.cache_info().maxsize
+        assert size is not None
+        trap = make_detector(-90.0, 0.115, 10e-6).trap_model
+        for k in range(size + 10):
+            _trap_components(trap, 150.0 + 0.01 * k)
+        assert _trap_components.cache_info().currsize == size
 
     def test_runaway_link_has_no_key(self):
         det = CLOSED_FORM_DETECTORS["runaway"]

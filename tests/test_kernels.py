@@ -450,18 +450,19 @@ class TestDarkCandidates:
         assert len(redone) == len(us)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    @pytest.mark.parametrize("candidate", [63, 64, 191, 192])
+    @pytest.mark.parametrize("candidate",
+                             [63, 64, 191, 192, 1023, 1024, 3071, 3072])
     def test_a_kernel_that_stops_at_a_refill_gives_back_the_rest(
             self, candidate, offset):
         # Darks only at r * tau = 5, no jitter and no traps.  Blocks hold
-        # candidates 0-63, 64-191 and 192-447; consuming the last one of a
-        # block draws the next block.  The run ends 1 ps before, at or
-        # after the candidate's time: the darks substream must end where
-        # the event loop leaves it, one draw past the last candidate before
-        # the end.
+        # candidates 0-1023, 1024-3071 and 3072-7167; consuming the last
+        # one of a block draws the next block (63-192 stop inside the
+        # first).  The run ends 1 ps before, at or after the candidate's
+        # time: the darks substream must end where the event loop leaves
+        # it, one draw past the last candidate before the end.
         rate, seed = 1e9, 9
         det = (5000, rate, (0.0, (1.0,), (1.0,)), (0.0, 1.0, 0.0, 0))
-        ticks = _scalar_dark_times(seed, rate, 400)
+        ticks = _scalar_dark_times(seed, rate, 3100)
         duration = ticks[candidate] + offset
         stream = RandomStream(seed)
         _kernels.free_run(duration, [], [], det, stream.generators(_MONITOR))
@@ -624,6 +625,13 @@ class _CountingMath:
 _BLOCKS = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 300))
 
 
+def _examples(n):
+    """n examples under the "replay" profile, scaled with the loaded one:
+    ten times n under "deep" (tests/conftest.py)."""
+    return (n * settings.default.max_examples
+            // settings.get_profile("replay").max_examples)
+
+
 def _block(seed, n):
     return np.random.default_rng(seed).random(n)
 
@@ -631,7 +639,7 @@ def _block(seed, n):
 class TestReadAheadParsers:
     """Each block parser gives its scalar loop's values and draw counts."""
 
-    @settings(max_examples=200)
+    @settings(max_examples=_examples(200))
     @given(**_BLOCKS, sigma_ps=st.floats(0.0, 1e4),
            tail_fraction=st.floats(0.0, 0.99),
            tail_scale=st.floats(1.0, 5.0),
@@ -643,7 +651,7 @@ class TestReadAheadParsers:
         _assert_parses_as(_kernels._parse_jitter(us, jitter),
                           _scalar_jitter(us, jitter))
 
-    @settings(max_examples=200)
+    @settings(max_examples=_examples(200))
     @given(**_BLOCKS, lam=st.floats(0.0, 6.0),
            weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
            tau_ps=st.lists(st.floats(0.0, 1e9), min_size=3, max_size=3),
@@ -660,7 +668,7 @@ class TestReadAheadParsers:
         else:   # a click draws nothing
             assert parsed[0] == [()] * n and not parsed[1].any()
 
-    @settings(max_examples=200)
+    @settings(max_examples=_examples(200))
     @given(**_BLOCKS, p_click=st.sampled_from(
         [1.0, 1.0 - 2.0 ** -53, 0.3, 1e-4, 2.0 ** -53]),
         p_flip=st.floats(0.0, 1.0), decode=st.booleans())
@@ -674,7 +682,7 @@ class TestReadAheadParsers:
         else:   # p_click = 1 without decoding: a click draws nothing
             assert parsed[0] == [0] * n and not parsed[1].any()
 
-    @settings(max_examples=50)
+    @settings(max_examples=_examples(50))
     @given(**_BLOCKS)
     def test_bits(self, seed, n):
         us = _block(seed, n)
@@ -760,14 +768,14 @@ class TestReadAheadParsers:
         _assert_parses_as(_kernels._parse_traps(us, traps, [0.0, 0.0]),
                           _scalar_traps(us, traps, [0.0, 0.0]))
 
-    @settings(max_examples=50)
+    @settings(max_examples=_examples(50))
     @given(**_BLOCKS)
     def test_draws(self, seed, n):
         us = _block(seed, n)
         _assert_parses_as(_kernels._parse_draws(us),
                           _scalar_events(us, lambda random: random()))
 
-    @settings(max_examples=200)
+    @settings(max_examples=_examples(200))
     @given(**_BLOCKS, p_click=st.sampled_from(
         [0.0, 2.0 ** -53, 0.005, 0.3, 1.0]) | st.floats(0.0, 1.0))
     def test_laser(self, seed, n, p_click):
@@ -790,6 +798,63 @@ class TestReadAheadParsers:
             assert parsed[1].tolist() == whole + ([cut] if tail else [])
             assert parsed[0] == runs[:len(whole)] + ([-tail] if tail else [])
             _assert_parses_as(parsed, _scalar_laser(us[:cut], 0.3))
+
+    @pytest.mark.parametrize("us, ends", [
+        # A click with no trap, then one whose product 0.9**4 is still
+        # above e^-1 at the block's last draw: it waits for the next block.
+        ([0.1, 0.9, 0.9, 0.9, 0.9], [1]),
+        ([0.9], []),
+        ([0.1], [1]),
+        ([0.0], [1]),
+    ], ids=["product_above_the_limit_at_the_last_draw", "n_1_cut",
+            "n_1_no_trap", "n_1_zero"])
+    def test_traps_at_the_block_end(self, us, ends):
+        traps = (1.0, (0.5, 1.0), (1e6, 1e7))
+        us = np.array(us)
+        parsed = _kernels._parse_traps(us, traps, [0.0, 0.0])
+        assert parsed[1].tolist() == ends
+        _assert_parses_as(parsed, _scalar_traps(us, traps, [0.0, 0.0]))
+
+    def test_traps_whose_every_product_outlasts_the_block(self):
+        # At lam = 6 and u = 0.999 no click's product falls to e^-6 within
+        # 300 draws: no click is whole.
+        us = np.full(300, 0.999)
+        assert _scalar_traps(us, (6.0, (1.0,), (1e6,)), [0.0]) == ([], [])
+        parsed = _kernels._parse_traps(us, (6.0, (1.0,), (1e6,)), [0.0])
+        assert parsed[0] == [] and parsed[1].tolist() == []
+
+
+def _scalar_starts(end, n):
+    """The scalar walk over event ends: each event starts where the last
+    one ended, up to the first the block cuts."""
+    starts, i = [], 0
+    while i < n and end[i] <= n:
+        starts.append(i)
+        i = end[i]
+    return starts
+
+
+@settings(max_examples=_examples(300))
+@given(n=st.sampled_from([1, 2, 3, 4096]) | st.integers(1, 300),
+       seed=st.integers(0, 2 ** 32 - 1), longest=st.integers(1, 12),
+       far=st.sampled_from([0.0, 0.02, 0.5]), to_n=st.booleans())
+def test_event_starts_match_the_scalar_walk(n, seed, longest, far, to_n):
+    # Events of 1 to longest draws, a share far of them ending far past
+    # n, as a click whose trap product outlasts the block does; with
+    # to_n, the walk's last event ends exactly at n.
+    rng = np.random.default_rng(seed)
+    end = np.arange(1, n + 1) + rng.integers(0, longest, n)
+    end[rng.random(n) < far] += 4 * n
+    if to_n:
+        starts = _scalar_starts(end, n)
+        cut = end[starts[-1]] if starts else 0
+        if cut < n:
+            end[cut] = n
+    expected = _scalar_starts(end, n)
+    assert not to_n or (end[expected[-1]] == n)
+    got = _kernels._event_starts(end, n)
+    assert got.dtype == np.intp
+    assert got.tolist() == expected
 
 
 def _scalar_draws(seed, name, n):
@@ -831,10 +896,15 @@ class TestReadAhead:
     @example(n=63, seed=1)
     @example(n=64, seed=2)
     @example(n=65, seed=3)
-    @example(n=4032, seed=4)    # the first six blocks, 64 doubling to 2048
+    @example(n=4032, seed=4)
     @example(n=4096, seed=5)
-    @example(n=8128, seed=6)    # and the first 4096 one
+    @example(n=8128, seed=6)
     @example(n=3 * 4096 + 17, seed=7)
+    @example(n=1023, seed=8)
+    @example(n=1024, seed=9)    # the first block
+    @example(n=1025, seed=10)
+    @example(n=3072, seed=11)   # the first two, 1024 and 2048
+    @example(n=7168, seed=12)   # and the first 4096 one
     def test_values_and_end_state_match_scalar_calls(self, n, seed):
         expected, end_state = _scalar_draws(seed, "darks", n)
         stream = RandomStream(seed)
@@ -848,7 +918,8 @@ class TestReadAhead:
     @given(n=_N_DRAWS, back=st.integers(0, 300), seed=_SEED)
     @example(n=0, back=0, seed=0)
     @example(n=65, back=2, seed=1)      # back into the first block
-    @example(n=192, back=192, seed=2)   # every draw served, at a block end
+    @example(n=192, back=192, seed=2)   # every draw served
+    @example(n=1024, back=1024, seed=3)  # every draw served, at a block end
     def test_close_gives_back_the_last_draws_served(self, n, back, seed):
         back = min(back, n)
         _, end_state = _scalar_draws(seed, "darks", n - back)

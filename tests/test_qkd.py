@@ -19,6 +19,33 @@ def _op(temp_c=-110.0, eta=0.115, tau=20e-6):
     return QkdOperatingPoint(data_detector=det, monitor_detector=det)
 
 
+# link_metrics reprs at 10 dB at the default grid's four temperatures, the
+# Data detector at 11.5% and 10 us and the Monitor at 20% and 40 us;
+# recorded before the trap constants were cached.
+LINK_REPRS = {
+    -50.0: "LinkMetrics(sifted_rate=np.float64(66178.77413033824), "
+           "qber=np.float64(0.010436496486575138), "
+           "visibility_raw=np.float64(0.5134417541038456), "
+           "visibility_dark_subtracted=np.float64(0.9837229362142781), "
+           "skr=np.float64(4602.932124211656))",
+    -70.0: "LinkMetrics(sifted_rate=np.float64(66175.02453278302), "
+           "qber=np.float64(0.010354478286234862), "
+           "visibility_raw=np.float64(0.86582365988939), "
+           "visibility_dark_subtracted=np.float64(0.9826593528656229), "
+           "skr=np.float64(7801.238727719255))",
+    -90.0: "LinkMetrics(sifted_rate=np.float64(66264.39933400413), "
+           "qber=np.float64(0.012306924684911175), "
+           "visibility_raw=np.float64(0.9684980644087122), "
+           "visibility_dark_subtracted=np.float64(0.9824229707432486), "
+           "skr=np.float64(8603.345602365507))",
+    -110.0: "LinkMetrics(sifted_rate=np.float64(66406.76107684764), "
+            "qber=np.float64(0.015406050014549848), "
+            "visibility_raw=np.float64(0.9812360049499281), "
+            "visibility_dark_subtracted=np.float64(0.9823023060856276), "
+            "skr=np.float64(8519.376075397173))",
+}
+
+
 class TestBinaryEntropy:
     def test_endpoints(self):
         assert binary_entropy(0.0) == 0.0
@@ -133,6 +160,14 @@ class TestAnalyticModel:
         with pytest.raises(ParameterError, match="component 0"):
             link_metrics(LinkConfig(channel_loss_db=30.0), op)
 
+    @pytest.mark.parametrize("temp_c", sorted(LINK_REPRS))
+    def test_link_metrics_keep_their_bits(self, temp_c):
+        op = QkdOperatingPoint(make_detector(temp_c, 0.115, 10e-6),
+                               make_detector(temp_c, 0.2, 40e-6))
+        for _ in range(2):  # the trap constants computed, then cached
+            got = repr(link_metrics(LinkConfig(channel_loss_db=10.0), op))
+            assert got == LINK_REPRS[temp_c]
+
     def test_skr_costs_reduce_the_rate(self):
         lean = LinkConfig(channel_loss_db=10.0, ec_inefficiency=1.0,
                           pa_ratio=1.0, auth_rate_cost=0.0)
@@ -172,6 +207,18 @@ class TestMonteCarlo:
         with pytest.raises(ParameterError, match=r"hold-off 1e-13 s .*1 ps"):
             simulate_session(LinkConfig(channel_loss_db=0.0, mu=5.0),
                              self._bare_op(1e-13), frames=100_000, seed=1)
+
+    def test_a_trap_mean_whose_count_limit_underflows_is_rejected(self):
+        # 2 * 1.15**800 traps a click: exp(-mean) underflows to 0.0.
+        det = make_detector(-90.0, 0.115, 10e-6, trap_model=TrapModel(
+            mean_traps_per_avalanche=2.0, efficiency_exponent=800.0,
+            efficiency_ref=0.1, release_components=((1.0, 1e-6, 100.0),),
+            reference_temperature=183.15))
+        with pytest.raises(ParameterError,
+                           match=r"mean traps per avalanche .* 708\.4"):
+            simulate_session(LinkConfig(channel_loss_db=10.0),
+                             QkdOperatingPoint(det, det), frames=100_000,
+                             seed=1)
 
     def test_a_1_ps_hold_off_runs(self):
         # 6e-13 s rounds to 1 ps: each frame clicks at most once, with the
