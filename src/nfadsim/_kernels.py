@@ -21,7 +21,7 @@ quotients and square roots give numpy the scalar loop's values; only
 ``np.log`` may differ from ``math.log``, by an ulp or so.  A value
 truncated after a log (dark gap, jitter delay, release delay, frame skip)
 that a 64-ulp error could move to another int (``_LOG_SLACK``) is redone
-with ``math.log``, and a value past 2**61 stays a Python int.  On an Intel
+with ``math.log``; one at or past ``NEVER`` reads ``NEVER``.  On an Intel
 Xeon (Python 3.11, numpy 2.4) a block of 1024 dark gaps costs about 30 ns
 a gap this way, 105 ns with Python-int sums after ``np.log`` and 220 to
 250 ns with ``math.log`` per gap, which is no faster than drawing each gap
@@ -81,9 +81,10 @@ loop:
   release is due, pulses left), where the cycle-by-cycle loop would stop.
   The draws of a run it used in part go back with the reader's close.
 
-Time is integer picoseconds in Python ints, which do not wrap: a gap or a
-frame skip beyond ``NEVER`` stays exact and is never reached.  Only an
-infinite gap has no int; ``detector`` rejects the rates that would draw one.
+Time is integer picoseconds in Python ints, which do not wrap.  A parsed
+dark gap or release delay at or past ``NEVER``, a time never reached, reads
+``NEVER``; jitter delays (``detector._kernel_args``) and frame skips stay
+below it.
 """
 
 import math
@@ -128,17 +129,15 @@ def _skip_below(deadtime_ps, tau_ps):
 
 
 def _truncated(v, exact):
-    """int(x) for each x of v, which was computed with np.log: an int64
-    array, or an object array of Python ints where a value reaches 2**61.
-    Where np.log's error could move x across an int, the value is
-    exact(j), row j computed the scalar loop's way with math.log."""
-    if not len(v) or float(np.abs(v).max()) < 2.0 ** 61:
-        ints = v.astype(np.int64)
-    else:   # also raises the scalar loop's error on inf or nan
-        ints = np.array([int(x) for x in v.tolist()], dtype=object)
+    """int(x) for each x of v, which was computed with np.log, as an int64
+    array; a value at or past ``NEVER`` reads ``NEVER``.  Where np.log's
+    error could move x across an int, x is exact(j), row j computed the
+    scalar loop's way with math.log."""
+    ints = np.minimum(v, NEVER).astype(np.int64)
     for j in (np.trunc(v * (1.0 - _LOG_SLACK))
               != np.trunc(v * (1.0 + _LOG_SLACK))).nonzero()[0].tolist():
-        ints[j] = exact(j)
+        x = exact(j)
+        ints[j] = int(x) if x < NEVER else NEVER
     return ints
 
 
@@ -218,11 +217,9 @@ def _parse_jitter(u, jitter):
         else:
             x = float(a[j]) * math.sqrt(
                 -2.0 * math.log(float(arg[j])) / float(arg[j]))
-        return int(x * sigma_ps)
+        return x * sigma_ps
 
     delays = _truncated(x, exact)
-    if not -2 ** 61 < latency_ps < 2 ** 61:
-        delays = delays.astype(object)
     delays += latency_ps
     np.maximum(delays, 0, out=delays)
     return delays.tolist(), ends
@@ -279,7 +276,7 @@ def _parse_traps(u, traps, skip_below):
         x = np.log(arg)
         np.negative(x, out=x)
         x *= tau
-        delays = _truncated(x, lambda j: int(
+        delays = _truncated(x, lambda j: (
             -math.log(float(arg[j])) * float(tau[j]))).tolist()
         for i, delay in zip(click[kept].tolist(), delays):
             releases[i] += (delay,)
@@ -301,8 +298,7 @@ def _parse_schedule(u, log_q, p_flip, decode):
         arg = 1.0 - u[0:m * stride:stride]
         x = np.log(arg)
         x /= log_q
-        skip2 = _truncated(x, lambda j: int(
-            math.log(float(arg[j])) / log_q))
+        skip2 = _truncated(x, lambda j: math.log(float(arg[j])) / log_q)
         skip2 *= 2
     if decode:
         skip2 += u[stride - 1::stride][:m] < p_flip
@@ -337,7 +333,7 @@ def _parse_laser(u, p_click):
 
 def _parse_gaps(u, rate):
     """A block's dark gaps ``int(-ln(1 - u) / rate * PS_PER_S)``, drawn
-    ``_exp_gap_ps``'s way, as one value: an int64 or object array."""
+    ``_exp_gap_ps``'s way, as one value: an int64 array."""
     # np.log may differ from math.log by an ulp or so (0.35% of draws): a
     # gap that such an error could truncate to another int is computed
     # again with math.log.  Below about 0.015 cps most gaps pass 2**46 ps
@@ -475,7 +471,7 @@ class _DarkCandidates:
             times = np.cumsum(gaps)
             times += start
             times = times.tolist()
-        else:  # a time near int64's end; below 4e-6 cps a gap can pass it
+        else:  # a sum near int64's end: below 8e-6 cps a gap can be NEVER
             gaps = gaps.tolist()
             gaps[0] += start
             times = list(accumulate(gaps))

@@ -57,10 +57,11 @@ class ProtocolConfig:
         if not 0.0 < self.histogram_span <= _MAX_BINS / _FPGA_CLOCK:
             raise ParameterError("histogram_span must be > 0 and at most "
                                  f"{_MAX_BINS} clock bins")
-        if self.pulses_requested < 1:
-            raise ParameterError("pulses_requested must be >= 1")
-        if self.laser_mu <= 0.0:
-            raise ParameterError("laser_mu must be > 0")
+        if not (isinstance(self.pulses_requested, (int, np.integer))
+                and self.pulses_requested >= 1):
+            raise ParameterError("pulses_requested must be an integer >= 1")
+        if not 0.0 < self.laser_mu < math.inf:
+            raise ParameterError("laser_mu must be finite and > 0")
 
     @property
     def bin_width(self) -> float:
@@ -275,15 +276,17 @@ def _exact_histogram(chunks, bin_width: float) -> np.ndarray:
 
 def _check_jitter_bins(detector: DetectorParams, draws: int,
                        bin_width: float) -> None:
-    """Reject draws off [1, _MAX_DRAWS]; a bin width not finite and > 0, or
-    wider than the FWHM it resolves; or one giving over _MAX_BINS bins up to
-    latency + sigma * max(1, tail scale) * (ln(draws) + 30), which a delay
-    passes with chance below e^-30 / draws (Exp(1) tail; N(0, 1)'s is less)."""
-    if not 1 <= draws <= _MAX_DRAWS:
-        raise ParameterError(f"draws must be in [1, {_MAX_DRAWS}]")
+    """Reject draws off the integers in [1, _MAX_DRAWS]; a bin width not
+    finite and > 0, or wider than the FWHM it resolves; or one giving over
+    _MAX_BINS bins up to latency + sigma * max(1, tail scale) * (ln(draws) +
+    30), which a delay passes with chance below e^-30 / draws (Exp(1) tail;
+    N(0, 1)'s is less)."""
+    if not (isinstance(draws, (int, np.integer))
+            and 1 <= draws <= _MAX_DRAWS):
+        raise ParameterError(f"draws must be an integer in [1, {_MAX_DRAWS}]")
     jm = detector.jitter_model
     fwhm = jm.fwhm_at(detector.efficiency)
-    span = jm.latency + jm.core_sigma_at(detector.efficiency) \
+    span = jm.latency + detector.core_sigma \
         * max(1.0, jm.tail_scale_factor) * (math.log(draws) + 30.0)
     if not (0.0 < bin_width < math.inf and span <= bin_width * _MAX_BINS):
         raise ParameterError(f"bin_width must be finite, > 0 and give at "
@@ -304,7 +307,7 @@ def measure_jitter_histogram(detector: DetectorParams, draws: int, seed,
     """
     _check_jitter_bins(detector, draws, bin_width)
     jm = detector.jitter_model
-    sigma = jm.core_sigma_at(detector.efficiency)
+    sigma = detector.core_sigma
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     gen = stream.generator("jitter")
     buf = np.empty(min(draws, _JITTER_CHUNK))

@@ -329,9 +329,10 @@ def _search_space(cfg: RunConfig) -> SearchSpace:
         space = SearchSpace(efficiency_grid=o.efficiencies,
                             deadtime_grid=taus,
                             temperature_grid=o.temperatures_c)
-        # link_metrics reads each grid detector's jitter table.
+        # optimize builds the grid detectors, whose efficiencies must be on
+        # the jitter table, outside this key mapping.
         for eta in o.efficiencies:
-            calibration.DEFAULT_JITTER_MODEL.check_efficiency(eta)
+            calibration.DEFAULT_JITTER_MODEL.fwhm_at(eta)
     except (ParameterError, ExtrapolationError) as exc:
         raise _config_error(exc, "optimizer", o,
                             efficiency_grid="efficiencies",
@@ -358,14 +359,10 @@ def _fixed_point(cfg: RunConfig):
     try:
         data = calibration.make_detector(q.temperature_c, q.efficiency,
                                          q.deadtime_us / 1e6)
-        # link_metrics reads the Data detector's jitter table, and a
-        # session simulates both detectors through theirs.
-        data.jitter_model.check_efficiency(data.efficiency)
         keys = {"efficiency": "efficiency_monitor",  # unset: the Data
                 "deadtime": "deadtime_monitor_us"}   # values, just checked
         monitor = calibration.make_detector(q.temperature_c, eta_m,
                                             tau_m_us / 1e6)
-        monitor.jitter_model.check_efficiency(monitor.efficiency)
     except (ParameterError, ExtrapolationError) as exc:
         raise _config_error(exc, "qkd", q, **keys) from exc
     return QkdOperatingPoint(data_detector=data, monitor_detector=monitor)

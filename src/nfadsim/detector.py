@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -21,15 +20,7 @@ _KERNEL_SUBSTREAMS = ("darks", "photons", "traps", "jitter")
 
 def dark_rate(params: DetectorParams) -> float:
     """Dark count rate (cps) at the detector's operating point."""
-    return params.dark_model.rate(params.temperature, params.efficiency)
-
-
-@lru_cache(maxsize=256)
-def _trap_components(trap, temperature: float):
-    """(weight, lifetime in s) per release component of ``trap`` at
-    ``temperature``, as Python floats."""
-    return tuple(zip(trap.weights().tolist(),
-                     trap.lifetimes_at(temperature).tolist()))
+    return params.dark_cps
 
 
 _SQRT_MAX = math.sqrt(sys.float_info.max)   # below it k * k is finite
@@ -56,19 +47,21 @@ def _saturated_rates(params: DetectorParams,
     2 / (k' + hypot(k', 2*sqrt(g/r0))) with k' = deadtime + (1 - b)/r0,
     which holds where r0*deadtime itself overflows.  The armed fraction is
     1 - C*deadtime, or C*(1 - b + g*C)/r0 by the root's equation where
-    that difference is rounding noise.  Time stays armed unless
+    that difference is rounding noise.  A lifetime that underflowed to 0 s
+    adds nothing.  Time stays armed unless
     lam*b_first >= 1 (lam traps per click), which no calibrated detector
     reaches: b_first <= 1/4 and lam <= 2.97.  Past it the rates are the
     runaway limit, (1/deadtime, 0.0): a coin-flip QBER and no key.
     """
     r0, td = candidate_rate, params.deadtime
     b = g = 0.0
-    lam = params.trap_model.mean_traps(params.efficiency)
+    lam = params.mean_traps
     if lam != 0.0:
         # Python floats: (r0 + 1/tau)*td overflows to inf without a warning.
         b_first = b_late = 0.0
-        for w, tau in _trap_components(params.trap_model,
-                                       params.temperature):
+        for w, tau in params.release_pairs:
+            if not tau:
+                continue
             survive = math.exp(-td / tau)
             first = -math.expm1(-(r0 + 1.0 / tau) * td) / (1.0 + r0 * tau)
             b_first += w * survive * first
@@ -106,39 +99,41 @@ def _kernel_args(params: DetectorParams):
     and ``jitter`` is (core sigma in ps, tail fraction, tail scale, latency
     in ps).  Native floats and tuples, not numpy scalars and arrays: the
     kernels' arithmetic on them gives the same values and runs faster in
-    the interpreter.  Dark rates below about 2e-295 cps (a gap can be ``inf``
-    ps) or above 1e9 cps (whole-ps gaps run them >= 0.05% high) are rejected,
-    and so is a hold-off that rounds to 0 ps: a click would re-arm at once.
-    So is a trap mean past about 708.4, where exp(-mean) underflows and
-    Knuth's product would stop near 745 traps a click whatever the mean.
+    the interpreter.  ``DetectorParams`` checked what binds both answers;
+    these checks bind only the simulations' picosecond grid: a hold-off of
+    at least 1 ps (or a click re-arms at once), a dark rate from about
+    2e-295 cps (below, a gap can be ``inf`` ps) to 1e9 cps (whole-ps gaps
+    run it >= 0.05% high), a trap mean up to about 708.4 (past it exp(-mean)
+    is subnormal and Knuth's product stops near 745 traps a click), and
+    jitter delays, sigma * max(12, 37.4 * tail scale) + latency (a polar
+    variate is at most about 12.01), below 2**61 ps.
     """
     deadtime_ps = seconds_to_ps(params.deadtime)
     if deadtime_ps < 1:
         raise ParameterError("hold-off %.3g s rounds to 0 ps on the 1 ps "
                              "grid of the simulation" % params.deadtime)
-    trap = params.trap_model
-    lam = trap.mean_traps(params.efficiency)
+    lam = params.mean_traps
     if not math.exp(-lam) >= sys.float_info.min:
         raise ParameterError("mean traps per avalanche %.4g is past about "
                              "708.4: exp(-mean), the limit of the trap "
                              "count's product, is not a normal double" % lam)
-    cum_weights = tuple(accumulate(float(c[0])
-                                   for c in trap.release_components))
-    tau_ps = tuple(tau * PS_PER_S for _, tau in
-                   _trap_components(trap, params.temperature))
-    if not all(map(math.isfinite, tau_ps)):
-        raise ParameterError("trap lifetime overflows the picosecond grid")
-    rate = float(dark_rate(params))
+    rate = params.dark_cps
     if rate > 0.0 and not (math.isfinite(_MAX_UNIT_GAP / rate * PS_PER_S)
                            and rate <= 1e9):
         raise ParameterError("dark count rate %.3g cps is off the picosecond "
                              "grid, which carries about 2e-295 to 1e9 cps"
                              % rate)
     jit = params.jitter_model
-    sigma_ps = jit.core_sigma_at(params.efficiency) * PS_PER_S
+    sigma_ps = params.core_sigma * PS_PER_S
+    if not (sigma_ps * max(12.0, 37.4 * jit.tail_scale_factor)
+            + jit.latency * PS_PER_S < 2.0 ** 61):
+        raise ParameterError("jitter delays reach 2**61 ps on the picosecond "
+                             "grid (latency %.3g s)" % jit.latency)
+    weights, taus = zip(*params.release_pairs)
     return (deadtime_ps, rate,
-            (float(lam), cum_weights, tau_ps),
-            (float(sigma_ps), float(jit.tail_fraction),
+            (lam, tuple(accumulate(weights)),
+             tuple(tau * PS_PER_S for tau in taus)),
+            (sigma_ps, float(jit.tail_fraction),
              float(jit.tail_scale_factor), seconds_to_ps(jit.latency)))
 
 

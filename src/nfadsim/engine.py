@@ -49,6 +49,8 @@ class RandomStream:
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {seed}")
         self._key = tuple(_key)
         self._generators: dict[str, np.random.Generator] = {}
 

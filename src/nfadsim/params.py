@@ -2,13 +2,14 @@
 
 All quantities are SI (seconds, hertz, kelvin, counts per second) unless a
 name says otherwise.  Every dataclass validates its physical domain on
-construction and raises :class:`~nfadsim.errors.ParameterError` on violation.
+construction and raises :class:`~nfadsim.errors.ParameterError` on violation
+(``ExtrapolationError`` for an efficiency off the jitter table).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -37,9 +38,25 @@ def kelvin_to_celsius(temp_k: float) -> float:
     return temp_k - 273.15
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, *args) -> None:
+    """ParameterError(message % args) unless cond; formats only then."""
     if not cond:
-        raise ParameterError(message)
+        raise ParameterError(message % args if args else message)
+
+
+def _scaled(value: float, efficiency: float, model, what: str) -> float:
+    """value * (efficiency / efficiency_ref) ** efficiency_exponent, the dark
+    and trap models' law, 0.0 at efficiency 0; it must not overflow."""
+    if efficiency == 0.0:
+        return 0.0
+    try:
+        scaled = value * (efficiency / model.efficiency_ref) \
+            ** model.efficiency_exponent
+    except OverflowError:
+        scaled = math.inf
+    _require(scaled < math.inf, "%s overflows at efficiency %s", what,
+             efficiency)
+    return scaled
 
 
 @dataclass(frozen=True)
@@ -87,12 +104,9 @@ class DarkRateModel:
         """Dark count rate in counts/second. Deterministic closed form."""
         _require(temperature > 0.0, "temperature must be positive kelvin")
         _require(0.0 <= efficiency <= 1.0, "efficiency must lie in [0, 1]")
-        if efficiency == 0.0:
-            return 0.0
-        scale = (efficiency / self.efficiency_ref) ** self.efficiency_exponent
         thermal = self.amplitude_thermal * math.exp(
             -self.activation_temperature / temperature)
-        return scale * (thermal + self.floor)
+        return _scaled(thermal + self.floor, efficiency, self, "dark rate")
 
 
 @dataclass(frozen=True)
@@ -131,12 +145,12 @@ class TrapModel:
     reference_temperature: float
 
     def __post_init__(self) -> None:
-        _require(math.isfinite(self.mean_traps_per_avalanche)
-                 and self.mean_traps_per_avalanche >= 0.0,
-                 "mean_traps_per_avalanche must be finite and >= 0")
+        for name in ("mean_traps_per_avalanche", "efficiency_exponent",
+                     "efficiency_ref", "reference_temperature"):
+            value = getattr(self, name)
+            _require(0.0 <= value < math.inf,
+                     f"trap model {name} must be finite and >= 0")
         _require(self.efficiency_ref > 0.0, "trap efficiency_ref must be > 0")
-        _require(self.efficiency_exponent >= 0.0,
-                 "trap efficiency_exponent must be >= 0")
         _require(self.reference_temperature > 0.0,
                  "reference_temperature must be positive kelvin")
         _require(len(self.release_components) > 0,
@@ -146,9 +160,9 @@ class TrapModel:
             _require(0.0 <= weight <= 1.0, "component weight must lie in [0, 1]")
             _require(math.isfinite(tau_ref) and tau_ref > 0.0,
                      "component lifetime must be positive and finite")
-            _require(activation > 0.0,
+            _require(0.0 < activation < math.inf,
                      "component activation temperature must be positive "
-                     "(lifetimes must grow as temperature falls)")
+                     "and finite (lifetimes must grow as temperature falls)")
             total += weight
         _require(abs(total - 1.0) < 1e-9, "component weights must sum to 1")
 
@@ -161,10 +175,8 @@ class TrapModel:
                    reference_temperature=183.15)
 
     def mean_traps(self, efficiency: float) -> float:
-        if efficiency == 0.0:
-            return 0.0
-        scale = (efficiency / self.efficiency_ref) ** self.efficiency_exponent
-        return self.mean_traps_per_avalanche * scale
+        return _scaled(self.mean_traps_per_avalanche, efficiency, self,
+                       "mean traps per avalanche")
 
     def weights(self) -> np.ndarray:
         return np.array([c[0] for c in self.release_components], dtype=np.float64)
@@ -269,23 +281,20 @@ class JitterModel:
             last_eff = eff
         _require(0.0 <= self.tail_fraction < 1.0,
                  "tail_fraction must lie in [0, 1)")
-        _require(self.tail_scale_factor > 0.0, "tail_scale_factor must be > 0")
+        _require(0.0 < self.tail_scale_factor < math.inf,
+                 "tail_scale_factor must be finite and > 0")
         _require(self.latency >= 0.0 and math.isfinite(self.latency),
                  "latency must be finite and >= 0")
         # Fails fast if the tail would swamp the Gaussian peak.
         _mixture_unit_width(self.tail_fraction, self.tail_scale_factor, 0.5)
 
-    def check_efficiency(self, efficiency: float) -> None:
-        """Raise ExtrapolationError for an efficiency outside the table."""
+    def fwhm_at(self, efficiency: float) -> float:
+        """Interpolated FWHM in seconds; ExtrapolationError off the table."""
         table = self.fwhm_table
-        if efficiency < table[0][0] or efficiency > table[-1][0]:
+        if not table[0][0] <= efficiency <= table[-1][0]:
             raise ExtrapolationError(
                 f"efficiency {efficiency} outside jitter table range "
                 f"[{table[0][0]}, {table[-1][0]}]")
-
-    def fwhm_at(self, efficiency: float) -> float:
-        """Interpolated FWHM in seconds; no extrapolation beyond the table."""
-        self.check_efficiency(efficiency)
         effs = [p[0] for p in self.fwhm_table]
         fwhms = [p[1] for p in self.fwhm_table]
         return float(np.interp(efficiency, effs, fwhms))
@@ -308,18 +317,27 @@ class JitterModel:
 class DetectorParams:
     """Full physical parameterization of one free-running NFAD channel.
 
+    Construction derives, once, the constants that the closed form and the
+    simulations both read, and rejects the detector if one is not finite:
+    both answers take the same detectors.  Only the simulations' picosecond
+    grid bounds them further (``detector._kernel_args``).
+
     Attributes
     ----------
     temperature : float
         Operating temperature in kelvin, within [153, 233] K.
     efficiency : float
-        Single-photon detection probability while armed, in [0, 0.35].
+        Single-photon detection probability while armed, in [0, 0.35] and
+        on the jitter table.
     deadtime : float
         Active hold-off after each click, seconds (hardware range is
         1 us - 200 us; any positive value is accepted, and a simulation
         takes one that rounds to at least 1 ps).
     dark_model, trap_model, jitter_model
         Component models defined above.
+    dark_cps, mean_traps, release_pairs, core_sigma
+        Derived, as Python floats: dark counts/second, mean traps per
+        avalanche, (weight, lifetime) per release component, core sigma.
     """
 
     temperature: float
@@ -328,15 +346,35 @@ class DetectorParams:
     dark_model: DarkRateModel
     trap_model: TrapModel
     jitter_model: JitterModel
+    dark_cps: float = field(init=False, repr=False, compare=False)
+    mean_traps: float = field(init=False, repr=False, compare=False)
+    release_pairs: tuple = field(init=False, repr=False, compare=False)
+    core_sigma: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require(TEMPERATURE_MIN_K <= self.temperature <= TEMPERATURE_MAX_K,
-                 f"temperature {self.temperature} K outside valid range "
-                 f"[{TEMPERATURE_MIN_K}, {TEMPERATURE_MAX_K}] K")
+                 "temperature %s K outside valid range [%s, %s] K",
+                 self.temperature, TEMPERATURE_MIN_K, TEMPERATURE_MAX_K)
         _require(0.0 <= self.efficiency <= EFFICIENCY_MAX,
-                 f"efficiency {self.efficiency} outside [0, {EFFICIENCY_MAX}]")
-        _require(self.deadtime > 0.0 and math.isfinite(self.deadtime),
-                 "deadtime must be positive and finite")
+                 "efficiency %s outside [0, %s]", self.efficiency,
+                 EFFICIENCY_MAX)
+        _require(self.deadtime > 0.0 and 0 < 1.0 / self.deadtime < math.inf,
+                 "deadtime must be positive and finite, and so 1/deadtime")
+        trap = self.trap_model
+        pairs = tuple(zip(trap.weights().tolist(),
+                          trap.lifetimes_at(self.temperature).tolist()))
+        _require(all(tau * PS_PER_S < math.inf for _, tau in pairs),
+                 "a trap lifetime is not finite in ps at %s K",
+                 self.temperature)
+        sigma = self.jitter_model.core_sigma_at(self.efficiency)
+        _require(0.0 < sigma * PS_PER_S < math.inf,
+                 "jitter core sigma %s s is not > 0 and finite in ps", sigma)
+        for name, value in (
+                ("dark_cps", float(self.dark_model.rate(self.temperature,
+                                                        self.efficiency))),
+                ("mean_traps", float(trap.mean_traps(self.efficiency))),
+                ("release_pairs", pairs), ("core_sigma", sigma)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .detector import (_KERNEL_SUBSTREAMS, _kernel_args, _saturated_rates,
-                       dark_rate)
+from .detector import _KERNEL_SUBSTREAMS, _kernel_args, _saturated_rates
 from .engine import RandomStream, check_ps, seconds_to_ps
 from .errors import NoSignalError, ParameterError
 from .params import DetectorParams
@@ -40,22 +39,22 @@ class LinkConfig:
     monitor_duty: float = 0.25
 
     def __post_init__(self):
-        if not self.channel_loss_db >= 0.0:
-            raise ParameterError("channel_loss_db must be >= 0")
+        if not 0.0 <= self.channel_loss_db < math.inf:
+            raise ParameterError("channel_loss_db must be finite and >= 0")
         if not 0.0 < self.pulse_rate <= _MAX_PULSE_RATE:
             raise ParameterError(f"pulse_rate must be > 0 and at most "
                                  f"{_MAX_PULSE_RATE:g} Hz")
-        if not self.mu >= 0.0:
-            raise ParameterError("mu must be >= 0")
+        if not 0.0 <= self.mu < math.inf:
+            raise ParameterError("mu must be finite and >= 0")
         for name in ("monitor_fraction", "interferometer_visibility_intrinsic",
                      "optical_error", "pa_ratio", "monitor_duty"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ParameterError(f"{name} must be in [0, 1]")
-        if not self.ec_inefficiency >= 1.0:
-            raise ParameterError("ec_inefficiency must be >= 1")
-        if not self.auth_rate_cost >= 0.0:
-            raise ParameterError("auth_rate_cost must be >= 0")
+        if not 1.0 <= self.ec_inefficiency < math.inf:
+            raise ParameterError("ec_inefficiency must be finite and >= 1")
+        if not 0.0 <= self.auth_rate_cost < math.inf:
+            raise ParameterError("auth_rate_cost must be finite and >= 0")
 
     @property
     def transmittance(self) -> float:
@@ -90,8 +89,9 @@ class LinkMetrics:
         if self.visibility_dark_subtracted < self.visibility_raw:
             raise ParameterError("dark-subtracted visibility cannot fall "
                                  "below the raw visibility")
-        if self.skr < 0.0 or self.sifted_rate < 0.0:
-            raise ParameterError("rates must be >= 0")
+        if not (0.0 <= self.skr < math.inf
+                and 0.0 <= self.sifted_rate < math.inf):
+            raise ParameterError("rates must be finite and >= 0")
 
 
 def binary_entropy(p: float) -> float:
@@ -117,7 +117,7 @@ def _slot_slip_tail(op_data: DetectorParams, slot: float) -> tuple[float, float]
     a one-sided exponential tail, so only late slips matter.
     """
     jm = op_data.jitter_model
-    sigma = jm.core_sigma_at(op_data.efficiency)
+    sigma = op_data.core_sigma
     w, k = jm.tail_fraction, jm.tail_scale_factor
 
     def upper(y: float) -> float:
@@ -135,7 +135,7 @@ def _data_budget(cfg: LinkConfig, op: QkdOperatingPoint):
     det = op.data_detector
     p_sig = (1.0 - cfg.monitor_fraction) * \
         -math.expm1(-cfg.mu * cfg.transmittance * det.efficiency)
-    p_dk = 2.0 * dark_rate(det) / cfg.pulse_rate
+    p_dk = 2.0 * det.dark_cps / cfg.pulse_rate
     return p_sig, p_dk
 
 
@@ -147,7 +147,7 @@ def _monitor_budget(cfg: LinkConfig, op: QkdOperatingPoint):
     v0 = cfg.interferometer_visibility_intrinsic
     a = cfg.mu * cfg.transmittance * det.efficiency
     scale = cfg.monitor_duty * cfg.monitor_fraction
-    r_dark = dark_rate(det)
+    r_dark = det.dark_cps
     p_arms = (scale * -math.expm1(-a * (1.0 + v0)),
               scale * -math.expm1(-a * (1.0 - v0)))
     return [(p, *_saturated_rates(det, cfg.frame_rate * p + r_dark))

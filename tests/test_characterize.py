@@ -46,6 +46,12 @@ class TestProtocolConfig:
             ProtocolConfig(pulses_requested=0)
         with pytest.raises(ParameterError):
             ProtocolConfig(quiet_window=0.05)  # the cycle timeout
+        # NaN passed "<= 0" and ran with mu = nan; 1.5 pulses raised an
+        # untyped TypeError inside the kernel.
+        for field, value in (("laser_mu", math.nan), ("laser_mu", math.inf),
+                             ("pulses_requested", 1.5)):
+            with pytest.raises(ParameterError, match=field):
+                ProtocolConfig(**{field: value})
 
     def test_quiet_window_policy_warning(self):
         with pytest.warns(UserWarning):
@@ -290,7 +296,8 @@ class TestJitterWidths:
             tracemalloc.stop()
         assert peak < 2_000_000
 
-    @pytest.mark.parametrize("draws", [0, _MAX_DRAWS + 1, 10**11])
+    # 1.5 raised numpy's untyped TypeError.
+    @pytest.mark.parametrize("draws", [0, _MAX_DRAWS + 1, 10**11, 1.5])
     def test_a_draw_count_off_its_range_is_rejected(self, draws):
         det = make_detector(-110.0, 0.16, 20e-6)
         with pytest.raises(ParameterError, match="draws"):

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from nfadsim import _kernels
 from nfadsim.calibration import make_detector
-from nfadsim.detector import (_kernel_args, _saturated_rates,
-                              _trap_components, dark_rate, simulate,
-                              simulate_reference)
+from nfadsim.detector import (_kernel_args, _saturated_rates, dark_rate,
+                              simulate, simulate_reference)
 from nfadsim.engine import RandomStream, pulsed_laser, seconds_to_ps
 from nfadsim.errors import ParameterError
 from nfadsim.params import (ORIGIN_AFTERPULSE, ORIGIN_DARK, DarkRateModel,
@@ -400,10 +399,10 @@ class TestStreamInvariants:
     def test_a_lifetime_exponent_past_the_float_range_is_rejected(self, sim):
         # 2e6 K puts the Arrhenius exponent at 1339 at -110 C, past the
         # 709.8 where exp() overflows.
-        det = _lifetime_detector(-110.0, (1.0, 1e-6, 2e6))
         with pytest.raises(ParameterError,
                            match=r"component 0 \(.*\) .* at 163\.15 K"):
-            sim(det, _dense_laser(), 0.002, 1)
+            sim(_lifetime_detector(-110.0, (1.0, 1e-6, 2e6)), _dense_laser(),
+                0.002, 1)
 
     def test_a_lifetime_that_underflows_to_zero_ps_runs(self):
         # 5e-324 s shrinks to 0.0 at -50 C: every release comes at its
@@ -414,6 +413,18 @@ class TestStreamInvariants:
         assert len(fast) > 100
         assert np.array_equal(fast.times, slow.times)
         assert np.array_equal(fast.origins, slow.origins)
+
+    def test_a_lifetime_that_underflows_to_zero_adds_no_afterpulses(self):
+        # The closed form divided the hold-off by the 0.0 s lifetime: a
+        # ZeroDivisionError.  Its releases all come inside the hold-off.
+        det = _lifetime_detector(-50.0, (1.0, 5e-324, 2000.0))
+        free = dataclasses.replace(det, trap_model=TrapModel.disabled())
+        assert det.release_pairs == ((1.0, 0.0),)
+        assert _saturated_rates(det, 1e5) == _saturated_rates(free, 1e5)
+        metrics = link_metrics(LinkConfig(channel_loss_db=5.0),
+                               QkdOperatingPoint(det, det))
+        assert metrics == link_metrics(LinkConfig(channel_loss_db=5.0),
+                                       QkdOperatingPoint(free, free))
 
     @staticmethod
     def _trap_mean_detector(mean, exponent=1.0):
@@ -773,32 +784,12 @@ class TestAfterpulseAnalytics:
                                                     rel=1e-9, abs=0.0)
         assert metrics.skr == 0.0
 
-    def test_equal_trap_models_share_one_cache_entry(self):
-        _trap_components.cache_clear()
-        a = make_detector(-90.0, 0.115, 10e-6)
-        b = make_detector(-90.0, 0.2, 40e-6,
-                          trap_model=dataclasses.replace(a.trap_model))
-        assert b.trap_model is not a.trap_model
-        _saturated_rates(a, 1e5)
-        _saturated_rates(b, 1e5)
-        info = _trap_components.cache_info()
-        assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
-
-    def test_a_lifetime_that_overflows_raises_on_every_call(self):
-        # An error is not cached: the second call raises it again.
-        det = _lifetime_detector(-110.0, (1.0, 1e-6, 2e6))
+    def test_a_lifetime_that_overflows_raises_on_every_build(self):
+        # The lifetimes are derived when the detector is built, so no
+        # detector reaches the closed form without them: each build raises.
         for _ in range(2):
             with pytest.raises(ParameterError, match="component 0"):
-                _saturated_rates(det, 1e5)
-
-    def test_the_trap_cache_is_bounded(self):
-        _trap_components.cache_clear()
-        size = _trap_components.cache_info().maxsize
-        assert size is not None
-        trap = make_detector(-90.0, 0.115, 10e-6).trap_model
-        for k in range(size + 10):
-            _trap_components(trap, 150.0 + 0.01 * k)
-        assert _trap_components.cache_info().currsize == size
+                _lifetime_detector(-110.0, (1.0, 1e-6, 2e6))
 
     def test_runaway_link_has_no_key(self):
         det = CLOSED_FORM_DETECTORS["runaway"]

@@ -421,12 +421,17 @@ class TestDarkCandidates:
         assert (_block_dark_times(RandomStream(5).generator("darks"), rate,
                                   n) == _scalar_dark_times(5, rate, n))
 
-    def test_gaps_past_int64_stay_exact(self):
-        # Below about 4e-6 cps a gap can pass 2**63 ps, and every gap is
-        # within the log slack of an int: the slow path for all of them.
-        rate, n = 1e-6, 100_000
-        expected = _scalar_dark_times(6, rate, n)
-        assert max(b - a for a, b in zip(expected, expected[1:])) > 2 ** 63
+    def test_gaps_at_or_past_never_read_never(self):
+        # Below about 8e-6 cps a gap can reach NEVER = 2**62 ps, and at
+        # 1e-6 cps every gap is within the log slack of an int: each is
+        # redone with math.log.  A gap at or past NEVER reads NEVER, one
+        # below it keeps its scalar value, and the times are their exact
+        # running sums, past int64's end.
+        rate, n, never = 1e-6, 100_000, _kernels.NEVER
+        us = RandomStream(6).generator("darks").random(n).tolist()
+        gaps = [_kernels._exp_gap_ps(u, rate) for u in us]
+        assert max(gaps) > 2 ** 63 and min(gaps) < never
+        expected = list(accumulate(min(gap, never) for gap in gaps))
         assert _block_dark_times(RandomStream(6).generator("darks"), rate,
                                  n) == expected
 
@@ -758,15 +763,25 @@ class TestReadAheadParsers:
             _assert_parses_as(parsed, scalar(us))
             monkeypatch.setattr(_kernels, "math", counting)
 
-    def test_values_past_2_to_61_stay_python_ints(self):
-        # A 1e300 ps jitter sigma and latency, and a 1e35 ps trap lifetime.
+    def test_values_at_or_past_never_read_never(self):
+        # Release delays of a 1e35 ps lifetime pass NEVER and read NEVER;
+        # those of a 1e18 ps one, some past 2**61 ps, keep their scalar
+        # values below it.  Jitter delays keep theirs up to the 2**61 ps
+        # bound the detector puts on them (sigma * 37.4 * tail scale).
+        never = _kernels.NEVER
         us = _block(4, 300)
-        jitter = (1e300, 0.3, 2.0, 10 ** 300)
+        traps = (2.0, (0.5, 1.0), (1e35, 1e18))
+        values, ends = _kernels._parse_traps(us, traps, [0.0, 0.0])
+        scalar, scalar_ends = _scalar_traps(us, traps, [0.0, 0.0])
+        assert (values, ends.tolist()) == (
+            [tuple(min(d, never) for d in click) for click in scalar],
+            scalar_ends)
+        delays = [d for click in values for d in click]
+        assert never in delays
+        assert any(2 ** 61 < d < never for d in delays)
+        jitter = (2.0 ** 61 / (37.4 * 2.0), 0.3, 2.0, 0)
         _assert_parses_as(_kernels._parse_jitter(us, jitter),
                           _scalar_jitter(us, jitter))
-        traps = (2.0, (0.5, 1.0), (1e35, 1e20))
-        _assert_parses_as(_kernels._parse_traps(us, traps, [0.0, 0.0]),
-                          _scalar_traps(us, traps, [0.0, 0.0]))
 
     @settings(max_examples=_examples(50))
     @given(**_BLOCKS)

@@ -155,16 +155,16 @@ class TestAnalyticModel:
                          efficiency_ref=0.115,
                          release_components=((1.0, 1e-6, 2e6),),
                          reference_temperature=183.15)
-        det = make_detector(-110.0, 0.115, 20e-6, trap_model=trap)
-        op = QkdOperatingPoint(data_detector=det, monitor_detector=det)
         with pytest.raises(ParameterError, match="component 0"):
+            det = make_detector(-110.0, 0.115, 20e-6, trap_model=trap)
+            op = QkdOperatingPoint(data_detector=det, monitor_detector=det)
             link_metrics(LinkConfig(channel_loss_db=30.0), op)
 
     @pytest.mark.parametrize("temp_c", sorted(LINK_REPRS))
     def test_link_metrics_keep_their_bits(self, temp_c):
         op = QkdOperatingPoint(make_detector(temp_c, 0.115, 10e-6),
                                make_detector(temp_c, 0.2, 40e-6))
-        for _ in range(2):  # the trap constants computed, then cached
+        for _ in range(2):  # the detectors' constants, read twice
             got = repr(link_metrics(LinkConfig(channel_loss_db=10.0), op))
             assert got == LINK_REPRS[temp_c]
 
