@@ -33,10 +33,12 @@ slices) takes about 30% and the walk over the event starts (four events
 a step) about 25%.
 
 Event-step core.  Every click goes through one cycle: avalanche, timing
-jitter, trap filling, hold-off, re-arm.  ``_next_click(t_limit,
-armed_from, rel_heap, darks)`` walks dark candidates and trap releases
-strictly before ``t_limit`` and returns the first that finds the detector
-armed, or ``NEVER``; the ones that find it held off are consumed.
+jitter, trap filling, hold-off, re-arm.  ``next_click(t_limit,
+armed_from, rel_heap)``, a ``_DarkCandidates`` method each kernel binds
+once, walks dark candidates and trap releases strictly before ``t_limit``
+and returns the first that finds the detector armed, or ``NEVER``; the
+ones that find it held off are consumed.  This one method holds the event
+order that ``detector.simulate_reference`` checks.
 ``_avalanche_step(det, gens, rel_heap)``, built once per kernel call,
 gives ``avalanche(t)``: it turns a click at raw time ``t`` into its
 recorded time and pushes the releases of the traps it fills that come at
@@ -69,7 +71,7 @@ loop:
   it would draw nothing and find the detector held off.  A release uniform
   below ``_skip_below`` is drawn but not turned into a delay: the delay is
   under the hold-off, so the release comes before re-arm >= t + hold-off.
-- Held-off dark candidates are skipped by bisection: ``_next_click``
+- Held-off dark candidates are skipped by bisection: ``next_click``
   consumes the read-ahead candidates before min(armed_from, t_limit) in
   one step.  ``free_run`` steps past one held-off pulse with a single test
   and past more by bisection.
@@ -441,15 +443,16 @@ def _avalanche_step(det, gens, rel_heap, readers):
 
 
 class _DarkCandidates:
-    """The dark-candidate process of one kernel call, read ahead.
+    """The dark-candidate process of one kernel call, read ahead, and the
+    event walk over it and the trap releases (``next_click``).
 
     ``times[i]``, also kept as ``next``, is the next candidate's time; the
     candidates before it are consumed.  Times are exact running sums of
-    the gaps ``_parse_gaps`` gives, one block at a time.  ``close`` rewinds
-    the generator past the candidates after ``next``, so it ends where
-    one-at-a-time draws would have left it.  At rate 0 there is one
-    candidate, at ``NEVER``, and nothing is drawn.  Like a ``_ReadAhead``,
-    it adds itself to ``readers``.
+    the gaps ``_parse_gaps`` gives, one block at a time, refilled at a
+    block's end.  ``close`` rewinds the generator past the candidates after
+    ``next``, so it ends where one-at-a-time draws would have left it.  At
+    rate 0 there is one candidate, at ``NEVER``, and nothing is drawn.
+    Like a ``_ReadAhead``, it adds itself to ``readers``.
     """
 
     __slots__ = ("times", "i", "next", "_gaps")
@@ -480,54 +483,45 @@ class _DarkCandidates:
         self.next = times[0]
         return times
 
-    def skip_to(self, stop):
-        """Consume every candidate before stop; return the next one's time."""
-        times = self.times
-        i = bisect_left(times, stop, self.i)
-        while i == len(times):
-            times = self._refill()
-            i = bisect_left(times, stop)
-        self.i = i
-        self.next = t = times[i]
-        return t
+    def next_click(self, t_limit, armed_from, rel_heap):
+        """First armed dark candidate or trap release strictly before t_limit.
 
-    def pop(self):
-        """Consume the next candidate."""
-        i = self.i + 1
-        if i == len(self.times):
-            self._refill()
-        else:
+        Returns (t, origin) with t = NEVER when none arrives in time, and
+        consumes what it returns.  The candidates before min(armed_from,
+        t_limit) find the detector held off: they are consumed by bisection.
+        A dark candidate goes before a release at the same time; releases
+        that find the detector held off are popped.
+        """
+        dark = self.next
+        stop = armed_from if armed_from < t_limit else t_limit
+        if dark < stop:
+            times = self.times
+            i = bisect_left(times, stop, self.i)
+            while i == len(times):
+                times = self._refill()
+                i = bisect_left(times, stop)
             self.i = i
-            self.next = self.times[i]
+            self.next = dark = times[i]
+        while True:
+            t = rel_heap[0]
+            if dark <= t:
+                if dark >= t_limit:
+                    return NEVER, ORIGIN_DARK
+                i = self.i + 1
+                if i == len(self.times):
+                    self._refill()
+                else:
+                    self.i = i
+                    self.next = self.times[i]
+                return dark, ORIGIN_DARK
+            if t >= t_limit:
+                return NEVER, ORIGIN_AFTERPULSE
+            heappop(rel_heap)
+            if t >= armed_from:
+                return t, ORIGIN_AFTERPULSE
 
     def close(self):
         self._gaps.close(len(self.times) - self.i - 1)
-
-
-def _next_click(t_limit, armed_from, rel_heap, darks):
-    """First armed dark candidate or trap release strictly before t_limit.
-
-    Returns (t, origin) with t = NEVER when none arrives in time.  The dark
-    candidates before min(armed_from, t_limit) find the detector held off:
-    they are skipped by bisection.  A dark candidate goes before a release
-    at the same time.
-    """
-    stop = armed_from if armed_from < t_limit else t_limit
-    dark = darks.next
-    if dark < stop:
-        dark = darks.skip_to(stop)
-    while True:
-        t = rel_heap[0]
-        if dark <= t:
-            if dark >= t_limit:
-                return NEVER, ORIGIN_DARK
-            darks.pop()
-            return dark, ORIGIN_DARK
-        if t >= t_limit:
-            return NEVER, ORIGIN_AFTERPULSE
-        heappop(rel_heap)
-        if t >= armed_from:
-            return t, ORIGIN_AFTERPULSE
 
 
 def free_run(duration_ps, pulse_times_ps, pulse_p_click, det, gens):
@@ -555,15 +549,16 @@ def free_run(duration_ps, pulse_times_ps, pulse_p_click, det, gens):
     readers = []    # closed on every exit
     try:
         avalanche = _avalanche_step(det, gens, rel_heap, readers)
-        darks = _DarkCandidates(gens["darks"], dark_rate, readers)
+        next_click = _DarkCandidates(gens["darks"], dark_rate,
+                                     readers).next_click
         photon_random = _ReadAhead(gens["photons"], _parse_draws,
                                    readers).next
         while True:
             t_sched = (pulse_times_ps[i_pulse] if i_pulse < n_pulses
                        else NEVER)
-            t, origin = _next_click(
+            t, origin = next_click(
                 t_sched if t_sched < duration_ps else duration_ps,
-                armed_from, rel_heap, darks)
+                armed_from, rel_heap)
             if t == NEVER:
                 if t_sched >= duration_ps:
                     break
@@ -622,7 +617,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
             _parse_laser, p_click=p_click_laser), readers)
         avalanche = _avalanche_step(det, gens, rel_heap, readers)
         darks = _DarkCandidates(gens["darks"], dark_rate, readers)
-        next_run = laser.next
+        next_click, next_run = darks.next_click, laser.next
         while c_lp < n_pulses:
             cycle_start = t_now
             target = last_click + quiet_ps
@@ -632,10 +627,10 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
             pending = NEVER
 
             # Quiet wait: process events until a full quiet window elapses.
-            # The loop tests stand in for a _next_click call that would
+            # The loop tests stand in for a next_click call that would
             # find nothing, which most cycles of a cold detector do.
             while darks.next < target or rel_heap[0] < target:
-                t, _ = _next_click(target, armed_from, rel_heap, darks)
+                t, _ = next_click(target, armed_from, rel_heap)
                 if t == NEVER:
                     break
                 last_click = avalanche(t)
@@ -690,7 +685,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
                     target += skip * bin_ps
                     bin_end = target + bin_ps
                 if t == NEVER and due < bin_end:
-                    t, _ = _next_click(bin_end, armed_from, rel_heap, darks)
+                    t, _ = next_click(bin_end, armed_from, rel_heap)
                 if t != NEVER:
                     last_click = avalanche(t)
                     armed_from = last_click + deadtime_ps
@@ -703,7 +698,7 @@ def characterize(n_pulses, quiet_ps, bin_ps, span_ps, p_click_laser,
             c_d += 1
             t_now = detection + span_ps
             while darks.next < t_now or rel_heap[0] < t_now:
-                t, _ = _next_click(t_now, armed_from, rel_heap, darks)
+                t, _ = next_click(t_now, armed_from, rel_heap)
                 if t == NEVER:
                     break
                 last_click = avalanche(t)
@@ -749,6 +744,7 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
     try:
         avalanche = _avalanche_step(det, gens, rel_heap, readers)
         darks = _DarkCandidates(gens["darks"], dark_rate, readers)
+        next_click = darks.next_click
         # The signal schedule: per signal click, 2 * frame skip + flip.
         next_signal = _ReadAhead(gens["photons"], partial(
             _parse_schedule, log_q=log_q, p_flip=p_optical_error,
@@ -772,13 +768,13 @@ def _session(n_frames, frame_ps, slot_ps, p_click_frame, p_optical_error,
                 sig_time = (sig_frame * frame_ps + slot * slot_ps
                             + slot_ps // 2)
 
-            # As in characterize, the tests skip a _next_click call that
+            # As in characterize, the tests skip a next_click call that
             # would find nothing: most clicks of a lossy link are signal
             # clicks.
             t_limit = sig_time if sig_time < duration_ps else duration_ps
             t = NEVER
             if darks.next < t_limit or rel_heap[0] < t_limit:
-                t, _ = _next_click(t_limit, armed_from, rel_heap, darks)
+                t, _ = next_click(t_limit, armed_from, rel_heap)
             is_signal = t == NEVER
             if is_signal:
                 if sig_time >= duration_ps:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .detector import _KERNEL_SUBSTREAMS, _kernel_args
+from .detector import _KERNEL_SUBSTREAMS, _MAX_UNIT_GAP, _kernel_args
 from .engine import RandomStream, seconds_to_ps
 from .errors import (EstimatorDomainError, NoSignalError, OpenSupportError,
                      ParameterError, ProtocolStarvationError)
@@ -151,23 +151,44 @@ def _check_deadtime(cfg: ProtocolConfig, deadtime: float) -> None:
                              "protocol's operating regime")
 
 
+def _never_quiet(det, quiet_ps: int) -> bool:
+    """Whether, for any seed, no quiet window can complete after a click:
+    the hold-off, the longest dark gap (``_MAX_UNIT_GAP / rate``; a release
+    only comes sooner) and the longest jitter delay (sigma * max(13, 37.4 *
+    tail scale) + latency; a polar variate is at most about 12.01) fit in
+    it with 1 ps to spare, so each click recorded in a quiet wait has a
+    successor recorded inside the window."""
+    deadtime_ps, rate, _, (sigma_ps, _, tail_scale, latency_ps) = det
+    if not rate > 0.0:
+        return False
+    gap_ps = math.ceil(_MAX_UNIT_GAP / rate * PS_PER_S)
+    delay_ps = sigma_ps * max(13.0, 37.4 * tail_scale) + latency_ps
+    return deadtime_ps + gap_ps + 1 + delay_ps < quiet_ps
+
+
 def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
                  seed) -> CharacterizationCounts:
     """Run the quiet-window protocol; dark rate from an equal-time dark pass.
 
     The laser pass and the laser-disabled pass use independent child random
     streams of the given seed, so togging one never perturbs the other.
+    Where ``_never_quiet``, the kernel gets a 0 ps timeout: it starves at
+    the first click of a quiet wait, not 0.05 s later, with the same
+    outcome.  A dark pass at or above the clock's rate is out of the
+    estimators' domain.
     """
     _check_deadtime(cfg, detector.deadtime)
     bin_ps = seconds_to_ps(cfg.bin_width)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     det = _kernel_args(detector)
     p_click = -math.expm1(-cfg.laser_mu * detector.efficiency)
+    quiet_ps = seconds_to_ps(cfg.quiet_window)
+    timeout_ps = (0 if _never_quiet(det, quiet_ps)
+                  else seconds_to_ps(_CYCLE_TIMEOUT))
 
     c_d, c_lp, hist, live_ps, starved = _kernels.characterize(
-        cfg.pulses_requested, seconds_to_ps(cfg.quiet_window), bin_ps,
-        seconds_to_ps(cfg.histogram_span), p_click,
-        seconds_to_ps(_CYCLE_TIMEOUT), det,
+        cfg.pulses_requested, quiet_ps, bin_ps,
+        seconds_to_ps(cfg.histogram_span), p_click, timeout_ps, det,
         stream.child(0).generators(_KERNEL_SUBSTREAMS))
     if starved:
         raise ProtocolStarvationError(
@@ -180,6 +201,10 @@ def run_protocol(detector: DetectorParams, cfg: ProtocolConfig,
         live_ps, [], [], det, stream.child(1).generators(_KERNEL_SUBSTREAMS))
     dark_counts = int(len(dark_times))
     r_dc = dark_counts / live_time if live_time > 0.0 else 0.0
+    if r_dc >= _FPGA_CLOCK:
+        raise EstimatorDomainError(
+            "dark pass rate %.3g cps is at or above the %g Hz protocol "
+            "clock" % (r_dc, _FPGA_CLOCK))
 
     return CharacterizationCounts(
         c_d=int(c_d), c_lp=int(c_lp), r_dc=r_dc,

@@ -24,6 +24,7 @@ import pickle
 import signal
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -166,13 +167,24 @@ def _processes(jobs: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), jobs))
 
 
+# What Python 3.12+ warns in os.fork while another OS thread runs, such as
+# numpy's BLAS pool.  _fork ignores it: the children run no BLAS routine
+# (nfadsim calls no linalg, dot or matmul), and _processes forks only
+# while one Python thread runs, which catch_warnings, not thread-safe,
+# needs.
+_FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, "
+                 r"use of fork\(\) may lead to deadlocks in the child")
+
+
 def _fork(func, indices) -> tuple[int, int]:
     """Fork a child that sends ``func(i)`` for each index in order, up to
     and including the first exception raised instead, pickled down a pipe;
     return its pid and the pipe's read end.  The child exits 0 only once
     it has sent them."""
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+        pid = os.fork()
     if pid:
         os.close(write_fd)
         return pid, read_fd

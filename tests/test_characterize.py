@@ -1,5 +1,6 @@
 """Quiet-window protocol estimators: frozen oracles and closed loops."""
 
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -10,15 +11,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nfadsim import _kernels
 from nfadsim.calibration import make_detector
-from nfadsim.characterize import (_JITTER_CHUNK, _MAX_BINS, _MAX_DRAWS,
-                                  CharacterizationCounts, JitterHistogram,
-                                  ProtocolConfig, _exact_histogram,
+from nfadsim.characterize import (_CYCLE_TIMEOUT, _JITTER_CHUNK, _MAX_BINS,
+                                  _MAX_DRAWS, CharacterizationCounts,
+                                  JitterHistogram, ProtocolConfig,
+                                  _exact_histogram,
                                   afterpulse_total, characterize_point,
                                   efficiency_estimate, figure_of_merit,
                                   measure_jitter_histogram, run_protocol,
                                   tcspc_widths)
-from nfadsim.engine import RandomStream
+from nfadsim.detector import _MAX_UNIT_GAP, _kernel_args
+from nfadsim.engine import RandomStream, seconds_to_ps
 from nfadsim.errors import (EstimatorDomainError, NoSignalError,
                             OpenSupportError, ParameterError,
                             ProtocolStarvationError)
@@ -235,6 +239,14 @@ def _cascade_oracle(det, span, n_trials, seed):
     return clicks / n_trials
 
 
+def _flat_dark(rate_cps, deadtime=10e-6):
+    """The calibrated -90 C, 11.5% detector with a flat dark rate."""
+    flat = DarkRateModel(amplitude_thermal=0.0, activation_temperature=0.0,
+                         floor=rate_cps, efficiency_exponent=0.0,
+                         efficiency_ref=0.115)
+    return make_detector(-90.0, 0.115, deadtime, dark_model=flat)
+
+
 class TestProtocolValidation:
     def test_span_must_cover_deadtime(self):
         det = make_detector(-90.0, 0.115, 200e-6)
@@ -261,13 +273,69 @@ class TestProtocolValidation:
             run_protocol(det, ProtocolConfig(), RandomStream(1))
 
     def test_noisy_detector_starves_the_quiet_window(self):
-        loud = DarkRateModel(amplitude_thermal=0.0, activation_temperature=0.0,
-                             floor=2e5, efficiency_exponent=0.0,
-                             efficiency_ref=0.115)
-        det = make_detector(-90.0, 0.115, 20e-6, dark_model=loud)
         with pytest.raises(ProtocolStarvationError):
-            run_protocol(det, ProtocolConfig(pulses_requested=10),
-                         RandomStream(2))
+            run_protocol(_flat_dark(2e5, 20e-6),
+                         ProtocolConfig(pulses_requested=10), RandomStream(2))
+
+    def test_a_detector_that_never_keeps_quiet_starves_at_once(
+            self, monkeypatch):
+        # At 1e9 cps every re-arm meets a dark candidate within 37 ns, so no
+        # 100 us quiet window completes after a click: the kernel gets a 0 ps
+        # timeout and stops at the first click of its first quiet wait.
+        timeouts, kernel = [], _kernels.characterize
+
+        def recorded(*args):
+            timeouts.append(args[5])
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "characterize", recorded)
+        with pytest.raises(ProtocolStarvationError):
+            run_protocol(_flat_dark(1e9), ProtocolConfig(pulses_requested=2),
+                         RandomStream(1))
+        assert timeouts == [0]
+
+    @pytest.mark.parametrize("pulses", [1, 2, 20])
+    @pytest.mark.parametrize("factor", [0.5, 0.97, 1.03, 3.0])
+    def test_a_quick_starvation_keeps_the_outcome(self, monkeypatch, factor,
+                                                  pulses):
+        # On each side of the rate above which no quiet window can complete
+        # after a click, the kernel run_protocol calls gives what it gives
+        # with the full 0.05 s timeout, or both starve.
+        deadtime_ps, _, _, (sigma_ps, _, tail_scale, latency_ps) = \
+            _kernel_args(_flat_dark(1.0))
+        slack_ps = (seconds_to_ps(100e-6) - deadtime_ps - 2 - latency_ps
+                    - sigma_ps * max(13.0, 37.4 * tail_scale))
+        det = _flat_dark(factor * _MAX_UNIT_GAP * 1e12 / slack_ps)
+        full_ps = seconds_to_ps(_CYCLE_TIMEOUT)
+        seen, kernel = [], _kernels.characterize
+
+        def both(*args):
+            full = kernel(*args[:5], full_ps, args[6], copy.deepcopy(args[7]))
+            seen.append((args[5], full, kernel(*args)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(_kernels, "characterize", both)
+        for seed in (1, 2, 3):
+            raised = None
+            try:
+                run_protocol(det, ProtocolConfig(pulses_requested=pulses),
+                             RandomStream(seed))
+            except (ProtocolStarvationError, EstimatorDomainError) as exc:
+                raised = type(exc)
+            timeout_ps, full, got = seen[-1]
+            assert timeout_ps == (0 if factor > 1.0 else full_ps)
+            if full[4]:
+                assert raised is ProtocolStarvationError
+            else:
+                assert got == full and raised is not ProtocolStarvationError
+
+    def test_a_dark_pass_at_the_clock_rate_is_out_of_domain(self):
+        # One pulse, no click in its bin: the dark pass spans the 20 ns bin
+        # and counts one dark click, 50 MHz, which the estimators cannot
+        # take (r_dc must stay below f).
+        with pytest.raises(EstimatorDomainError, match="clock"):
+            run_protocol(_flat_dark(1e6), ProtocolConfig(pulses_requested=1),
+                         RandomStream(1))
 
 
 class TestJitterWidths:

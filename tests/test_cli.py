@@ -257,6 +257,35 @@ class TestForkedPoints:
             + f"point {lowest} fails\n")
         assert seen[1] == seen[0] and seen[2] == seen[0]
 
+    def test_the_fork_warning_of_python_3_12_is_ignored(
+            self, tmp_path, monkeypatch, capsys):
+        # Python 3.12+ warns so in os.fork while numpy's BLAS threads run;
+        # under this suite's filterwarnings = error it would raise.
+        cfg = _grid_cfg(tmp_path, "-110, -100", "0.115, 0.16")
+        _allow_cpus(monkeypatch, 1)
+        serial = tmp_path / "serial"
+        assert cli.main(["characterize", "--config", cfg, "--out",
+                         str(serial)]) == 0
+        forks = _allow_cpus(monkeypatch, 2)
+        fork = os.fork
+
+        def warned():
+            warnings.warn(f"This process (pid={os.getpid()}) is "
+                          "multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning,
+                          stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(cli.os, "fork", warned)
+        out = tmp_path / "forked"
+        assert cli.main(["characterize", "--config", cfg, "--out",
+                         str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(forks) == 1
+        _assert_no_children()
+        assert {f.name: f.read_bytes() for f in out.iterdir()} \
+            == {f.name: f.read_bytes() for f in serial.iterdir()}
+
     def test_a_killed_child_exits_2(self, tmp_path, monkeypatch, capsys):
         parent, point = os.getpid(), cli.characterize_point
 

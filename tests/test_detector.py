@@ -85,7 +85,7 @@ class TestReferenceEquality:
         darks = _kernels._DarkCandidates(RandomStream(1).generator("darks"),
                                          rate, [])
         assert darks.next == 50
-        t, origin = _kernels._next_click(100, 0, heap, darks)
+        t, origin = darks.next_click(100, 0, heap)
         assert (t, origin) == (50, ORIGIN_DARK)
         assert darks.next == 50 + int(-math.log(1.0 - u1) / rate * 1e12) > 50
         assert heap == [50, _kernels.NEVER]
