@@ -87,8 +87,6 @@ class CharacterizationCounts:
             raise ParameterError("counts must be >= 0")
         if self.c_d > self.c_lp:
             raise ParameterError("c_d cannot exceed c_lp")
-        if self.c_lp > 0 and self.c_d == self.c_lp:
-            raise ParameterError("c_d/c_lp must stay below 1")
         if np.any(self.histogram < 0):
             raise ParameterError("histogram counts must be >= 0")
         if self.r_dc < 0.0 or self.r_dc >= self.f:

@@ -70,8 +70,11 @@ class TestCountsContainer:
     def test_click_fraction_bounds(self):
         with pytest.raises(ParameterError):
             _counts(c_d=101, c_lp=100)
-        with pytest.raises(ParameterError):
-            _counts(c_d=100, c_lp=100)
+        # A run whose every pulse clicked is valid data; the efficiency
+        # estimator refuses it instead.
+        counts = _counts(c_d=100, c_lp=100)
+        with pytest.raises(EstimatorDomainError, match="saturates"):
+            efficiency_estimate(counts)
 
     def test_dark_rate_below_clock(self):
         with pytest.raises(ParameterError):
@@ -121,6 +124,10 @@ class TestEfficiencyEstimator:
         # Clicks below the dark expectation imply negative efficiency.
         with pytest.raises(EstimatorDomainError):
             efficiency_estimate(_counts(c_d=1, c_lp=100_000, r_dc=25e6))
+        # Saturated below p = 1: 1 - 1e-5 of the pulses clicked, past the
+        # 1 - 2e-5 the dark rate leaves.
+        with pytest.raises(EstimatorDomainError, match="saturates"):
+            efficiency_estimate(_counts(c_d=99_999, c_lp=100_000, r_dc=1e3))
 
 
 class TestAfterpulseEstimator:

@@ -672,6 +672,21 @@ class TestExitCodes:
         assert cli.main(["qkd", "--config", cfg, "--out", str(blocker)]) == 2
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_run_whose_every_pulse_clicked_exits_2(self, tmp_path, capsys,
+                                                     seed):
+        # One pulse, detected at seeds 0 and 2, exited 1 there with the
+        # counts' "c_d/c_lp must stay below 1" and no key named.
+        cfg = _cfg(tmp_path, "[characterize]\ntemperatures_c = -110\n"
+                             "efficiencies = 0.115\npulses = 1\n")
+        out = tmp_path / "out"
+        assert cli.main(["characterize", "--config", cfg, "--seed",
+                         str(seed), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, text, key", [
         ("qkd", "[qkd]\nuse_optimizer = false\nlosses_db = nan\n",
          "losses_db"),

@@ -134,6 +134,15 @@ class TestAnalyticModel:
         assert qbers[-1] > 0.499
         assert qbers[-1] <= 0.5
 
+    def test_a_link_without_clicks_has_a_coin_flip_qber_and_no_key(self):
+        silent = DarkRateModel(amplitude_thermal=0.0,
+                               activation_temperature=0.0, floor=0.0,
+                               efficiency_exponent=0.0, efficiency_ref=0.115)
+        det = make_detector(-110.0, 0.115, 20e-6, dark_model=silent)
+        op = QkdOperatingPoint(data_detector=det, monitor_detector=det)
+        assert link_metrics(LinkConfig(channel_loss_db=10.0, mu=0.0), op) \
+            == LinkMetrics(0.0, 0.5, 0.0, 0.0, 0.0)
+
     def test_dark_subtracted_visibility_dominates(self):
         for loss in (5.0, 15.0, 30.0):
             for tau in (2e-6, 20e-6):
